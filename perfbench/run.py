@@ -96,15 +96,31 @@ class _PeakWatcher(threading.Thread):
                 self.peaks[pid] = max(self.peaks.get(pid, 0), _vm_hwm_kib(pid))
 
 
+def steal_s() -> float:
+    """CPU seconds the host has taken from this machine, summed over its CPUs.
+
+    /proc/stat counts, for each CPU, the time the hypervisor ran something
+    else while that CPU had work (``steal``).  It reads 0 where the kernel
+    does not account steal.
+    """
+    try:
+        with open("/proc/stat") as f:
+            return int(f.readline().split()[8]) / os.sysconf("SC_CLK_TCK")
+    except (OSError, IndexError, ValueError):
+        return 0.0
+
+
 def run_annotate(work: Path, args: list[str]) -> dict:
     """Run ``python -m oncospan.cli annotate`` and measure it from outside.
 
     Peak RSS is the child's own peak from wait4 when it starts no processes;
     otherwise the sum over the process tree of each process's last polled
     VmHWM.  CPU time covers the child and every descendant it waited for.
+    Steal is what steal_s counted while it ran.
     """
     cmd = [sys.executable, "-m", "oncospan.cli", "annotate", *args]
     with open(work / "annotate.out", "wb") as out, open(work / "annotate.err", "wb") as err:
+        stolen = steal_s()
         start = time.perf_counter()
         proc = subprocess.Popen(cmd, cwd=ROOT, env=_env(), stdout=out, stderr=err)
         watcher = _PeakWatcher(proc.pid)
@@ -113,6 +129,7 @@ def run_annotate(work: Path, args: list[str]) -> dict:
         killer.start()
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
+        stolen = steal_s() - stolen
         killer.cancel()
         watcher.done.set()
         watcher.join()
@@ -122,6 +139,7 @@ def run_annotate(work: Path, args: list[str]) -> dict:
     return {
         "code": proc.returncode,
         "wall": wall,
+        "steal": stolen,
         "cpu": usage.ru_utime + usage.ru_stime,
         "rss_mib": rss_kib / 1024,
         "stdout": (work / "annotate.out").read_text(encoding="utf-8", errors="replace"),
@@ -291,14 +309,19 @@ def timed_run(run: Run) -> dict:
     setup, rates, rss, latencies, query_ms, outputs = [], [], [], [], [], {}
     first_digest = first_stdout = None
     last_results = []
+    workers = min(run.wl.jobs, len(os.sched_getaffinity(0)))
     rounds = 0
-    start = time.perf_counter()
     clock = time.perf_counter
-    while rounds < MIN_ROUNDS or clock() - start < run.seconds:
+    start, round_s = clock(), 0.0
+    # A round starts only if one as long as the last would end in time.
+    while rounds < MIN_ROUNDS or clock() - start + round_s <= run.seconds:
         rounds += 1
+        round_start = clock()
         setup.append(measure_setup())
         inv = run.annotate()
-        rates.append(len(run.docs) / inv["wall"])
+        # Time the host takes from the CPUs the command keeps busy stalls it
+        # for that long: its seconds are wall time less the steal per worker.
+        rates.append(len(run.docs) / (inv["wall"] - inv["steal"] / workers))
         rss.append(inv["rss_mib"])
         if inv["code"] == 0:
             d = digest(run.store, run.sql, inv["stdout"])
@@ -316,6 +339,7 @@ def timed_run(run: Run) -> dict:
                 run.attempted += 1
         for q in FILTERS:
             query_ms.append(run.query(q.expression, outputs) * 1000)
+        round_s = clock() - round_start
     files = run.check(first_stdout or "", outputs) if first_digest else []
     by_id = {ann.doc_id: ann for ann in files}
     for result in last_results if files else []:
@@ -381,9 +405,10 @@ def traced_run(run: Run) -> dict:
     first_stdout = None
     clock = time.perf_counter
     rounds = 0
-    start = clock()
-    while rounds < 1 or clock() - start < run.seconds:
+    start, round_s = clock(), 0.0
+    while rounds < 1 or clock() - start + round_s <= run.seconds:
         rounds += 1
+        round_start = clock()
         phases = []  # only the last round's spans are written out
         inv = run.annotate()
         cores.append(inv["cpu"] / inv["wall"])
@@ -424,6 +449,7 @@ def traced_run(run: Run) -> dict:
         phases.append((f"query-{rounds}", spans))
         query_spans.extend(spans)
         counts.update(pass_counts)
+        round_s = clock() - round_start
     if missing:
         print("not traced, missing from the program: " + ", ".join(missing), file=sys.stderr)
     if first_stdout is not None:
