@@ -6,7 +6,6 @@ checking, and performance status (ECOG, Karnofsky), as character-offset
 annotations over the original text.
 """
 
-from ._textops import available_backends, backend_name, set_backend
 from .assertion import CueLexicon, Polarity, detect_polarity, load_cue_lexicon
 from .document import (
     Diagnostic,

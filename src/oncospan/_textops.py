@@ -1,57 +1,181 @@
-"""Text-kernel backend selection.
+"""Text kernels: normalization, sentence splitting and tokenization.
 
-The compiled extension is preferred when it imported cleanly; the
-pure-Python module is the fallback and the reference implementation.
-Setting the environment variable ``ONCOSPAN_PURE=1`` before import forces
-the fallback.  ``set_backend`` switches at runtime (used by the tests and
-the benchmark; annotator modules call through this module, so the switch
-takes effect immediately).
+These three functions are the hot path of the whole package: every document
+runs through them before any rule is applied.  The per-character work runs
+inside ``str.translate`` and ``re``; Python-level loops are left for the
+rare characters that fold to more or fewer than one character and for the
+token before each period.  ``tests/_textops_py.py`` keeps the plain loop
+version of the same contract, and the test suite checks that both agree.
+
+``document`` and the annotators call the kernels through this module, so a
+wrapper set on a module attribute sees every call.
 """
 
-import os
+import re
+import unicodedata
 
-from . import _textops_py
-
-_compiled = None
-if os.environ.get("ONCOSPAN_PURE") != "1":
-    try:
-        from . import _speedups as _compiled  # type: ignore[no-redef]
-    except ImportError:
-        _compiled = None
-
-_active = _compiled if _compiled is not None else _textops_py
+BACKEND_NAME = "python"
 
 
 def backend_name() -> str:
-    """Name of the active backend: ``"c"`` or ``"python"``."""
-    return _active.BACKEND_NAME
+    """Name of the kernel implementation; there is only ``"python"``."""
+    return BACKEND_NAME
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("python", "c") if _compiled is not None else ("python",)
+    return (BACKEND_NAME,)
 
 
 def set_backend(name: str) -> None:
-    global _active
-    if name == "python":
-        _active = _textops_py
-    elif name == "c":
-        if _compiled is None:
-            raise ValueError("compiled backend is not available")
-        _active = _compiled
-    else:
+    if name != BACKEND_NAME:
         raise ValueError(f"unknown backend {name!r}")
 
 
+# Characters whose fold is not exactly one character: bare combining marks
+# vanish, Hangul syllables become their jamo.  Only texts holding one of
+# them need the per-character offset loop.
+_IRREGULAR: set[str] = set()
+
+
+class _FoldTable(dict):
+    """Code point -> lowercased, accent-stripped string, filled lazily."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        folded = "".join(
+            c
+            for c in unicodedata.normalize("NFD", ch.lower())
+            if unicodedata.category(c) != "Mn"
+        )
+        # Threads share the tables: a thread that finds this entry must
+        # also find the character in _IRREGULAR, so record it first.
+        if len(folded) != 1:
+            _IRREGULAR.add(ch)
+        self[code] = folded
+        return folded
+
+
+_FOLD = _FoldTable()
+
+
 def normalize_text(text: str) -> tuple[str, list[int]]:
-    return _active.normalize_text(text)
+    """Lowercase *text* and strip combining marks, character by character.
+
+    Returns ``(normalized, offsets)`` where ``offsets[i]`` is the index in
+    *text* of the character that produced ``normalized[i]``.  Characters
+    that vanish entirely (bare combining marks) emit nothing; characters
+    that expand map every output character back to the same source index.
+    """
+    normalized = text.translate(_FOLD)
+    if _IRREGULAR.isdisjoint(text):
+        return normalized, list(range(len(text)))
+    offsets: list[int] = []
+    for i, ch in enumerate(text):
+        offsets.extend([i] * len(_FOLD[ord(ch)]))
+    return normalized, offsets
+
+
+class _ClassTable(dict):
+    """Code point -> token class: "d" decimal, "w" other token character,
+    " " whitespace, "s" symbol.  Filled lazily."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        if ch.isdecimal():
+            cls = "d"
+        elif ch.isalnum() or unicodedata.category(ch) == "Mn":
+            # Combining marks glue to the run they follow so that decomposed
+            # input ("exo" + "´" + "n") tokenizes like its composed form.
+            cls = "w"
+        elif ch.isspace():
+            cls = " "
+        else:
+            cls = "s"
+        self[code] = cls
+        return cls
+
+
+_CLASS = _ClassTable()
+# Groups in kind-code order of lastindex: 1 number, 2 word, 3 symbol.
+_TOKEN_RE = re.compile(r"(d+)(?![dw])|([dw]+)|(s)")
+_KIND_BY_GROUP = (None, 1, 0, 2)
+
+
+def token_spans(text: str, begin: int, end: int) -> list[tuple[int, int, int]]:
+    """Tokenize ``text[begin:end]`` into ``(begin, end, kind)`` triples.
+
+    Offsets are absolute in *text*.  Kind codes: 0 word, 1 number,
+    2 symbol.  Maximal alphanumeric runs form words (numbers when every
+    character is a decimal digit); every other non-whitespace character is
+    its own symbol token.
+    """
+    classes = text[begin:end].translate(_CLASS)
+    kinds = _KIND_BY_GROUP
+    return [
+        (m.start() + begin, m.end() + begin, kinds[m.lastindex])
+        for m in _TOKEN_RE.finditer(classes)
+    ]
+
+
+_NON_SPACE = re.compile(r"\S")
+# A terminator, or a newline that closes a blank line (only spaces, tabs
+# and carriage returns up to the next newline or the end of the text).
+_BOUNDARY = re.compile(r"[.!?]|\n[ \t\r]*(?:\n|\Z)")
+_TERMINATOR_RUN = re.compile(r"[.!?]+")
 
 
 def sentence_spans(
     text: str, abbreviations: frozenset[str] = frozenset()
 ) -> list[tuple[int, int]]:
-    return _active.sentence_spans(text, abbreviations)
+    """Split *text* into sentence spans.
+
+    A sentence ends at a maximal run of ``.``, ``!``, ``?`` (the run is part
+    of the span) or at a blank line (not part of the span).  A period is not
+    a terminator when it sits between two digits, or when the token before
+    it is an abbreviation: either a single letter or a member of
+    *abbreviations* (compared after accent/case folding).  Spans start at
+    the first non-whitespace character and never cover trailing whitespace.
+    """
+    spans: list[tuple[int, int]] = []
+    pos = 0
+    while (first := _NON_SPACE.search(text, pos)) is not None:
+        start = scan = first.start()
+        while True:
+            boundary = _BOUNDARY.search(text, scan)
+            if boundary is None:
+                spans.append((start, start + len(text[start:].rstrip())))
+                return spans
+            at = boundary.start()
+            if text[at] == "\n":
+                spans.append((start, start + len(text[start:at].rstrip())))
+                pos = boundary.end()
+                break
+            if text[at] == "." and not _period_terminates(text, at, abbreviations):
+                scan = at + 1
+                continue
+            pos = _TERMINATOR_RUN.match(text, at).end()
+            spans.append((start, pos))
+            break
+    return spans
 
 
-def token_spans(text: str, begin: int, end: int) -> list[tuple[int, int, int]]:
-    return _active.token_spans(text, begin, end)
+def _period_terminates(text: str, i: int, abbreviations: frozenset[str]) -> bool:
+    n = len(text)
+    if 0 < i < n - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
+        return False
+    # Find the token immediately before the period.
+    j = i - 1
+    while j >= 0 and text[j].isspace():
+        j -= 1
+    if j < 0 or _CLASS[ord(text[j])] not in "dw":
+        # Start of text or a symbol token: the period terminates.
+        return True
+    k = j
+    while k > 0 and _CLASS[ord(text[k - 1])] in "dw":
+        k -= 1
+    token = text[k : j + 1].translate(_FOLD)
+    if len(token) == 1 and token.isalpha():
+        return False
+    if token in abbreviations:
+        return False
+    return True

@@ -11,7 +11,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .document import Span, Token, normalize_word
+from .document import Span, Token, normalize_word, token_range
 from .errors import ConflictingEntry, MalformedLexicon
 
 MAX_PHRASE_WORDS = 4
@@ -108,7 +108,7 @@ def detect_polarity(
     tokens: Sequence[Token], target: Span, lexicon: CueLexicon
 ) -> Polarity:
     """Polarity of the mention at *target* given its sentence *tokens*."""
-    rng = _overlap_range(tokens, target)
+    rng = token_range(tokens, target)
     if rng is None:
         return Polarity.UNKNOWN
     t_first, t_last = rng
@@ -165,15 +165,3 @@ def detect_polarity(
     if positive:
         return Polarity.POSITIVE
     return Polarity.UNKNOWN
-
-
-def _overlap_range(tokens: Sequence[Token], target: Span) -> tuple[int, int] | None:
-    first = last = -1
-    for i, tok in enumerate(tokens):
-        if tok.span.overlaps(target):
-            if first == -1:
-                first = i
-            last = i
-    if first == -1:
-        return None
-    return first, last

@@ -6,9 +6,11 @@ happens on shadow copies used for matching; spans always point back into
 the text as written.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 from . import _textops
 from .errors import OutOfBounds
@@ -106,6 +108,19 @@ def tokenize(document: Document, sentence: Sentence) -> list[Token]:
     ]
 
 
+def token_range(tokens: Sequence[Token], span: Span) -> tuple[int, int] | None:
+    """Indexes (first, last) of the *tokens* overlapping *span*, or None.
+
+    *tokens* must be in text order without overlaps, as ``tokenize`` and
+    ``SentenceView`` give them.
+    """
+    first = bisect_right(tokens, span.begin, key=lambda t: t.span.end)
+    last = bisect_left(tokens, span.end, key=lambda t: t.span.begin) - 1
+    if first > last:
+        return None
+    return first, last
+
+
 @lru_cache(maxsize=4096)
 def normalize_word(word: str) -> str:
     """Case- and accent-fold a short string (token surfaces, cue words)."""
@@ -127,7 +142,6 @@ class SentenceView:
         "norm_map",
         "tokens",
         "norm_surfaces",
-        "_token_begins",
     )
 
     def __init__(self, text: str, base: int = 0):
@@ -139,7 +153,6 @@ class SentenceView:
             for b, e, kind in _textops.token_spans(text, 0, len(text))
         )
         self.norm_surfaces = tuple(normalize_word(t.surface) for t in self.tokens)
-        self._token_begins = tuple(t.span.begin for t in self.tokens)
 
     @classmethod
     def from_sentence(cls, document: Document, sentence: Sentence) -> "SentenceView":
@@ -156,15 +169,3 @@ class SentenceView:
 
     def covered(self, span: Span) -> str:
         return self.text[span.begin - self.base : span.end - self.base]
-
-    def token_range(self, span: Span) -> tuple[int, int] | None:
-        """Indexes (first, last) of tokens overlapping *span*, or None."""
-        first = last = -1
-        for i, tok in enumerate(self.tokens):
-            if tok.span.overlaps(span):
-                if first == -1:
-                    first = i
-                last = i
-        if first == -1:
-            return None
-        return first, last

@@ -8,12 +8,13 @@ these exons and points are only reported for that gene in this domain.
 """
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .assertion import CueLexicon, Polarity, detect_polarity
-from .document import Document, Sentence, SentenceView, Span, Token, TokenKind
+from .document import Document, Sentence, SentenceView, Span, TokenKind, token_range
 
 
 class Gene(Enum):
@@ -110,7 +111,12 @@ def exon_mentions_in_view(view: SentenceView) -> list[ExonMention]:
                 break
         if num_idx == -1:
             continue
-        number = int(tokens[num_idx].surface)
+        surface = tokens[num_idx].surface
+        # int() refuses runs of more than 4,300 digits; a nonzero digit
+        # before the last two already puts the number out of range.
+        if any(unicodedata.decimal(c) for c in surface[:-2]):
+            continue
+        number = int(surface[-2:])
         if not 18 <= number <= 21:
             continue
         kind = None
@@ -139,8 +145,8 @@ def mutation_points_in_view(view: SentenceView) -> list[MutationPoint]:
 
 
 def _token_distance(view: SentenceView, a: Span, b: Span) -> int:
-    ra = view.token_range(a)
-    rb = view.token_range(b)
+    ra = token_range(view.tokens, a)
+    rb = token_range(view.tokens, b)
     if ra is None or rb is None:
         return abs(a.begin - b.begin)
     if rb[0] > ra[1]:

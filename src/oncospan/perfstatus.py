@@ -70,16 +70,21 @@ def _scan(
     diagnostics = []
     for m in pattern.finditer(view.norm):
         span = view.orig_span(m.start(), m.end())
-        value = int(m.group(1))
-        if value > limit:
+        # The decimal form of the value, without converting it: int() refuses
+        # runs of more than 4,300 digits, and any run with more significant
+        # digits than the limit is out of range anyway.
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(limit)) or int(digits) > limit:
             diagnostics.append(
                 Diagnostic(
                     span,
-                    f"{scale.value} value {value} outside 0-{limit}",
+                    f"{scale.value} value {digits} outside 0-{limit}",
                 )
             )
             continue
-        annotations.append(PSAnnotation(span, scale, value, view.covered(span)))
+        annotations.append(
+            PSAnnotation(span, scale, int(digits), view.covered(span))
+        )
     return annotations, diagnostics
 
 

@@ -139,11 +139,15 @@ def serialize_result(result: DocumentResult) -> bytes:
         parts.append(
             f"#diag\t{diag.span.begin}\t{diag.span.end}\t{_escape(diag.message)}\n"
         )
+    # Record index of each annotation; equal annotations keep the first
+    # index, as list.index would give.
+    position: dict[Annotation, int] = {}
+    for i, ann in enumerate(annotations):
+        position.setdefault(ann, i)
     for report in result.consistency:
         expected = "-" if report.expected is None else report.expected.value
         parts.append(
-            f"#check\t{annotations.index(report.tnm)}\t"
-            f"{annotations.index(report.stage)}\t"
+            f"#check\t{position[report.tnm]}\t{position[report.stage]}\t"
             f"{report.verdict.value}\t{expected}\n"
         )
     return "".join(parts).encode("utf-8")

@@ -1,9 +1,7 @@
-"""Pure-Python text kernels.
+"""Pure-Python text kernels, one loop iteration per character.
 
-These three functions are the hot path of the whole package: every document
-runs through normalization, sentence splitting and tokenization before any
-rule is applied.  A compiled twin lives in ``_speedups.pyx``; both must
-produce identical output for identical input (the test suite checks this
+The executable specification of ``oncospan._textops``: both must produce
+identical output for identical input (``test_kernels.py`` checks this
 property on fuzzed text).
 """
 

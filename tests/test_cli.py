@@ -43,6 +43,17 @@ def test_annotate_directory(corpus_dir, tmp_path, capsys):
     assert "ps annotations: 3" in printed
 
 
+@pytest.mark.parametrize("keyword", ["ECOG ", "exon ", "Karnofsky "])
+def test_annotate_digit_run_past_int_limit(keyword, tmp_path):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / "docLong.txt").write_text(keyword + "7" * 5000, encoding="utf-8")
+    (notes / "docNormal.txt").write_text(COMBINED_NOTE, encoding="utf-8")
+    out = tmp_path / "out"
+    assert _annotate(notes, out) == 0
+    assert sorted(p.name for p in out.glob("*.ann")) == ["docLong.ann", "docNormal.ann"]
+
+
 def test_annotate_single_file(corpus_dir, tmp_path, capsys):
     out = tmp_path / "out"
     code = cli_main(

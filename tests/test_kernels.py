@@ -1,31 +1,31 @@
-"""Both text-kernel backends must agree on everything, byte for byte."""
+"""The text kernels must agree with the loop version, byte for byte."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oncospan import _textops, _textops_py
+import _textops_py
+from oncospan import _textops
 from oncospan.document import ABBREVIATION_STOPLIST
 
-pytestmark = pytest.mark.skipif(
-    "c" not in _textops.available_backends(),
-    reason="compiled backend not built",
-)
-
-compiled = pytest.importorskip("oncospan._speedups")
-
 # Mix of plain ASCII, Spanish clinical text, digits, symbols and a few
-# surprises (combining marks, non-BMP, superscripts).
-_clinical = st.text(
-    alphabet=st.sampled_from(
-        "abcdefghijklmnopqrstuvwxyz"
-        "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        "áéíóúüñÁÉÍÓÚÜÑ"
-        "0123456789"
-        " \t\n\r.,;:()/%+-_!?"
+# surprises that reach the kernels' slow and edge paths: a bare combining
+# acute (folds to nothing), a Hangul syllable (folds to three jamo), a
+# superscript two (a word, not a number), an Arabic-Indic three (a decimal
+# number), and a vertical tab between newlines (not a blank line).
+_clinical = st.lists(
+    st.sampled_from(
+        list(
+            "abcdefghijklmnopqrstuvwxyz"
+            "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+            "áéíóúüñÁÉÍÓÚÜÑ"
+            "0123456789"
+            " \t\n\r.,;:()/%+-_!?"
+            "\u0301한²٣"
+        )
+        + ["\n\x0b\n"]
     ),
     max_size=200,
-)
+).map("".join)
 _wild = st.text(max_size=120)
 _texts = st.one_of(_clinical, _wild)
 
@@ -33,13 +33,13 @@ _texts = st.one_of(_clinical, _wild)
 @given(_texts)
 @settings(max_examples=300, deadline=None)
 def test_normalize_agrees(text):
-    assert compiled.normalize_text(text) == _textops_py.normalize_text(text)
+    assert _textops.normalize_text(text) == _textops_py.normalize_text(text)
 
 
 @given(_texts)
 @settings(max_examples=300, deadline=None)
 def test_sentence_spans_agree(text):
-    assert compiled.sentence_spans(text, ABBREVIATION_STOPLIST) == (
+    assert _textops.sentence_spans(text, ABBREVIATION_STOPLIST) == (
         _textops_py.sentence_spans(text, ABBREVIATION_STOPLIST)
     )
 
@@ -47,7 +47,7 @@ def test_sentence_spans_agree(text):
 @given(_texts)
 @settings(max_examples=300, deadline=None)
 def test_token_spans_agree(text):
-    assert compiled.token_spans(text, 0, len(text)) == _textops_py.token_spans(
+    assert _textops.token_spans(text, 0, len(text)) == _textops_py.token_spans(
         text, 0, len(text)
     )
 
@@ -55,7 +55,7 @@ def test_token_spans_agree(text):
 @given(_texts)
 @settings(max_examples=200, deadline=None)
 def test_normalize_offsets_valid(text):
-    norm, offsets = _textops_py.normalize_text(text)
+    norm, offsets = _textops.normalize_text(text)
     assert len(norm) == len(offsets)
     assert all(0 <= i < len(text) for i in offsets)
     assert offsets == sorted(offsets)
@@ -73,11 +73,11 @@ def test_normalize_enie_keeps_n():
 
 
 def test_normalize_expansion_maps_to_source():
-    # U+FB01 (fi ligature) decompose via NFKC? No: NFD leaves it; but German
-    # sharp s lowercases to itself and Kelvin sign folds to plain k.
-    norm, offsets = _textops.normalize_text("Kelvin")
-    assert norm == "kelvin"
-    assert offsets[0] == 0
+    # A Hangul syllable folds to its three jamo, a bare combining acute
+    # vanishes, and the Kelvin sign folds to a plain k.
+    norm, offsets = _textops.normalize_text("\ud55c a\u0301\u212aelvin")
+    assert norm == "\u1112\u1161\u11ab akelvin"
+    assert offsets == [0, 0, 0, 1, 2, 4, 5, 6, 7, 8, 9]
 
 
 @given(_texts)
@@ -115,14 +115,19 @@ def test_number_kind_is_int_parseable():
         int(surface)
 
 
-def test_set_backend_round_trip():
-    original = _textops.backend_name()
-    try:
-        _textops.set_backend("python")
-        assert _textops.backend_name() == "python"
-        _textops.set_backend("c")
-        assert _textops.backend_name() == "c"
-        with pytest.raises(ValueError):
-            _textops.set_backend("rust")
-    finally:
-        _textops.set_backend(original)
+def test_irregular_character_recorded_before_its_fold_entry(monkeypatch):
+    # Annotate threads share the fold table.  A thread that finds a
+    # character's entry does not fold it again, so the character must already
+    # be in _IRREGULAR for that thread to take the slow offset path.
+    in_table_when_recorded = []
+
+    class RecordingSet(set):
+        def add(self, ch):
+            in_table_when_recorded.append(ord(ch) in _textops._FOLD)
+            super().add(ch)
+
+    monkeypatch.setattr(_textops, "_FOLD", _textops._FoldTable())
+    monkeypatch.setattr(_textops, "_IRREGULAR", RecordingSet())
+    text = "a\u0301 \uac00"
+    assert _textops.normalize_text(text) == _textops_py.normalize_text(text)
+    assert in_table_when_recorded == [False, False]

@@ -48,6 +48,12 @@ def test_find_exon_mentions():
 def test_exon_out_of_range_ignored():
     assert find_exon_mentions("exon 7 sin interés") == []
     assert find_exon_mentions("exon 22") == []
+    assert find_exon_mentions("exon 119") == []
+    assert find_exon_mentions("exon 1" + "0" * 5000) == []
+
+
+def test_exon_number_leading_zeros():
+    assert [e.number for e in find_exon_mentions("exon 0019 y exon ٠٢١")] == [19, 21]
 
 
 def test_exon_kind_after_number():

@@ -33,8 +33,25 @@ def test_ecog_span_covers_surface():
 def test_ecog_out_of_range_is_diagnostic_only():
     anns, diags = annotate_ecog("ECOG 7 anotado por error")
     assert anns == []
-    assert len(diags) == 1
-    assert "7" in diags[0].message
+    assert [d.message for d in diags] == ["ECOG value 7 outside 0-5"]
+    _, diags = annotate_ecog("ECOG 000123")
+    assert [d.message for d in diags] == ["ECOG value 123 outside 0-5"]
+
+
+def test_ecog_leading_zeros():
+    anns, diags = annotate_ecog("ECOG 0005")
+    assert [(a.value, a.raw) for a in anns] == [(5, "ECOG 0005")]
+    assert diags == []
+
+
+def test_digit_runs_past_int_limit_are_diagnostics():
+    digits = "9" * 5000
+    anns, diags = annotate_ecog("ECOG " + digits)
+    assert anns == []
+    assert [d.message for d in diags] == [f"ECOG value {digits} outside 0-5"]
+    anns, diags = annotate_karnofsky("Karnofsky " + digits)
+    assert anns == []
+    assert [d.message for d in diags] == [f"Karnofsky value {digits} outside 0-100"]
 
 
 def test_ecog_separator_insensitive():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,14 @@ def test_staging_note_records(default_pipeline):
     assert stage_feats == {"stage": "IA1"}
     checks = [ln for ln in lines if ln.startswith("#check\t")]
     assert checks == ["#check\t0\t1\tConsistent\tIA1"]
+
+
+def test_check_indexes_first_of_equal_annotations(default_pipeline):
+    result = default_pipeline.process_document(Document("stg", STAGING_NOTE))
+    tnm, stage = result.annotations
+    doubled = dataclasses.replace(result, annotations=(tnm, tnm, stage, stage))
+    checks = [ln for ln in _lines(serialize_result(doubled)) if ln.startswith("#check\t")]
+    assert checks == ["#check\t0\t2\tConsistent\tIA1"]
 
 
 def test_round_trip_fixtures(default_pipeline):
