@@ -12,7 +12,9 @@ wrapper set on a module attribute sees every call.
 """
 
 import re
+import threading
 import unicodedata
+from typing import Sequence
 
 BACKEND_NAME = "python"
 
@@ -33,14 +35,19 @@ def set_backend(name: str) -> None:
 
 # Characters whose fold is not exactly one character: bare combining marks
 # vanish, Hangul syllables become their jamo.  Only texts holding one of
-# them need the per-character offset loop.
+# them need the per-character offset loop.  _IRREGULAR_RE is a character
+# class over the set (None while it is empty), rebuilt under the lock as
+# the set grows.
 _IRREGULAR: set[str] = set()
+_IRREGULAR_RE: re.Pattern | None = None
+_IRREGULAR_LOCK = threading.Lock()
 
 
 class _FoldTable(dict):
     """Code point -> lowercased, accent-stripped string, filled lazily."""
 
     def __missing__(self, code: int) -> str:
+        global _IRREGULAR_RE
         ch = chr(code)
         folded = "".join(
             c
@@ -48,9 +55,13 @@ class _FoldTable(dict):
             if unicodedata.category(c) != "Mn"
         )
         # Threads share the tables: a thread that finds this entry must
-        # also find the character in _IRREGULAR, so record it first.
+        # also find the character in _IRREGULAR_RE, so record it first.
         if len(folded) != 1:
-            _IRREGULAR.add(ch)
+            with _IRREGULAR_LOCK:
+                _IRREGULAR.add(ch)
+                _IRREGULAR_RE = re.compile(
+                    "[" + "".join(map(re.escape, sorted(_IRREGULAR))) + "]"
+                )
         self[code] = folded
         return folded
 
@@ -58,17 +69,21 @@ class _FoldTable(dict):
 _FOLD = _FoldTable()
 
 
-def normalize_text(text: str) -> tuple[str, list[int]]:
+def normalize_text(text: str) -> tuple[str, Sequence[int]]:
     """Lowercase *text* and strip combining marks, character by character.
 
     Returns ``(normalized, offsets)`` where ``offsets[i]`` is the index in
     *text* of the character that produced ``normalized[i]``.  Characters
     that vanish entirely (bare combining marks) emit nothing; characters
     that expand map every output character back to the same source index.
+    When every character folds to exactly one, ``offsets`` is the identity
+    ``range(len(text))``, and ``normalized[b:e]`` is the fold of
+    ``text[b:e]``; otherwise it is a list.
     """
     normalized = text.translate(_FOLD)
-    if _IRREGULAR.isdisjoint(text):
-        return normalized, list(range(len(text)))
+    irregular = _IRREGULAR_RE
+    if irregular is None or irregular.search(text) is None:
+        return normalized, range(len(text))
     offsets: list[int] = []
     for i, ch in enumerate(text):
         offsets.extend([i] * len(_FOLD[ord(ch)]))
@@ -96,9 +111,11 @@ class _ClassTable(dict):
 
 
 _CLASS = _ClassTable()
-# Groups in kind-code order of lastindex: 1 number, 2 word, 3 symbol.
+# Token kind codes.
+WORD, NUMBER, SYMBOL = 0, 1, 2
+# Kind code by lastindex: group 1 number, 2 word, 3 symbol.
 _TOKEN_RE = re.compile(r"(d+)(?![dw])|([dw]+)|(s)")
-_KIND_BY_GROUP = (None, 1, 0, 2)
+_KIND_BY_GROUP = (None, NUMBER, WORD, SYMBOL)
 
 
 def token_spans(text: str, begin: int, end: int) -> list[tuple[int, int, int]]:

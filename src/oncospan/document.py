@@ -10,6 +10,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from . import _textops
@@ -95,6 +96,16 @@ def split_sentences(
     ]
 
 
+def _make_tokens(
+    text: str, triples: Sequence[tuple[int, int, int]], shift: int
+) -> list[Token]:
+    """``Token`` objects for kernel triples over *text*, spans moved by *shift*."""
+    return [
+        Token(Span(b + shift, e + shift), text[b:e], _KIND_BY_CODE[kind])
+        for b, e, kind in triples
+    ]
+
+
 def tokenize(document: Document, sentence: Sentence) -> list[Token]:
     span = sentence.span
     if span.end > len(document.text):
@@ -102,17 +113,15 @@ def tokenize(document: Document, sentence: Sentence) -> list[Token]:
             f"sentence span [{span.begin}, {span.end}) exceeds document "
             f"{document.id!r}"
         )
-    return [
-        Token(Span(b, e), document.text[b:e], _KIND_BY_CODE[kind])
-        for b, e, kind in _textops.token_spans(document.text, span.begin, span.end)
-    ]
+    text = document.text
+    return _make_tokens(text, _textops.token_spans(text, span.begin, span.end), 0)
 
 
 def token_range(tokens: Sequence[Token], span: Span) -> tuple[int, int] | None:
     """Indexes (first, last) of the *tokens* overlapping *span*, or None.
 
     *tokens* must be in text order without overlaps, as ``tokenize`` and
-    ``SentenceView`` give them.
+    ``SentenceView.token_objects`` give them.
     """
     first = bisect_right(tokens, span.begin, key=lambda t: t.span.end)
     last = bisect_left(tokens, span.end, key=lambda t: t.span.begin) - 1
@@ -131,8 +140,11 @@ class SentenceView:
     """One sentence prepared for matching.
 
     Carries the original slice, its normalized shadow with the offset map
-    back to the original, and the token list (spans absolute in the source
-    document).  Built once per sentence and shared by every annotator.
+    back to the original, and the kernel's tokens as ``(begin, end, kind)``
+    triples with offsets relative to the sentence, kind codes as in
+    ``_textops.token_spans``.  ``norm_surfaces[i]`` is the folded surface of
+    token ``i``.  Built once per sentence and shared by every annotator;
+    ``Token`` objects are made only when ``token_objects`` is called.
     """
 
     __slots__ = (
@@ -142,21 +154,39 @@ class SentenceView:
         "norm_map",
         "tokens",
         "norm_surfaces",
+        "_objects",
     )
 
     def __init__(self, text: str, base: int = 0):
         self.text = text
         self.base = base
-        self.norm, self.norm_map = _textops.normalize_text(text)
-        self.tokens = tuple(
-            Token(Span(base + b, base + e), text[b:e], _KIND_BY_CODE[kind])
-            for b, e, kind in _textops.token_spans(text, 0, len(text))
-        )
-        self.norm_surfaces = tuple(normalize_word(t.surface) for t in self.tokens)
+        norm, norm_map = _textops.normalize_text(text)
+        tokens = _textops.token_spans(text, 0, len(text))
+        self.norm, self.norm_map, self.tokens = norm, norm_map, tokens
+        if type(norm_map) is range:
+            # Every character folds to one: the shadow lines up with the text.
+            self.norm_surfaces = [norm[b:e] for b, e, _ in tokens]
+        else:
+            self.norm_surfaces = [normalize_word(text[b:e]) for b, e, _ in tokens]
+        self._objects = None
 
     @classmethod
     def from_sentence(cls, document: Document, sentence: Sentence) -> "SentenceView":
         return cls(covered_text(document, sentence.span), sentence.span.begin)
+
+    def token_objects(self) -> list[Token]:
+        """The tokens as ``Token`` objects with absolute spans, built once."""
+        if self._objects is None:
+            self._objects = _make_tokens(self.text, self.tokens, self.base)
+        return self._objects
+
+    def token_range(self, span: Span) -> tuple[int, int] | None:
+        """Indexes (first, last) of the tokens overlapping *span*, or None."""
+        first = bisect_right(self.tokens, span.begin - self.base, key=itemgetter(1))
+        last = bisect_left(self.tokens, span.end - self.base, key=itemgetter(0)) - 1
+        if first > last:
+            return None
+        return first, last
 
     def orig_span(self, norm_begin: int, norm_end: int) -> Span:
         """Map a half-open range on the normalized shadow to a source span."""

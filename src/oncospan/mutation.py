@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from ._textops import NUMBER
 from .assertion import CueLexicon, Polarity, detect_polarity
-from .document import Document, Sentence, SentenceView, Span, TokenKind, token_range
+from .document import Document, Sentence, SentenceView, Span
 
 
 class Gene(Enum):
@@ -73,7 +74,6 @@ _POINT_RE = re.compile(r"(?<![0-9a-z])(g719x|t790m|l858r|l861q)(?![0-9a-z])")
 
 _EXON_KEYWORD = "exon"
 _EXON_LOOKAHEAD = 2  # tokens after the keyword that may hold the number
-_KIND_DISTANCE = 2  # tokens around the mention that may hold del/ins
 _KIND_CUES = {
     "del": ExonKind.DELETION,
     "delecion": ExonKind.DELETION,
@@ -106,12 +106,13 @@ def exon_mentions_in_view(view: SentenceView) -> list[ExonMention]:
             continue
         num_idx = -1
         for j in range(i + 1, min(i + 1 + _EXON_LOOKAHEAD, len(tokens))):
-            if tokens[j].kind is TokenKind.NUMBER:
+            if tokens[j][2] == NUMBER:
                 num_idx = j
                 break
         if num_idx == -1:
             continue
-        surface = tokens[num_idx].surface
+        num_begin, num_end, _ = tokens[num_idx]
+        surface = view.text[num_begin:num_end]
         # int() refuses runs of more than 4,300 digits; a nonzero digit
         # before the last two already puts the number out of range.
         if any(unicodedata.decimal(c) for c in surface[:-2]):
@@ -119,16 +120,15 @@ def exon_mentions_in_view(view: SentenceView) -> list[ExonMention]:
         number = int(surface[-2:])
         if not 18 <= number <= 21:
             continue
+        # del/ins may sit up to two tokens before the keyword or after the
+        # number, nearest first.
         kind = None
         for k in (i - 1, i - 2, num_idx + 1, num_idx + 2):
             if 0 <= k < len(tokens) and surfaces[k] in _KIND_CUES:
                 kind = _KIND_CUES[surfaces[k]]
                 break
-        out.append(
-            ExonMention(
-                Span(tokens[i].span.begin, tokens[num_idx].span.end), number, kind
-            )
-        )
+        span = Span(view.base + tokens[i][0], view.base + num_end)
+        out.append(ExonMention(span, number, kind))
     return out
 
 
@@ -145,8 +145,8 @@ def mutation_points_in_view(view: SentenceView) -> list[MutationPoint]:
 
 
 def _token_distance(view: SentenceView, a: Span, b: Span) -> int:
-    ra = token_range(view.tokens, a)
-    rb = token_range(view.tokens, b)
+    ra = view.token_range(a)
+    rb = view.token_range(b)
     if ra is None or rb is None:
         return abs(a.begin - b.begin)
     if rb[0] > ra[1]:
@@ -177,7 +177,7 @@ def annotate_view(
     for gene, span in mentions:
         if gene not in genes:
             continue
-        polarity = detect_polarity(view.tokens, span, lexicon)
+        polarity = detect_polarity(view.token_objects(), span, lexicon)
         exon = point = None
         if gene is Gene.EGFR:
             exon = _nearest(view, span, exons)
@@ -220,7 +220,7 @@ def annotate_view(
 def _implied_polarity(view: SentenceView, span: Span, lexicon: CueLexicon) -> Polarity:
     # Writing out an exon or point asserts the finding unless it is
     # explicitly negated.
-    found = detect_polarity(view.tokens, span, lexicon)
+    found = detect_polarity(view.token_objects(), span, lexicon)
     return Polarity.NEGATIVE if found is Polarity.NEGATIVE else Polarity.POSITIVE
 
 

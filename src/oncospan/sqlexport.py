@@ -4,7 +4,8 @@ Three tables: documents, annotations, and a key-value feature table so one
 schema serves every annotator.  Output is plain DDL + INSERT statements,
 deterministic for a given result list, and replayable on any engine that
 accepts standard SQL (identifiers are double-quoted; strings use doubled
-single quotes).
+single quotes).  A NUL cannot sit inside a string literal, so each one is
+spliced in as ``' || char(0) || '`` (SQLite's ``char`` function).
 """
 
 from typing import Sequence
@@ -39,7 +40,7 @@ CREATE TABLE annotation_features (
 
 
 def _quote(value: str) -> str:
-    return "'" + value.replace("'", "''") + "'"
+    return "'" + value.replace("'", "''").replace("\0", "' || char(0) || '") + "'"
 
 
 def emit_sql(results: Sequence[DocumentResult]) -> str:

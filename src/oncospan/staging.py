@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .document import SentenceView, Span, token_range
+from .document import SentenceView, Span
 from .errors import AmbiguousCategory, InvalidStage
 
 
@@ -207,7 +207,7 @@ def stages_in_view(view: SentenceView) -> list[StageAnnotation]:
     out = []
     for m in _STAGE_RE.finditer(view.norm):
         span = view.orig_span(m.start(), m.end())
-        rng = token_range(view.tokens, span)
+        rng = view.token_range(span)
         if rng is None or not _has_trigger(view, rng[0]):
             continue
         try:

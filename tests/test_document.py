@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oncospan import (
     Document,
@@ -9,6 +11,7 @@ from oncospan import (
     split_sentences,
     tokenize,
 )
+from oncospan.document import SentenceView, normalize_word, token_range
 
 
 def spans(sentences):
@@ -141,3 +144,55 @@ def test_covered_text():
 def test_covered_text_out_of_bounds():
     with pytest.raises(OutOfBounds):
         covered_text(Document("d", "abc"), Span(1, 7))
+
+
+# Clinical characters, with and without the ones that fold to more or fewer
+# than one character (a bare acute vanishes, a Hangul syllable becomes three
+# jamo): those texts cannot slice token surfaces out of the folded shadow.
+_regular = "abcdeginorsxyzEGFRALKOS áéíóúñÁÉÑ0123456789 .,:()+-%_\n"
+_view_texts = st.one_of(
+    st.text(_regular, max_size=120),
+    st.text(_regular + "\u0301\ud55c\u212a", max_size=120),
+    st.text(max_size=80),
+)
+
+
+# Kind codes of the kernel triples, as _textops.token_spans documents them.
+_KINDS = (TokenKind.WORD, TokenKind.NUMBER, TokenKind.SYMBOL)
+
+
+def _check_view(text, cuts):
+    doc = Document("d", text)
+    for sentence in split_sentences(text):
+        view = SentenceView.from_sentence(doc, sentence)
+        tokens = tokenize(doc, sentence)
+        assert len(view.tokens) == len(tokens) == len(view.norm_surfaces)
+        for (b, e, kind), token, norm in zip(view.tokens, tokens, view.norm_surfaces):
+            assert Span(view.base + b, view.base + e) == token.span
+            assert _KINDS[kind] is token.kind
+            assert norm == normalize_word(token.surface)
+        assert view.token_objects() == tokens
+        # token_range over the triples agrees with the one over Token objects.
+        begin, end = sentence.span.begin, sentence.span.end
+        points = sorted({begin, end, *(begin + c for c in cuts if begin + c < end)})
+        for lo, hi in zip(points, points[1:]):
+            assert view.token_range(Span(lo, hi)) == token_range(tokens, Span(lo, hi))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "EGFR + (del exón 19). Ros-1 negativo",
+        "EGFR exo\u0301n 19 del; \ud55c ALK no traslocado. pT1aN0M0 estadio IA1",
+        # Three jamo in, two marks out: as long as the text, not aligned to it.
+        "EGFR \ud55c ex \u0301\u0301 exon 19 del. ECOG 1",
+    ],
+)
+def test_view_matches_tokenize_examples(text):
+    _check_view(text, [2, 5, 9, 30])
+
+
+@given(_view_texts, st.lists(st.integers(0, 120), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_view_matches_tokenize(text, cuts):
+    _check_view(text, cuts)

@@ -14,6 +14,7 @@ from oncospan import (
     DuplicateDocumentId,
     PipelineConfig,
     build_pipeline,
+    deserialize_result,
     process_corpus,
     serialize_result,
 )
@@ -204,3 +205,42 @@ def test_concatenation_only_adds(default_pipeline, parts):
     combined_spans = [(a.span.begin, a.span.end) for a in combined.annotations]
     for span in lead_spans:
         assert span in combined_spans
+
+
+# Clinical text as the annotators see it, cut up and spliced with what
+# breaks naive code: digit bursts (past int()'s 4,300-digit limit too),
+# Hangul syllables and bare combining marks, which fold to more or fewer
+# than one character and shift the normalized shadow against the text.
+_clinical_units = st.one_of(
+    st.sampled_from(
+        [
+            "EGFR", "ALK", "Ros-1", "exón", "exon", "del", "ins", "L858R",
+            "T790M", "ECOG", "ECOG-PS", "Karnofsky", "KPS", "estadio", "stage",
+            "IV", "I-A1", "IIIB", "pT1aN0M0", "cT2b N1 M1c", "no", "no se detecta",
+            "mutado", "positivo", "negativo", "+", "-", "%", "(", ")", ":",
+            ".", "\n\n", "\t", "\u0301", "\ud55c", "exo\u0301n", "\uac00\u0301",
+        ]
+    ),
+    st.text("0123456789", min_size=1, max_size=8),
+    st.sampled_from(["7" * 4400, "0" * 4399 + "19", "1" * 5000]),
+    # Lone surrogates cannot come from a UTF-8 file.
+    st.characters(blacklist_categories=("Cs",)),
+)
+_pipeline_texts = st.one_of(
+    st.text(max_size=200), st.lists(_clinical_units, max_size=40).map(" ".join)
+)
+
+
+@given(_pipeline_texts)
+@settings(deadline=None, max_examples=200)
+def test_any_text_annotates_and_round_trips(default_pipeline, text):
+    result = default_pipeline.process_document(Document("d", text))
+    spans = [a.span for a in result.annotations]
+    spans += [d.span for d in result.diagnostics]
+    for ann in result.annotations:
+        for part in (getattr(ann, "exon", None), getattr(ann, "point", None)):
+            if part is not None:
+                spans.append(part.span)
+    for span in spans:
+        assert 0 <= span.begin < span.end <= len(text)
+    assert deserialize_result(serialize_result(result)) == result

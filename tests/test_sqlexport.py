@@ -117,3 +117,14 @@ def test_feature_pk_holds(default_pipeline):
                 line for line in sql.splitlines() if line.startswith("INSERT")
             )
         )
+
+
+def test_nul_in_text_replays_exactly(default_pipeline):
+    text = "EGFR mutado.\x00 fin \x00'\x00"
+    results = _results(default_pipeline, [Document("nul", text)])
+    sql = emit_sql(results)
+    assert "\x00" not in sql
+    conn = _replay(sql)
+    assert conn.execute("SELECT text FROM documents").fetchall() == [(text,)]
+    covered = conn.execute("SELECT covered_text FROM annotations").fetchall()
+    assert covered == [("EGFR",)]
