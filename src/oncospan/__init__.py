@@ -51,7 +51,6 @@ from .pipeline import (
     DocumentResult,
     Pipeline,
     PipelineConfig,
-    annotator_name,
     build_pipeline,
     process_corpus,
     process_document,

@@ -42,6 +42,10 @@ _IRREGULAR: set[str] = set()
 _IRREGULAR_RE: re.Pattern | None = None
 _IRREGULAR_LOCK = threading.Lock()
 
+# The tables keep entries for the Basic Multilingual Plane only, so they stay
+# bounded; rarer code points are folded and classified again on each call.
+_CACHED_BELOW = 0x10000
+
 
 class _FoldTable(dict):
     """Code point -> lowercased, accent-stripped string, filled lazily."""
@@ -58,11 +62,13 @@ class _FoldTable(dict):
         # also find the character in _IRREGULAR_RE, so record it first.
         if len(folded) != 1:
             with _IRREGULAR_LOCK:
-                _IRREGULAR.add(ch)
-                _IRREGULAR_RE = re.compile(
-                    "[" + "".join(map(re.escape, sorted(_IRREGULAR))) + "]"
-                )
-        self[code] = folded
+                if ch not in _IRREGULAR:
+                    _IRREGULAR.add(ch)
+                    _IRREGULAR_RE = re.compile(
+                        "[" + "".join(map(re.escape, sorted(_IRREGULAR))) + "]"
+                    )
+        if code < _CACHED_BELOW:
+            self[code] = folded
         return folded
 
 
@@ -106,7 +112,8 @@ class _ClassTable(dict):
             cls = " "
         else:
             cls = "s"
-        self[code] = cls
+        if code < _CACHED_BELOW:
+            self[code] = cls
         return cls
 
 

@@ -20,13 +20,12 @@ from .errors import OncospanError
 from .pipeline import (
     AnnotatorKind,
     PipelineConfig,
-    annotator_name,
     build_pipeline,
     process_corpus,
 )
 from .query import parse_filter, query_results
 from .sqlexport import emit_sql
-from .standoff import deserialize_result, serialize_result
+from .standoff import ANNOTATION_TYPES, deserialize_result, serialize_result
 
 _ANNOTATOR_BY_NAME = {kind.value.lower(): kind for kind in AnnotatorKind}
 
@@ -122,15 +121,14 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     results = process_corpus(pipeline, documents, jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts: Counter[str] = Counter()
     for result in results:
         (out_dir / f"{result.document_id}.ann").write_bytes(serialize_result(result))
-        counts.update(annotator_name(a) for a in result.annotations)
+    counts = Counter(a.annotator for r in results for a in r.annotations)
     if args.sql is not None:
         Path(args.sql).write_text(emit_sql(results), encoding="utf-8")
     print(f"documents processed: {len(results)}")
-    for name in ("mutation", "tnm", "stage", "ps"):
-        print(f"{name} annotations: {counts.get(name, 0)}")
+    for name in ANNOTATION_TYPES:
+        print(f"{name} annotations: {counts[name]}")
     if args.sql is not None:
         print(f"sql export: {args.sql}")
     return 0

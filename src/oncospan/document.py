@@ -6,6 +6,7 @@ happens on shadow copies used for matching; spans always point back into
 the text as written.
 """
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +21,8 @@ from .errors import OutOfBounds
 # the extra_abbreviations argument of split_sentences; single letters
 # ("J.") are always treated as abbreviations.
 ABBREVIATION_STOPLIST = frozenset({"dr", "dra", "sr", "sra", "vs", "fig", "pag"})
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,6 +48,9 @@ class Document:
             raise ValueError("document id must be non-empty")
         if any(c in "\n\r\t" for c in self.id):
             raise ValueError("document id must not contain control characters")
+        if _SURROGATE.search(self.id) or _SURROGATE.search(self.text):
+            # No output format could encode it.
+            raise ValueError("document id and text must not hold a lone surrogate")
 
 
 @dataclass(frozen=True, slots=True)

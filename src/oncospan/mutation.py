@@ -11,7 +11,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from ._textops import NUMBER
 from .assertion import CueLexicon, Polarity, detect_polarity
@@ -55,6 +55,7 @@ class MutationPoint:
 
 @dataclass(frozen=True, slots=True)
 class MutationAnnotation:
+    annotator: ClassVar[str] = "mutation"
     span: Span
     gene: Gene
     polarity: Polarity

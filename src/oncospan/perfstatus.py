@@ -9,6 +9,7 @@ value that is not a multiple of ten is annotated but flagged.
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 from .document import Diagnostic, SentenceView, Span
 
@@ -20,6 +21,7 @@ class PSScale(Enum):
 
 @dataclass(frozen=True, slots=True)
 class PSAnnotation:
+    annotator: ClassVar[str] = "ps"
     span: Span
     scale: PSScale
     value: int

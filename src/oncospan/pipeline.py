@@ -46,7 +46,6 @@ _GENE_BY_KIND = {
 class PipelineConfig:
     enabled_annotators: frozenset[AnnotatorKind] = ALL_ANNOTATORS
     lexicon_path: str | Path | None = None
-    diagnostics: bool = True
 
 
 @dataclass(frozen=True)
@@ -56,19 +55,6 @@ class DocumentResult:
     annotations: tuple[Annotation, ...] = ()
     diagnostics: tuple[Diagnostic, ...] = ()
     consistency: tuple[ConsistencyReport, ...] = ()
-
-
-def annotator_name(annotation: Annotation) -> str:
-    """Annotator column value used in standoff records and SQL rows."""
-    if isinstance(annotation, MutationAnnotation):
-        return "mutation"
-    if isinstance(annotation, TNMAnnotation):
-        return "tnm"
-    if isinstance(annotation, StageAnnotation):
-        return "stage"
-    if isinstance(annotation, PSAnnotation):
-        return "ps"
-    raise TypeError(f"not an annotation: {annotation!r}")
 
 
 class Pipeline:
@@ -124,7 +110,7 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
             anns, diags = perfstatus.karnofsky_in_view(view)
             annotations.extend(anns)
             diagnostics.extend(diags)
-    annotations.sort(key=lambda a: (a.span.begin, a.span.end, annotator_name(a)))
+    annotations.sort(key=lambda a: (a.span.begin, a.span.end, a.annotator))
     reports: list[ConsistencyReport] = []
     if pipeline._tnm and pipeline._stage:
         tnms = [a for a in annotations if isinstance(a, TNMAnnotation)]
@@ -132,8 +118,6 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
         for tnm in tnms:
             for stage in stages:
                 reports.append(check_consistency(tnm, stage))
-    if not pipeline.config.diagnostics:
-        diagnostics = []
     return DocumentResult(
         document_id=document.id,
         text=document.text,
@@ -169,7 +153,6 @@ __all__ = [
     "PipelineConfig",
     "DocumentResult",
     "Pipeline",
-    "annotator_name",
     "build_pipeline",
     "process_document",
     "process_corpus",

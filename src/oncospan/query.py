@@ -116,8 +116,11 @@ def _parse_range(value: str) -> tuple[int, int]:
     m = _RANGE_RE.match(value)
     if m is None:
         raise InvalidFilter(f"expected N or N..M, got {value!r}")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) is not None else lo
+    try:
+        lo = int(m.group(1))
+        hi = int(m.group(2)) if m.group(2) is not None else lo
+    except ValueError:  # int() refuses more than 4,300 digits
+        raise InvalidFilter("range bound has too many digits") from None
     if lo > hi:
         raise InvalidFilter(f"empty range {value!r}")
     return (lo, hi)

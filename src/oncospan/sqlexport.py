@@ -10,8 +10,8 @@ spliced in as ``' || char(0) || '`` (SQLite's ``char`` function).
 
 from typing import Sequence
 
-from .pipeline import DocumentResult, annotator_name
-from .standoff import _features_of
+from .pipeline import DocumentResult
+from .standoff import features_of
 
 _DDL = """\
 CREATE TABLE documents (
@@ -60,9 +60,9 @@ def emit_sql(results: Sequence[DocumentResult]) -> str:
                 "annotator, covered_text) VALUES "
                 f"({annotation_id}, {_quote(result.document_id)}, "
                 f"{ann.span.begin}, {ann.span.end}, "
-                f"{_quote(annotator_name(ann))}, {_quote(covered)});\n"
+                f"{_quote(ann.annotator)}, {_quote(covered)});\n"
             )
-            for key, value in _features_of(ann):
+            for key, value in features_of(ann):
                 parts.append(
                     'INSERT INTO annotation_features (annotation_id, "key", '
                     f'"value") VALUES ({annotation_id}, {_quote(key)}, '

@@ -9,6 +9,7 @@ cells differ only in the substage digit.
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 from .document import SentenceView, Span
 from .errors import AmbiguousCategory, InvalidStage
@@ -77,6 +78,7 @@ COARSE_STAGES = frozenset(
 
 @dataclass(frozen=True, slots=True)
 class TNMAnnotation:
+    annotator: ClassVar[str] = "tnm"
     span: Span
     prefix: TnmPrefix
     t: TCategory
@@ -87,6 +89,7 @@ class TNMAnnotation:
 
 @dataclass(frozen=True, slots=True)
 class StageAnnotation:
+    annotator: ClassVar[str] = "stage"
     span: Span
     stage: StageGroup
     raw: str

@@ -10,9 +10,10 @@ Layout, all UTF-8:
     <#check lines>
 
 Record line: ``begin<TAB>end<TAB>annotator<TAB>covered_text<TAB>features``
-with features ``key=value;key=value``.  Covered text and diagnostic
-messages escape backslash, tab, newline and carriage return so one record
-is always one line.  ``#diag`` carries a diagnostic (begin, end, message);
+with features ``key=value;key=value``; ``ANNOTATION_TYPES`` declares each
+annotator's keys, encoder and decoder.  Covered text and diagnostic messages
+escape backslash, tab, newline and carriage return so one record is always
+one line.  ``#diag`` carries a diagnostic (begin, end, message);
 ``#check`` carries a consistency report as two record indexes, the verdict
 and the expected group (``-`` when not comparable).  Deserialization is the
 exact inverse of serialization and is strict: anything unexpected raises
@@ -21,6 +22,7 @@ SpanMismatch.
 """
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .assertion import Polarity
 from .document import Diagnostic, Span
@@ -34,7 +36,7 @@ from .mutation import (
     PointVariant,
 )
 from .perfstatus import PSAnnotation, PSScale
-from .pipeline import Annotation, DocumentResult, annotator_name
+from .pipeline import Annotation, DocumentResult
 from .staging import (
     ConsistencyReport,
     ConsistencyVerdict,
@@ -62,6 +64,15 @@ class StandoffFile:
     document_id: str
     source_text: str
     records: tuple[StandoffRecord, ...]
+
+
+class AnnotationType(NamedTuple):
+    """The record format of one annotation type; see ``ANNOTATION_TYPES``."""
+
+    required: frozenset[str]
+    encode: Callable[[Annotation], list[tuple[str, str]]]
+    decode: Callable[[Span, str, dict[str, str], int], Annotation]
+    optional: frozenset[str] = frozenset()
 
 
 def _escape(value: str) -> str:
@@ -95,44 +106,15 @@ def _unescape(value: str, line_no: int) -> str:
     return "".join(out)
 
 
-def _features_of(ann: Annotation) -> list[tuple[str, str]]:
-    if isinstance(ann, MutationAnnotation):
-        pairs = [("gene", ann.gene.value), ("polarity", ann.polarity.value)]
-        if ann.exon is not None:
-            pairs.append(("exon", str(ann.exon.number)))
-            if ann.exon.kind is not None:
-                pairs.append(("exon_kind", ann.exon.kind.value))
-            pairs.append(("exon_begin", str(ann.exon.span.begin)))
-            pairs.append(("exon_end", str(ann.exon.span.end)))
-        if ann.point is not None:
-            pairs.append(("point", ann.point.value.value))
-            pairs.append(("point_begin", str(ann.point.span.begin)))
-            pairs.append(("point_end", str(ann.point.span.end)))
-        pairs.append(("implied", "true" if ann.implied else "false"))
-        return pairs
-    if isinstance(ann, TNMAnnotation):
-        return [
-            ("prefix", ann.prefix.value),
-            ("t", ann.t.value),
-            ("n", ann.n.value),
-            ("m", ann.m.value),
-        ]
-    if isinstance(ann, StageAnnotation):
-        return [("stage", ann.stage.value)]
-    if isinstance(ann, PSAnnotation):
-        return [("scale", ann.scale.value), ("value", str(ann.value))]
-    raise TypeError(f"not an annotation: {ann!r}")
-
-
 def serialize_result(result: DocumentResult) -> bytes:
     text = result.text
     parts = [f"#doc {result.document_id}\n#len {len(text)}\n{text}\n"]
     annotations = list(result.annotations)
     for ann in annotations:
         covered = text[ann.span.begin : ann.span.end]
-        features = ";".join(f"{k}={v}" for k, v in _features_of(ann))
+        features = ";".join(f"{k}={v}" for k, v in features_of(ann))
         parts.append(
-            f"{ann.span.begin}\t{ann.span.end}\t{annotator_name(ann)}\t"
+            f"{ann.span.begin}\t{ann.span.end}\t{ann.annotator}\t"
             f"{_escape(covered)}\t{features}\n"
         )
     for diag in result.diagnostics:
@@ -175,29 +157,8 @@ def _parse_span(begin: str, end: str, text_len: int, line_no: int) -> Span:
     return Span(b, e)
 
 
-_FEATURE_KEYS = {
-    "mutation": (
-        frozenset({"gene", "polarity", "implied"}),
-        frozenset(
-            {
-                "exon",
-                "exon_kind",
-                "exon_begin",
-                "exon_end",
-                "point",
-                "point_begin",
-                "point_end",
-            }
-        ),
-    ),
-    "tnm": (frozenset({"prefix", "t", "n", "m"}), frozenset()),
-    "stage": (frozenset({"stage"}), frozenset()),
-    "ps": (frozenset({"scale", "value"}), frozenset()),
-}
-
-
 def _parse_features(raw: str, annotator: str, line_no: int) -> dict[str, str]:
-    required, optional = _FEATURE_KEYS[annotator]
+    kind = ANNOTATION_TYPES[annotator]
     features: dict[str, str] = {}
     for item in raw.split(";"):
         key, sep, value = item.partition("=")
@@ -205,12 +166,12 @@ def _parse_features(raw: str, annotator: str, line_no: int) -> dict[str, str]:
             raise MalformedFile(f"bad feature item {item!r}", line_no)
         if key in features:
             raise MalformedFile(f"duplicate feature key {key!r}", line_no)
-        if key not in required and key not in optional:
+        if key not in kind.required and key not in kind.optional:
             raise MalformedFile(
                 f"unknown feature key {key!r} for annotator {annotator!r}", line_no
             )
         features[key] = value
-    missing = required - features.keys()
+    missing = kind.required - features.keys()
     if missing:
         raise MalformedFile(
             f"missing feature keys: {', '.join(sorted(missing))}", line_no
@@ -218,39 +179,28 @@ def _parse_features(raw: str, annotator: str, line_no: int) -> dict[str, str]:
     return features
 
 
-def _build_annotation(
-    span: Span, annotator: str, covered: str, features: dict[str, str], line_no: int
-) -> Annotation:
-    try:
-        if annotator == "mutation":
-            return _build_mutation(span, features, line_no)
-        if annotator == "tnm":
-            return TNMAnnotation(
-                span,
-                _parse_enum(TnmPrefix, features["prefix"], "prefix", line_no),
-                _parse_enum(TCategory, features["t"], "T category", line_no),
-                _parse_enum(NCategory, features["n"], "N category", line_no),
-                _parse_enum(MCategory, features["m"], "M category", line_no),
-                covered,
-            )
-        if annotator == "stage":
-            return StageAnnotation(
-                span,
-                _parse_enum(StageGroup, features["stage"], "stage group", line_no),
-                covered,
-            )
-        return PSAnnotation(
-            span,
-            _parse_enum(PSScale, features["scale"], "scale", line_no),
-            _parse_int(features["value"], "value", line_no),
-            covered,
-        )
-    except ValueError as exc:
-        raise MalformedFile(str(exc), line_no) from None
+_EXON_KEYS = frozenset({"exon", "exon_begin", "exon_end"})
+_POINT_KEYS = frozenset({"point", "point_begin", "point_end"})
 
 
-def _build_mutation(
-    span: Span, features: dict[str, str], line_no: int
+def _mutation_features(ann: MutationAnnotation) -> list[tuple[str, str]]:
+    pairs = [("gene", ann.gene.value), ("polarity", ann.polarity.value)]
+    if ann.exon is not None:
+        pairs.append(("exon", str(ann.exon.number)))
+        if ann.exon.kind is not None:
+            pairs.append(("exon_kind", ann.exon.kind.value))
+        pairs.append(("exon_begin", str(ann.exon.span.begin)))
+        pairs.append(("exon_end", str(ann.exon.span.end)))
+    if ann.point is not None:
+        pairs.append(("point", ann.point.value.value))
+        pairs.append(("point_begin", str(ann.point.span.begin)))
+        pairs.append(("point_end", str(ann.point.span.end)))
+    pairs.append(("implied", "true" if ann.implied else "false"))
+    return pairs
+
+
+def _mutation_from(
+    span: Span, covered: str, features: dict[str, str], line_no: int
 ) -> MutationAnnotation:
     gene = _parse_enum(Gene, features["gene"], "gene", line_no)
     polarity = _parse_enum(Polarity, features["polarity"], "polarity", line_no)
@@ -258,9 +208,8 @@ def _build_mutation(
     if implied_raw not in ("true", "false"):
         raise MalformedFile(f"implied must be true/false, got {implied_raw!r}", line_no)
     exon = None
-    exon_keys = {"exon", "exon_begin", "exon_end"} & features.keys()
-    if exon_keys:
-        if {"exon", "exon_begin", "exon_end"} - features.keys():
+    if _EXON_KEYS & features.keys():
+        if _EXON_KEYS - features.keys():
             raise MalformedFile("incomplete exon feature group", line_no)
         kind = None
         if "exon_kind" in features:
@@ -276,9 +225,8 @@ def _build_mutation(
     elif "exon_kind" in features:
         raise MalformedFile("exon_kind without exon", line_no)
     point = None
-    point_keys = {"point", "point_begin", "point_end"} & features.keys()
-    if point_keys:
-        if {"point", "point_begin", "point_end"} - features.keys():
+    if _POINT_KEYS & features.keys():
+        if _POINT_KEYS - features.keys():
             raise MalformedFile("incomplete point feature group", line_no)
         point = MutationPoint(
             Span(
@@ -290,6 +238,53 @@ def _build_mutation(
     return MutationAnnotation(
         span, gene, polarity, exon, point, implied_raw == "true"
     )
+
+
+# Keyed by each class's ``annotator`` name, in the order ``oncospan annotate``
+# reports counts in.  A decoder raises MalformedFile, or ValueError where the
+# annotation rejects a value.
+ANNOTATION_TYPES: dict[str, AnnotationType] = {
+    MutationAnnotation.annotator: AnnotationType(
+        frozenset({"gene", "polarity", "implied"}),
+        _mutation_features,
+        _mutation_from,
+        _EXON_KEYS | _POINT_KEYS | {"exon_kind"},
+    ),
+    TNMAnnotation.annotator: AnnotationType(
+        frozenset({"prefix", "t", "n", "m"}),
+        lambda a: [(key, getattr(a, key).value) for key in ("prefix", "t", "n", "m")],
+        lambda span, covered, f, line_no: TNMAnnotation(
+            span,
+            _parse_enum(TnmPrefix, f["prefix"], "prefix", line_no),
+            _parse_enum(TCategory, f["t"], "T category", line_no),
+            _parse_enum(NCategory, f["n"], "N category", line_no),
+            _parse_enum(MCategory, f["m"], "M category", line_no),
+            covered,
+        ),
+    ),
+    StageAnnotation.annotator: AnnotationType(
+        frozenset({"stage"}),
+        lambda a: [("stage", a.stage.value)],
+        lambda span, covered, f, line_no: StageAnnotation(
+            span, _parse_enum(StageGroup, f["stage"], "stage group", line_no), covered
+        ),
+    ),
+    PSAnnotation.annotator: AnnotationType(
+        frozenset({"scale", "value"}),
+        lambda a: [("scale", a.scale.value), ("value", str(a.value))],
+        lambda span, covered, f, line_no: PSAnnotation(
+            span,
+            _parse_enum(PSScale, f["scale"], "scale", line_no),
+            _parse_int(f["value"], "value", line_no),
+            covered,
+        ),
+    ),
+}
+
+
+def features_of(ann: Annotation) -> list[tuple[str, str]]:
+    """Feature pairs of *ann* as its standoff record and SQL rows hold them."""
+    return ANNOTATION_TYPES[ann.annotator].encode(ann)
 
 
 def deserialize_result(data: bytes) -> DocumentResult:
@@ -361,7 +356,7 @@ def deserialize_result(data: bytes) -> DocumentResult:
         if len(fields) != 5:
             raise MalformedFile("record needs 5 tab-separated fields", line_no)
         begin_raw, end_raw, annotator, covered_raw, features_raw = fields
-        if annotator not in _FEATURE_KEYS:
+        if annotator not in ANNOTATION_TYPES:
             raise MalformedFile(f"unknown annotator {annotator!r}", line_no)
         span = _parse_span(begin_raw, end_raw, len(text), line_no)
         covered = _unescape(covered_raw, line_no)
@@ -371,9 +366,11 @@ def deserialize_result(data: bytes) -> DocumentResult:
                 f"text[{span.begin}:{span.end}]"
             )
         features = _parse_features(features_raw, annotator, line_no)
-        annotations.append(
-            _build_annotation(span, annotator, covered, features, line_no)
-        )
+        decode = ANNOTATION_TYPES[annotator].decode
+        try:
+            annotations.append(decode(span, covered, features, line_no))
+        except ValueError as exc:
+            raise MalformedFile(str(exc), line_no) from None
 
     return DocumentResult(
         document_id=document_id,
@@ -412,25 +409,25 @@ def _parse_check(
 def read_standoff(data: bytes) -> StandoffFile:
     """Parse only the header, text and annotation records of a file."""
     result = deserialize_result(data)
-    records = []
-    for ann in result.annotations:
-        covered = result.text[ann.span.begin : ann.span.end]
-        records.append(
-            StandoffRecord(
-                ann.span.begin,
-                ann.span.end,
-                annotator_name(ann),
-                covered,
-                tuple(_features_of(ann)),
-            )
+    records = tuple(
+        StandoffRecord(
+            ann.span.begin,
+            ann.span.end,
+            ann.annotator,
+            result.text[ann.span.begin : ann.span.end],
+            tuple(features_of(ann)),
         )
-    return StandoffFile(result.document_id, result.text, tuple(records))
+        for ann in result.annotations
+    )
+    return StandoffFile(result.document_id, result.text, records)
 
 
 __all__ = [
+    "ANNOTATION_TYPES",
     "StandoffFile",
     "StandoffRecord",
     "serialize_result",
     "deserialize_result",
     "read_standoff",
+    "features_of",
 ]

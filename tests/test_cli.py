@@ -1,8 +1,13 @@
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
+import oncospan
 from oncospan import deserialize_result
 from oncospan.cli import cli_main
 
@@ -144,6 +149,23 @@ def test_annotate_not_utf8(tmp_path, capsys):
     )
     assert code == 1
     assert "UTF-8" in capsys.readouterr().err
+
+
+def test_annotate_file_name_not_utf8(tmp_path):
+    src = tmp_path / "notes"
+    src.mkdir()
+    # The undecodable byte comes back from the directory as a lone surrogate.
+    (src / "doc\udcff.txt").write_text(COMBINED_NOTE, encoding="utf-8")
+    # A process of its own, whose stderr escapes the surrogate in the message.
+    proc = subprocess.run(
+        [sys.executable, "-m", "oncospan.cli", "annotate", "--input", str(src),
+         "--out", str(tmp_path / "o")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(oncospan.__file__).parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert b"lone surrogate" in proc.stderr
 
 
 def test_query(corpus_dir, tmp_path, capsys):

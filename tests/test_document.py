@@ -33,6 +33,8 @@ def test_document_id_required():
         Document("", "text")
     with pytest.raises(ValueError):
         Document("a\nb", "text")
+    with pytest.raises(ValueError, match="lone surrogate"):
+        Document("a\udcff", "text")
 
 
 def test_split_two_sentences():

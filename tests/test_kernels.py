@@ -1,5 +1,7 @@
 """The text kernels must agree with the loop version, byte for byte."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,3 +142,32 @@ def test_irregular_character_recorded_before_its_fold_entry(monkeypatch):
     assert recorded_when_written == [True, True]
     # A text without them still takes the identity offsets.
     assert _textops.normalize_text("abc") == ("abc", range(3))
+
+
+def test_astral_characters_leave_the_tables_unchanged(monkeypatch):
+    # Linear B to Old Persian, then musical symbols, some of which fold to
+    # two characters (U+1D15E) or to none (U+1D167, a bare combining mark).
+    codes = list(range(0x10000, 0x10C00)) + list(range(0x1D100, 0x1D1E0))
+    text = " ".join(
+        "".join(map(chr, codes[i : i + 7])) + ".\n" for i in range(0, len(codes), 7)
+    )
+    _textops.normalize_text(" .\n")
+    _textops.token_spans(" .\n", 0, 3)
+    sizes = len(_textops._FOLD), len(_textops._CLASS)
+    norm, offsets = _textops.normalize_text(text)
+    assert (norm, list(offsets)) == _textops_py.normalize_text(text)
+    pattern = _textops._IRREGULAR_RE
+    assert pattern.search("\U0001d15e") and pattern.search("\U0001d167")
+    assert _textops.token_spans(text, 0, len(text)) == _textops_py.token_spans(
+        text, 0, len(text)
+    )
+    assert _textops.sentence_spans(text, ABBREVIATION_STOPLIST) == (
+        _textops_py.sentence_spans(text, ABBREVIATION_STOPLIST)
+    )
+    # Meeting the irregular characters again does not rebuild the pattern.
+    compiled = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *a: compiled.append(a) or compile_(*a))
+    _textops.normalize_text(text)
+    assert compiled == []
+    assert (len(_textops._FOLD), len(_textops._CLASS)) == sizes

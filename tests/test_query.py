@@ -182,6 +182,9 @@ def test_parse_filter_whitespace_tolerant():
         "ecog=1..2..3",
         "color=red",
         "gene=EGFR,gene=ALK",
+        # Past int()'s 4,300-digit limit.
+        pytest.param("ecog=" + "9" * 5000, id="ecog=<5000 digits>"),
+        pytest.param("karnofsky=0.." + "9" * 5000, id="karnofsky=0..<5000 digits>"),
     ],
 )
 def test_parse_filter_errors(expression):

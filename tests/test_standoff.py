@@ -1,4 +1,5 @@
 import dataclasses
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from oncospan import (
     serialize_result,
 )
 from oncospan.corpusgen import generate_corpus
-from oncospan.standoff import read_standoff
+from oncospan.pipeline import Annotation
+from oncospan.standoff import ANNOTATION_TYPES, read_standoff
 
 
 def _serialized(pipeline, text, doc_id="d"):
@@ -289,6 +291,12 @@ def test_read_standoff(default_pipeline):
     assert [r.annotator for r in standoff.records] == ["tnm", "stage"]
     assert standoff.records[0].covered_text == "pT1aN0M0"
     assert ("t", "T1a") in standoff.records[0].features
+
+
+def test_annotation_type_table_covers_every_annotation_class():
+    names = [cls.annotator for cls in typing.get_args(Annotation)]
+    assert len(set(names)) == len(names)
+    assert names == list(ANNOTATION_TYPES)
 
 
 @given(
