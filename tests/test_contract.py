@@ -1,4 +1,5 @@
-"""The contract bytes, pinned: what the package writes for a seeded corpus.
+"""The contract bytes, pinned: what the package writes for a seeded corpus
+and for a set of hand-written edge notes.
 
 A change that alters any of these digests changes the output format or the
 annotations themselves, and must say why.  To see which document differs,
@@ -10,6 +11,7 @@ import hashlib
 import pytest
 
 from oncospan import (
+    Document,
     PipelineConfig,
     build_pipeline,
     deserialize_result,
@@ -81,3 +83,66 @@ def test_query_answers(ann_files):
 def test_read_standoff_records(ann_files):
     files = "".join(f"{read_standoff(data)!r}\n" for data in ann_files)
     assert _sha256(files.encode("utf-8")) == RECORDS_SHA256
+
+
+# The seeded corpus holds no diagnostic and no Unknown polarity, and all of
+# its text folds one character to one.  These notes cover what it misses:
+# diagnostics, mentions with no cue, triggers out of reach, characters whose
+# fold is not one character (inside anchor words too), a NUL, and matches
+# that touch a sentence boundary.
+EDGE_NOTES = (
+    # Out-of-range ECOG and KPS, a non-decile Karnofsky, a zero-padded value.
+    "ECOG 7. Karnofsky 85%. KPS 120. ECOG-PS: 0012.",
+    # Genes with no cue: Unknown polarity.
+    "Se solicita estudio de EGFR, ALK y ROS-1.",
+    # A stage with no trigger, one whose trigger is four tokens away, and
+    # one three tokens away.
+    "Tumor IIIA sin m\u00e1s datos. Estadio seg\u00fan la TC IIB. "
+    "Estadio seg\u00fan TC IV.",
+    # Bare combining marks and Hangul inside and around anchor words.
+    "\u0301ECO\u0301G 2. Karnofsky \ud55c 80. EG\ud55cFR mutado. "
+    "E\u0301GFR mutado. Deleci\u00f3n del exo\u0301n 19.",
+    # Hangul before the matches moves every later offset.
+    "\ud658\uc790 \ud55c\uad6d. ECO\u0301G 1, pT2aN1M0, estadio IIB. "
+    "L858R. KPS 75.",
+    # A NUL.
+    "EGFR mutado.\x00 ALK negativo.",
+    # Matches that touch a sentence boundary.
+    "ECOG 1.ECOG 2. T1.N0M0. estadio III.A. Karnofsky 90.KPS 70.",
+    "",
+)
+
+EDGE_ANN_SHA256 = "fa870d640d5b5b383a4cb9f377ef31d7210d7894cb07d4914818dab065bd954d"
+EDGE_SQL_SHA256 = "0f2886a44daf10016408bf45aa4ecf2dd15cee8d8d2d2ee5e9f541fb8b3ba8f0"
+EDGE_RECORDS_SHA256 = "9057177fcb1665920272a8e5c84dcc48668d8695d45eb4d183fc77dc7f280b73"
+
+
+@pytest.fixture(scope="module")
+def edge_results():
+    documents = [Document(f"edge-{i:02d}", text) for i, text in enumerate(EDGE_NOTES)]
+    return process_corpus(build_pipeline(PipelineConfig()), documents)
+
+
+@pytest.fixture(scope="module")
+def edge_ann_files(edge_results):
+    return [serialize_result(r) for r in edge_results]
+
+
+def test_edge_notes_reach_what_the_corpus_misses(edge_ann_files):
+    data = b"".join(edge_ann_files)
+    assert b"#diag" in data
+    assert b"polarity=Unknown" in data
+    assert b"#check" in data
+
+
+def test_edge_ann_bytes(edge_ann_files):
+    assert _sha256(b"".join(edge_ann_files)) == EDGE_ANN_SHA256
+
+
+def test_edge_sql_script(edge_results):
+    assert _sha256(emit_sql(edge_results).encode("utf-8")) == EDGE_SQL_SHA256
+
+
+def test_edge_read_standoff_records(edge_ann_files):
+    files = "".join(f"{read_standoff(data)!r}\n" for data in edge_ann_files)
+    assert _sha256(files.encode("utf-8")) == EDGE_RECORDS_SHA256
