@@ -34,6 +34,16 @@ class _InputError(Exception):
     """User-side problem; message goes to stderr, exit code 1."""
 
 
+def _report(message: str) -> None:
+    """Write *message* to stderr, escaping what its encoding cannot hold.
+
+    A file name that is not UTF-8 puts a lone surrogate in the message, and
+    a stderr with strict error handling would raise on it.
+    """
+    encoding = sys.stderr.encoding or "utf-8"
+    print(message.encode(encoding, "backslashreplace").decode(encoding), file=sys.stderr)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oncospan",
@@ -190,14 +200,11 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (_InputError, OncospanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_InputError, OncospanError, OSError) as exc:
+        _report(f"error: {exc}")
         return 1
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(f"internal error: {type(exc).__name__}: {exc}")
         return 2
 
 

@@ -151,6 +151,8 @@ class SentenceView:
     ``_textops.token_spans``.  ``norm_surfaces[i]`` is the folded surface of
     token ``i``.  Built once per sentence and shared by every annotator;
     ``Token`` objects are made only when ``token_objects`` is called.
+    *folded*, when given, is ``_textops.normalize_text(text)``, computed by
+    the caller (see ``in_folded``).
     """
 
     __slots__ = (
@@ -163,10 +165,15 @@ class SentenceView:
         "_objects",
     )
 
-    def __init__(self, text: str, base: int = 0):
+    def __init__(
+        self,
+        text: str,
+        base: int = 0,
+        folded: tuple[str, Sequence[int]] | None = None,
+    ):
         self.text = text
         self.base = base
-        norm, norm_map = _textops.normalize_text(text)
+        norm, norm_map = _textops.normalize_text(text) if folded is None else folded
         tokens = _textops.token_spans(text, 0, len(text))
         self.norm, self.norm_map, self.tokens = norm, norm_map, tokens
         if type(norm_map) is range:
@@ -179,6 +186,25 @@ class SentenceView:
     @classmethod
     def from_sentence(cls, document: Document, sentence: Sentence) -> "SentenceView":
         return cls(covered_text(document, sentence.span), sentence.span.begin)
+
+    @classmethod
+    def in_folded(
+        cls, text: str, folded: tuple[str, Sequence[int]], span: Span
+    ) -> "SentenceView":
+        """The view of ``text[span]``, cut from ``folded = normalize_text(text)``.
+
+        The fold works character by character, so the part of the shadow
+        that the characters of *span* produced is the fold of that slice.
+        """
+        norm, offsets = folded
+        begin, end = span.begin, span.end
+        if type(offsets) is range:
+            own = norm[begin:end], range(end - begin)
+        else:
+            lo = bisect_left(offsets, begin)
+            hi = bisect_left(offsets, end)
+            own = norm[lo:hi], [i - begin for i in offsets[lo:hi]]
+        return cls(text[begin:end], begin, own)
 
     def token_objects(self) -> list[Token]:
         """The tokens as ``Token`` objects with absolute spans, built once."""

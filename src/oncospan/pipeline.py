@@ -1,18 +1,22 @@
 """Annotator composition: one configured engine, one result per document.
 
-Segmentation and normalization run once per document; every enabled
-annotator consumes the same sentence views.  The pipeline object is
-immutable after build, so one instance can serve any number of worker
-threads.
+Segmentation and normalization run once per document.  Each annotator
+module declares anchors: literals on the folded shadow that every one of
+its annotations contains.  Only the sentences holding an anchor of an
+enabled annotator get a view, and every enabled annotator consumes the same
+views.  The pipeline object is immutable after build, so one instance can
+serve any number of worker threads.
 """
 
+import re
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence, Union
 
-from . import mutation, perfstatus, staging
+from . import _textops, mutation, perfstatus, staging
 from .assertion import CueLexicon, load_cue_lexicon
 from .document import Diagnostic, Document, SentenceView, split_sentences
 from .errors import ConfigError, DuplicateDocumentId
@@ -41,6 +45,16 @@ _GENE_BY_KIND = {
     AnnotatorKind.ROS1: Gene.ROS1,
 }
 
+_ANCHOR_BY_KIND = {
+    AnnotatorKind.EGFR: mutation.ANCHOR,
+    AnnotatorKind.ALK: mutation.ANCHOR,
+    AnnotatorKind.ROS1: mutation.ANCHOR,
+    AnnotatorKind.TNM: staging.TNM_ANCHOR,
+    AnnotatorKind.STAGE: staging.STAGE_ANCHOR,
+    AnnotatorKind.ECOG: perfstatus.ECOG_ANCHOR,
+    AnnotatorKind.KARNOFSKY: perfstatus.KARNOFSKY_ANCHOR,
+}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -60,7 +74,9 @@ class DocumentResult:
 class Pipeline:
     """Immutable bundle of compiled rules; see build_pipeline."""
 
-    __slots__ = ("config", "lexicon", "_genes", "_tnm", "_stage", "_ecog", "_karnofsky")
+    __slots__ = (
+        "config", "lexicon", "_genes", "_tnm", "_stage", "_ecog", "_karnofsky", "_anchor"
+    )
 
     def __init__(self, config: PipelineConfig, lexicon: CueLexicon):
         self.config = config
@@ -73,6 +89,9 @@ class Pipeline:
         self._stage = AnnotatorKind.STAGE in enabled
         self._ecog = AnnotatorKind.ECOG in enabled
         self._karnofsky = AnnotatorKind.KARNOFSKY in enabled
+        # A lookahead, so that every position an anchor starts at is a hit.
+        anchors = sorted({_ANCHOR_BY_KIND[kind] for kind in enabled})
+        self._anchor = re.compile("(?=" + "|".join(f"(?:{a})" for a in anchors) + ")")
 
     def process_document(self, document: Document) -> DocumentResult:
         return process_document(self, document)
@@ -92,8 +111,20 @@ def build_pipeline(config: PipelineConfig) -> Pipeline:
 def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
     annotations: list[Annotation] = []
     diagnostics: list[Diagnostic] = []
-    for sentence in split_sentences(document.text):
-        view = SentenceView.from_sentence(document, sentence)
+    text = document.text
+    sentences = split_sentences(text)
+    folded = _textops.normalize_text(text)
+    norm, offsets = folded
+    # A sentence can hold an annotation only if an anchor starts inside it;
+    # the offsets place each hit on the shadow back in the text.
+    begins = [s.span.begin for s in sentences]
+    live: list[int] = []
+    for hit in pipeline._anchor.finditer(norm):
+        index = bisect_right(begins, offsets[hit.start()]) - 1
+        if not live or live[-1] != index:
+            live.append(index)
+    for index in live:
+        view = SentenceView.in_folded(text, folded, sentences[index].span)
         if pipeline._genes:
             annotations.extend(
                 mutation.annotate_view(view, pipeline.lexicon, pipeline._genes)

@@ -122,9 +122,10 @@ _PREFIX_BY_KEY = {p.value.lower(): p for p in TnmPrefix if p is not TnmPrefix.NO
 _STAGE_BY_KEY = {s.value: s for s in StageGroup}
 
 _SEP = r"[ \-_:.]?"
+_T = r"t(?:1[abc]?|2[ab]?|3|4)"
 _TNM_RE = re.compile(
     r"(?<![0-9a-z])(yc|yp|c|p|r|a)?"
-    r"(t(?:1[abc]?|2[ab]?|3|4))" + _SEP + r"(n[0-3])" + _SEP + r"(m(?:0|1[abc]?))"
+    r"(" + _T + r")" + _SEP + r"(n[0-3])" + _SEP + r"(m(?:0|1[abc]?))"
     r"(?![0-9a-z])"
 )
 
@@ -141,6 +142,12 @@ _STAGE_RE = re.compile(
 
 _TRIGGERS = frozenset({"estadio", "stage"})
 _TRIGGER_DISTANCE = 3
+
+# Literals on the folded shadow that every annotation contains (see
+# mutation.ANCHOR): the T and N categories of a TNM expression, and the
+# trigger token that a stage needs.
+TNM_ANCHOR = _T + _SEP + r"n[0-3]"
+STAGE_ANCHOR = "|".join(sorted(_TRIGGERS))
 
 
 T = TCategory

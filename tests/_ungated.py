@@ -1,0 +1,50 @@
+"""The per-document loop without the anchor gate: one view for every sentence.
+
+The executable specification of ``pipeline.process_document``, which builds
+views only for the sentences that hold an anchor of an enabled annotator.
+Both must return equal results for every document (``test_pipeline.py``
+checks this property on generated clinical text).
+"""
+
+from oncospan import mutation, perfstatus, staging
+from oncospan.document import Document, SentenceView, split_sentences
+from oncospan.pipeline import DocumentResult, Pipeline
+from oncospan.staging import StageAnnotation, TNMAnnotation, check_consistency
+
+
+def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
+    annotations = []
+    diagnostics = []
+    for sentence in split_sentences(document.text):
+        view = SentenceView.from_sentence(document, sentence)
+        if pipeline._genes:
+            annotations.extend(
+                mutation.annotate_view(view, pipeline.lexicon, pipeline._genes)
+            )
+        if pipeline._tnm:
+            annotations.extend(staging.tnm_in_view(view))
+        if pipeline._stage:
+            annotations.extend(staging.stages_in_view(view))
+        if pipeline._ecog:
+            anns, diags = perfstatus.ecog_in_view(view)
+            annotations.extend(anns)
+            diagnostics.extend(diags)
+        if pipeline._karnofsky:
+            anns, diags = perfstatus.karnofsky_in_view(view)
+            annotations.extend(anns)
+            diagnostics.extend(diags)
+    annotations.sort(key=lambda a: (a.span.begin, a.span.end, a.annotator))
+    reports = []
+    if pipeline._tnm and pipeline._stage:
+        tnms = [a for a in annotations if isinstance(a, TNMAnnotation)]
+        stages = [a for a in annotations if isinstance(a, StageAnnotation)]
+        for tnm in tnms:
+            for stage in stages:
+                reports.append(check_consistency(tnm, stage))
+    return DocumentResult(
+        document_id=document.id,
+        text=document.text,
+        annotations=tuple(annotations),
+        diagnostics=tuple(diagnostics),
+        consistency=tuple(reports),
+    )

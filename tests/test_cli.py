@@ -1,3 +1,4 @@
+import io
 import os
 import sqlite3
 import subprocess
@@ -166,6 +167,20 @@ def test_annotate_file_name_not_utf8(tmp_path):
     )
     assert proc.returncode == 1
     assert b"lone surrogate" in proc.stderr
+
+
+def test_error_with_lone_surrogate_under_strict_stderr(tmp_path, monkeypatch):
+    src = tmp_path / "notes"
+    src.mkdir()
+    (src / "doc\udcff.txt").write_text(COMBINED_NOTE, encoding="utf-8")
+    raw = io.BytesIO()
+    stderr = io.TextIOWrapper(raw, encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    code = cli_main(["annotate", "--input", str(src), "--out", str(tmp_path / "o")])
+    stderr.flush()
+    assert code == 1
+    assert b"doc\\udcff.txt" in raw.getvalue()
+    assert b"lone surrogate" in raw.getvalue()
 
 
 def test_query(corpus_dir, tmp_path, capsys):

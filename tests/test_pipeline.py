@@ -1,9 +1,12 @@
+import functools
 import itertools
+import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _ungated
 from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
 from oncospan import (
     ALL_ANNOTATORS,
@@ -18,6 +21,7 @@ from oncospan import (
     process_corpus,
     serialize_result,
 )
+from oncospan.document import SentenceView
 from oncospan.mutation import MutationAnnotation
 from oncospan.perfstatus import PSAnnotation
 from oncospan.staging import StageAnnotation, TNMAnnotation
@@ -177,6 +181,17 @@ def test_corpus_parallel_equals_serial(default_pipeline):
     ]
 
 
+def test_pipeline_pickles(default_pipeline):
+    # A process pool hands the pipeline to its workers by pickling it.
+    copy = pickle.loads(pickle.dumps(default_pipeline))
+    assert copy.config == default_pipeline.config
+    assert copy.lexicon == default_pipeline.lexicon
+    assert copy._anchor.pattern == default_pipeline._anchor.pattern
+    text = " ".join([MUTATION_NOTE, STAGING_NOTE, PERFSTATUS_NOTE, COMBINED_NOTE])
+    doc = Document("d", text)
+    assert copy.process_document(doc) == default_pipeline.process_document(doc)
+
+
 def test_jobs_validation(default_pipeline):
     with pytest.raises(ValueError):
         process_corpus(default_pipeline, [], jobs=0)
@@ -244,3 +259,82 @@ def test_any_text_annotates_and_round_trips(default_pipeline, text):
     for span in spans:
         assert 0 <= span.begin < span.end <= len(text)
     assert deserialize_result(serialize_result(result)) == result
+
+
+@functools.lru_cache(maxsize=None)
+def _pipe_of(kinds: frozenset) -> object:
+    return _pipe(*kinds)
+
+
+# Every anchor word, near misses of each, and what moves sentence
+# boundaries or offsets: terminators glued to numbers, abbreviations,
+# blank lines and characters whose fold is not one character.  Each group
+# is drawn equally often, however many words it holds.
+_gate_units = st.one_of(
+    st.sampled_from(
+        [
+            "EGFR", "egfr", "ALK", "ROS1", "Ros-1", "ros 1", "G719X", "T790M",
+            "L858R", "L861Q", "ex\u00f3n", "exon", "pT1aN0M0", "T2b-N1-M1c",
+            "t1.n0", "T3 N2", "estadio", "Estadio", "stage", "ECOG", "ECOG-PS",
+            "Karnofsky", "KPS",
+        ]
+    ),
+    st.sampled_from(
+        [
+            "egf", "al", "ro", "kp", "ecg", "eco", "karnofsk", "estadi", "stag",
+            "exo", "t5n0", "t1m0", "l858", "g719", "n0", "m1",
+        ]
+    ),
+    st.sampled_from(
+        [
+            "IV", "IIIA", "I-A1", "del", "ins", "no", "no se detecta", "mutado",
+            "+", "-", "%", "(", ")", ":",
+        ]
+    ),
+    st.sampled_from(
+        ["1.", "19.", "2!", "3?", "0.5", "Dr.", "Dra.", "J.", "fig.", ".", "!", "?",
+         "\n", "\n\n", "\t"]
+    ),
+    st.sampled_from(
+        ["\u0301", "\ud55c", "\ud55c\uad6d\uc5b4", "\u0301\u0301\u0301", "exo\u0301n", "EG\ud55cFR", "ECO\u0301G",
+         "\uac00\u0301", "\u0130", "\x00"]
+    ),
+    st.text("0123456789", min_size=1, max_size=6),
+)
+_gate_texts = st.lists(
+    st.tuples(_gate_units, st.sampled_from(["", " ", " ", ". ", "\n", "-"])),
+    max_size=40,
+).map(lambda parts: "".join(unit + sep for unit, sep in parts))
+
+
+@given(_gate_texts, st.sets(st.sampled_from(sorted(ALL_ANNOTATORS, key=lambda k: k.value)), min_size=1))
+@settings(deadline=None, max_examples=300)
+# Each anchor alone, and hits that the shadow's offsets, not its indexes,
+# place in their sentence: Hangul pushes the shadow ahead of the text,
+# bare combining marks pull it behind.
+@example("Sin datos. Stage IV.", {AnnotatorKind.STAGE})
+@example("Sin datos. Del exo\u0301n 19.", {AnnotatorKind.EGFR})
+@example("Sin datos. pT1a N0 M0.", {AnnotatorKind.TNM})
+@example("Sin datos. KPS 80.", {AnnotatorKind.KARNOFSKY})
+@example("\ud55c\uad6d\uc5b4 \ud55c\uad6d\uc5b4 ECOG 1. Sin datos.", {AnnotatorKind.ECOG})
+@example("Sin " + "\u0301" * 12 + "datos. ECOG 1.", {AnnotatorKind.ECOG})
+def test_gate_equals_every_sentence(text, kinds):
+    # Skipping the sentences without an anchor never changes the result.
+    pipe = _pipe_of(frozenset(kinds))
+    doc = Document("d", text)
+    assert pipe.process_document(doc) == _ungated.process_document(pipe, doc)
+
+
+def test_gate_skips_sentences_without_anchors(default_pipeline, monkeypatch):
+    built = []
+    original = SentenceView.__init__
+
+    def counting(self, text, *args, **kwargs):
+        built.append(text)
+        original(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(SentenceView, "__init__", counting)
+    text = "Paciente de 70 a\u00f1os. Sin datos. ECOG 1. Fumador. EGFR mutado."
+    result = default_pipeline.process_document(Document("d", text))
+    assert built == ["ECOG 1.", "EGFR mutado."]
+    assert len(result.annotations) == 2
