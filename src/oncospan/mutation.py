@@ -82,6 +82,7 @@ _EXON_LOOKAHEAD = 2  # tokens after the keyword that may hold the number
 ANCHOR = "|".join(
     ["egfr", "alk", "ros", *(p.value.lower() for p in PointVariant), _EXON_KEYWORD]
 )
+
 _KIND_CUES = {
     "del": ExonKind.DELETION,
     "delecion": ExonKind.DELETION,
