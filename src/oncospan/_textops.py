@@ -163,24 +163,69 @@ def sentence_spans(
     spans: list[tuple[int, int]] = []
     pos = 0
     while (first := _NON_SPACE.search(text, pos)) is not None:
-        start = scan = first.start()
-        while True:
-            boundary = _BOUNDARY.search(text, scan)
-            if boundary is None:
-                spans.append((start, start + len(text[start:].rstrip())))
-                return spans
-            at = boundary.start()
-            if text[at] == "\n":
-                spans.append((start, start + len(text[start:at].rstrip())))
-                pos = boundary.end()
-                break
-            if text[at] == "." and not _period_terminates(text, at, abbreviations):
-                scan = at + 1
-                continue
-            pos = _TERMINATOR_RUN.match(text, at).end()
-            spans.append((start, pos))
-            break
+        start = first.start()
+        end, pos = _sentence_end(text, start, abbreviations)
+        spans.append((start, end))
     return spans
+
+
+# The last terminator or newline before the end of the searched range.
+_LAST_BREAK = re.compile(r"(?s:.*)[.!?\n]")
+
+
+def sentence_span_at(
+    text: str, at: int, floor: int = 0, abbreviations: frozenset[str] = frozenset()
+) -> tuple[int, int]:
+    """The span ``sentence_spans(text, abbreviations)`` gives the sentence
+    holding ``text[at]``, found without splitting the rest of *text*.
+
+    ``text[at]`` must be neither whitespace nor a terminator.  *floor* is 0
+    or the end of a sentence before that one; the scan back stops there.
+
+    Every boundary's verdict is local.  As *at* is not a terminator, the
+    nearest terminator before it closes a maximal run: the run ends a
+    sentence if that terminator is ``!`` or ``?``, or a period that
+    ``_period_terminates`` (which holds for any period after a terminator,
+    so for every run of two or more).  A newline ends one if it closes a
+    blank line.  So the sentence starts at the first non-whitespace
+    character after the nearest such boundary, and ends where the forward
+    scan of ``sentence_spans`` ends it.
+    """
+    stop, start = at, floor
+    while (last := _LAST_BREAK.match(text, floor, stop)) is not None:
+        p = last.end() - 1
+        if text[p] == "\n":
+            q = p
+            while q > floor and text[q - 1] in " \t\r":
+                q -= 1
+            if q > floor and text[q - 1] == "\n":
+                start = p + 1
+                break
+        elif text[p] != "." or _period_terminates(text, p, abbreviations):
+            start = p + 1
+            break
+        stop = p
+    start = _NON_SPACE.search(text, start).start()
+    return start, _sentence_end(text, start, abbreviations)[0]
+
+
+def _sentence_end(
+    text: str, start: int, abbreviations: frozenset[str]
+) -> tuple[int, int]:
+    """End of the sentence starting at *start*, and where the next one may."""
+    scan = start
+    while True:
+        boundary = _BOUNDARY.search(text, scan)
+        if boundary is None:
+            return start + len(text[start:].rstrip()), len(text)
+        at = boundary.start()
+        if text[at] == "\n":
+            return start + len(text[start:at].rstrip()), boundary.end()
+        if text[at] == "." and not _period_terminates(text, at, abbreviations):
+            scan = at + 1
+            continue
+        end = _TERMINATOR_RUN.match(text, at).end()
+        return end, end
 
 
 def _period_terminates(text: str, i: int, abbreviations: frozenset[str]) -> bool:

@@ -61,7 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
         + ", ".join(kind.value for kind in AnnotatorKind),
     )
     annotate.add_argument("--sql", help="also write a SQL export to this file")
-    annotate.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    annotate.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; any N >= 1 annotates serially",
+    )
 
     query = sub.add_parser("query", help="query a directory of standoff files")
     query.add_argument("--store", required=True, help="directory of .ann files")

@@ -150,9 +150,10 @@ class SentenceView:
     triples with offsets relative to the sentence, kind codes as in
     ``_textops.token_spans``.  ``norm_surfaces[i]`` is the folded surface of
     token ``i``.  Built once per sentence and shared by every annotator;
-    ``Token`` objects are made only when ``token_objects`` is called.
-    *folded*, when given, is ``_textops.normalize_text(text)``, computed by
-    the caller (see ``in_folded``).
+    the tokens and their folded surfaces are built on first read, and
+    ``Token`` objects only when ``token_objects`` is called.  *folded*, when
+    given, is ``_textops.normalize_text(text)``, computed by the caller
+    (see ``in_folded``).
     """
 
     __slots__ = (
@@ -160,8 +161,8 @@ class SentenceView:
         "base",
         "norm",
         "norm_map",
-        "tokens",
-        "norm_surfaces",
+        "_tokens",
+        "_norm_surfaces",
         "_objects",
     )
 
@@ -173,15 +174,28 @@ class SentenceView:
     ):
         self.text = text
         self.base = base
-        norm, norm_map = _textops.normalize_text(text) if folded is None else folded
-        tokens = _textops.token_spans(text, 0, len(text))
-        self.norm, self.norm_map, self.tokens = norm, norm_map, tokens
-        if type(norm_map) is range:
-            # Every character folds to one: the shadow lines up with the text.
-            self.norm_surfaces = [norm[b:e] for b, e, _ in tokens]
-        else:
-            self.norm_surfaces = [normalize_word(text[b:e]) for b, e, _ in tokens]
-        self._objects = None
+        self.norm, self.norm_map = (
+            _textops.normalize_text(text) if folded is None else folded
+        )
+        self._tokens = self._norm_surfaces = self._objects = None
+
+    @property
+    def tokens(self) -> list[tuple[int, int, int]]:
+        if self._tokens is None:
+            self._tokens = _textops.token_spans(self.text, 0, len(self.text))
+        return self._tokens
+
+    @property
+    def norm_surfaces(self) -> list[str]:
+        if self._norm_surfaces is None:
+            if type(self.norm_map) is range:
+                # Every character folds to one: the shadow lines up with the text.
+                norm = self.norm
+                self._norm_surfaces = [norm[b:e] for b, e, _ in self.tokens]
+            else:
+                text = self.text
+                self._norm_surfaces = [normalize_word(text[b:e]) for b, e, _ in self.tokens]
+        return self._norm_surfaces
 
     @classmethod
     def from_sentence(cls, document: Document, sentence: Sentence) -> "SentenceView":

@@ -1,16 +1,14 @@
 """Annotator composition: one configured engine, one result per document.
 
-Segmentation and normalization run once per document.  Each annotator
-module declares anchors: literals on the folded shadow that every one of
-its annotations contains.  Only the sentences holding an anchor of an
-enabled annotator get a view, and every enabled annotator consumes the same
-views.  The pipeline object is immutable after build, so one instance can
-serve any number of worker threads.
+Normalization runs once per document.  Each annotator module declares
+anchors: literals on the folded shadow that every one of its annotations
+contains.  The note is never split as a whole: only the sentences holding
+an anchor of an enabled annotator are looked up, each gets one view, and
+each annotator runs only on the sentences that hold one of its own anchors.
+The pipeline object is immutable after build.
 """
 
 import re
-from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -18,7 +16,7 @@ from typing import Sequence, Union
 
 from . import _textops, mutation, perfstatus, staging
 from .assertion import CueLexicon, load_cue_lexicon
-from .document import Diagnostic, Document, SentenceView, split_sentences
+from .document import ABBREVIATION_STOPLIST, Diagnostic, Document, SentenceView, Span
 from .errors import ConfigError, DuplicateDocumentId
 from .mutation import Gene, MutationAnnotation
 from .perfstatus import PSAnnotation
@@ -45,14 +43,24 @@ _GENE_BY_KIND = {
     AnnotatorKind.ROS1: Gene.ROS1,
 }
 
-_ANCHOR_BY_KIND = {
-    AnnotatorKind.EGFR: mutation.ANCHOR,
-    AnnotatorKind.ALK: mutation.ANCHOR,
-    AnnotatorKind.ROS1: mutation.ANCHOR,
-    AnnotatorKind.TNM: staging.TNM_ANCHOR,
-    AnnotatorKind.STAGE: staging.STAGE_ANCHOR,
-    AnnotatorKind.ECOG: perfstatus.ECOG_ANCHOR,
-    AnnotatorKind.KARNOFSKY: perfstatus.KARNOFSKY_ANCHOR,
+# The annotator calls, in the order they run on a sentence (and so the
+# order of their diagnostics), and the anchor each one needs.
+_MUTATION, _TNM, _STAGE, _ECOG, _KARNOFSKY = range(5)
+_ANCHOR_BY_CALL = (
+    mutation.ANCHOR,
+    staging.TNM_ANCHOR,
+    staging.STAGE_ANCHOR,
+    perfstatus.ECOG_ANCHOR,
+    perfstatus.KARNOFSKY_ANCHOR,
+)
+_CALL_BY_KIND = {
+    AnnotatorKind.EGFR: _MUTATION,
+    AnnotatorKind.ALK: _MUTATION,
+    AnnotatorKind.ROS1: _MUTATION,
+    AnnotatorKind.TNM: _TNM,
+    AnnotatorKind.STAGE: _STAGE,
+    AnnotatorKind.ECOG: _ECOG,
+    AnnotatorKind.KARNOFSKY: _KARNOFSKY,
 }
 
 
@@ -75,7 +83,7 @@ class Pipeline:
     """Immutable bundle of compiled rules; see build_pipeline."""
 
     __slots__ = (
-        "config", "lexicon", "_genes", "_tnm", "_stage", "_ecog", "_karnofsky", "_anchor"
+        "config", "lexicon", "_genes", "_tnm", "_stage", "_ecog", "_karnofsky", "_anchors"
     )
 
     def __init__(self, config: PipelineConfig, lexicon: CueLexicon):
@@ -89,9 +97,10 @@ class Pipeline:
         self._stage = AnnotatorKind.STAGE in enabled
         self._ecog = AnnotatorKind.ECOG in enabled
         self._karnofsky = AnnotatorKind.KARNOFSKY in enabled
-        # A lookahead, so that every position an anchor starts at is a hit.
-        anchors = sorted({_ANCHOR_BY_KIND[kind] for kind in enabled})
-        self._anchor = re.compile("(?=" + "|".join(f"(?:{a})" for a in anchors) + ")")
+        self._anchors = tuple(
+            (call, re.compile(_ANCHOR_BY_CALL[call]))
+            for call in sorted({_CALL_BY_KIND[kind] for kind in enabled})
+        )
 
     def process_document(self, document: Document) -> DocumentResult:
         return process_document(self, document)
@@ -112,32 +121,44 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
     annotations: list[Annotation] = []
     diagnostics: list[Diagnostic] = []
     text = document.text
-    sentences = split_sentences(text)
     folded = _textops.normalize_text(text)
     norm, offsets = folded
-    # A sentence can hold an annotation only if an anchor starts inside it;
-    # the offsets place each hit on the shadow back in the text.
-    begins = [s.span.begin for s in sentences]
-    live: list[int] = []
-    for hit in pipeline._anchor.finditer(norm):
-        index = bisect_right(begins, offsets[hit.start()]) - 1
-        if not live or live[-1] != index:
-            live.append(index)
-    for index in live:
-        view = SentenceView.in_folded(text, folded, sentences[index].span)
-        if pipeline._genes:
+    # An annotator can find something only in a sentence where one of its
+    # anchors starts; the offsets place each hit on the shadow back in the
+    # text.  Matches of one anchor do not overlap, and that hides no
+    # sentence: a match holds no second start of its anchor, since the only
+    # non-letter any anchor holds is the TNM separator and no TNM match
+    # holds a second "t".
+    hits = sorted(
+        (offsets[m.start()], call)
+        for call, anchor in pipeline._anchors
+        for m in anchor.finditer(norm)
+    )
+    live: list[tuple[Span, set[int]]] = []
+    end = 0
+    for at, call in hits:
+        if at >= end:
+            begin, end = _textops.sentence_span_at(text, at, end, ABBREVIATION_STOPLIST)
+            calls: set[int] = set()
+            live.append((Span(begin, end), calls))
+        calls.add(call)
+    # The annotators are looked up at call time, so a wrapper set on a
+    # module attribute sees every call.
+    for span, calls in live:
+        view = SentenceView.in_folded(text, folded, span)
+        if _MUTATION in calls:
             annotations.extend(
                 mutation.annotate_view(view, pipeline.lexicon, pipeline._genes)
             )
-        if pipeline._tnm:
+        if _TNM in calls:
             annotations.extend(staging.tnm_in_view(view))
-        if pipeline._stage:
+        if _STAGE in calls:
             annotations.extend(staging.stages_in_view(view))
-        if pipeline._ecog:
+        if _ECOG in calls:
             anns, diags = perfstatus.ecog_in_view(view)
             annotations.extend(anns)
             diagnostics.extend(diags)
-        if pipeline._karnofsky:
+        if _KARNOFSKY in calls:
             anns, diags = perfstatus.karnofsky_in_view(view)
             annotations.extend(anns)
             diagnostics.extend(diags)
@@ -161,6 +182,13 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
 def process_corpus(
     pipeline: Pipeline, documents: Sequence[Document], jobs: int = 1
 ) -> list[DocumentResult]:
+    """Annotate *documents* and return their results sorted by document id.
+
+    *jobs* must be at least 1, and every value runs the documents serially
+    in this thread.  The annotators are pure Python, so worker threads only
+    take turns on the interpreter lock (two measured slower than one), and
+    a process pool would add a second interpreter's memory to the run.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seen: set[str] = set()
@@ -168,11 +196,7 @@ def process_corpus(
         if doc.id in seen:
             raise DuplicateDocumentId(doc.id)
         seen.add(doc.id)
-    if jobs <= 1 or len(documents) <= 1:
-        results = [process_document(pipeline, doc) for doc in documents]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda d: process_document(pipeline, d), documents))
+    results = [process_document(pipeline, doc) for doc in documents]
     results.sort(key=lambda r: r.document_id)
     return results
 

@@ -2,7 +2,7 @@
 
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _textops_py
@@ -92,6 +92,41 @@ def test_sentences_within_bounds_and_ordered(text):
         assert 0 <= begin < end <= len(text)
         assert begin >= previous_end
         assert not text[begin].isspace()
+        previous_end = end
+
+
+# The _clinical alphabet plus what decides a period locally: abbreviations,
+# single letters, a decimal point, runs of terminators, and blank and
+# near-blank lines.
+_CLINICAL_UNITS = (
+    list(
+        "abcdefghijklmnopqrstuvwxyz"
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        "áéíóúüñÁÉÍÓÚÜÑ"
+        "0123456789"
+        " \t\n\r.,;:()/%+-_!?"
+        "\u0301한²٣"
+    )
+    + ["\n\x0b\n", "Dr.", "J.", "1.5", "..", "?!", "\n \t\n", "\r", "\x0b"]
+)
+
+
+@given(st.lists(st.sampled_from(_CLINICAL_UNITS), max_size=80).map("".join))
+@settings(max_examples=300, deadline=None)
+@example("")
+@example("Dr. J. Ruiz. 1.5 mg.. ECOG 1?! KPS\n \t\nEGFR\r\x0b.")
+def test_sentence_span_at_equals_split(text):
+    # Each position that can start an anchor finds the sentence holding it,
+    # whether the scan back runs to the start or to the previous sentence.
+    previous_end = 0
+    for begin, end in _textops.sentence_spans(text, ABBREVIATION_STOPLIST):
+        for at in range(begin, end):
+            if text[at].isspace() or text[at] in ".!?":
+                continue
+            for floor in (0, previous_end):
+                assert _textops.sentence_span_at(
+                    text, at, floor, ABBREVIATION_STOPLIST
+                ) == (begin, end)
         previous_end = end
 
 

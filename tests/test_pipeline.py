@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import _ungated
 from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
+from oncospan import _textops, mutation, perfstatus, staging
 from oncospan import (
     ALL_ANNOTATORS,
     AnnotatorKind,
@@ -186,7 +187,9 @@ def test_pipeline_pickles(default_pipeline):
     copy = pickle.loads(pickle.dumps(default_pipeline))
     assert copy.config == default_pipeline.config
     assert copy.lexicon == default_pipeline.lexicon
-    assert copy._anchor.pattern == default_pipeline._anchor.pattern
+    assert [(call, a.pattern) for call, a in copy._anchors] == [
+        (call, a.pattern) for call, a in default_pipeline._anchors
+    ]
     text = " ".join([MUTATION_NOTE, STAGING_NOTE, PERFSTATUS_NOTE, COMBINED_NOTE])
     doc = Document("d", text)
     assert copy.process_document(doc) == default_pipeline.process_document(doc)
@@ -348,3 +351,37 @@ def test_gate_skips_sentences_without_anchors(default_pipeline, monkeypatch):
     result = default_pipeline.process_document(Document("d", text))
     assert built == ["ECOG 1.", "EGFR mutado."]
     assert len(result.annotations) == 2
+
+
+def test_each_annotator_reads_only_its_sentences(default_pipeline, monkeypatch):
+    received = {}
+    for module, name in [
+        (mutation, "annotate_view"),
+        (staging, "tnm_in_view"),
+        (staging, "stages_in_view"),
+        (perfstatus, "ecog_in_view"),
+        (perfstatus, "karnofsky_in_view"),
+    ]:
+        def recording(view, *args, _name=name, _original=getattr(module, name)):
+            received.setdefault(_name, []).append(view.text)
+            return _original(view, *args)
+
+        monkeypatch.setattr(module, name, recording)
+    tokenized = []
+    token_spans = _textops.token_spans
+
+    def counting(text, begin, end):
+        tokenized.append(text[begin:end])
+        return token_spans(text, begin, end)
+
+    monkeypatch.setattr(_textops, "token_spans", counting)
+    text = "ECOG 1. Sin datos. EGFR mutado. pT1aN0M0. Karnofsky 90%."
+    result = default_pipeline.process_document(Document("d", text))
+    assert received == {
+        "annotate_view": ["EGFR mutado."],
+        "tnm_in_view": ["pT1aN0M0."],
+        "ecog_in_view": ["ECOG 1."],
+        "karnofsky_in_view": ["Karnofsky 90%."],
+    }
+    assert tokenized == ["EGFR mutado."]
+    assert len(result.annotations) == 4
