@@ -125,10 +125,10 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
     norm, offsets = folded
     # An annotator can find something only in a sentence where one of its
     # anchors starts; the offsets place each hit on the shadow back in the
-    # text.  Matches of one anchor do not overlap, and that hides no
-    # sentence: a match holds no second start of its anchor, since the only
-    # non-letter any anchor holds is the TNM separator and no TNM match
-    # holds a second "t".
+    # text.  Matches of one anchor do not overlap, which hides no sentence:
+    # a start skipped inside a match lies in the same run of letters and
+    # digits, except in a TNM match, whose separator may end a sentence but
+    # which holds no second "t".
     hits = sorted(
         (offsets[m.start()], call)
         for call, anchor in pipeline._anchors
