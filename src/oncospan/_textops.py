@@ -1,7 +1,9 @@
 """Text kernels: normalization, sentence splitting and tokenization.
 
-These three functions are the hot path of the whole package: every document
-runs through them before any rule is applied.  The per-character work runs
+They are the hot path of the whole package: every document is normalized,
+and each sentence holding an anchor is found by ``sentence_span_at`` and
+tokenized if an annotator reads its tokens.  ``sentence_spans`` splits a
+whole text; the lookup is checked against it.  The per-character work runs
 inside ``str.translate`` and ``re``; Python-level loops are left for the
 rare characters that fold to more or fewer than one character and for the
 token before each period.  ``tests/_textops_py.py`` keeps the plain loop
