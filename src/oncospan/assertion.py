@@ -4,14 +4,16 @@ Cues are short phrases looked up in a window of tokens around the target
 mention, after case/accent folding.  Negative evidence always beats
 positive evidence, and a positive cue preceded by "no" inside the window
 counts as negative ("no se detecta mutación" must not fire as positive).
+The rule works on token indexes: ``polarity_in_view`` feeds it a sentence
+view's tokens, ``detect_polarity`` a list of ``Token`` objects.
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .document import Span, Token, normalize_word, token_range
+from .document import SentenceView, Span, Token, normalize_word, token_range
 from .errors import ConflictingEntry, MalformedLexicon
 
 MAX_PHRASE_WORDS = 4
@@ -104,29 +106,37 @@ def load_cue_lexicon(path: str | Path | None = None) -> CueLexicon:
     return CueLexicon(positive=frozenset(positive), negative=frozenset(negative))
 
 
-def detect_polarity(
-    tokens: Sequence[Token], target: Span, lexicon: CueLexicon
+def _around(rng: tuple[int, int], n: int, width: int) -> tuple[range, range]:
+    """Token indexes up to *width* before and after *rng*, of *n* tokens."""
+    first, last = rng
+    return range(max(0, first - width), first), range(last + 1, min(n, last + 1 + width))
+
+
+def _polarity(
+    norm: Sequence[str],
+    written: Callable[[int], str],
+    rng: tuple[int, int] | None,
+    lexicon: CueLexicon,
 ) -> Polarity:
-    """Polarity of the mention at *target* given its sentence *tokens*."""
-    rng = token_range(tokens, target)
+    """The polarity rule over token indexes.
+
+    *norm* holds the folded surface of every token of the sentence, which
+    phrase cues are compared with; ``written(i)`` is token ``i`` as written,
+    which symbol cues are compared with.  *rng* is the (first, last) token
+    index of the target, or None when no token overlaps it.
+    """
     if rng is None:
         return Polarity.UNKNOWN
-    t_first, t_last = rng
-    n = len(tokens)
-    norm = [normalize_word(t.surface) for t in tokens]
-    lo = max(0, t_first - lexicon.window)
-    hi = min(n - 1, t_last + lexicon.window)
-
+    n = len(norm)
     negative = False
     positive = False
     # Phrase cues, each side of the target separately; a phrase must fit
     # entirely inside the window on its side.
-    sides = ((lo, t_first - 1), (t_last + 1, hi))
+    sides = _around(rng, n, lexicon.window)
     positive_starts: list[int] = []
-    for side_lo, side_hi in sides:
-        for i in range(side_lo, side_hi + 1):
-            limit = min(side_hi - i + 1, MAX_PHRASE_WORDS)
-            for length in range(1, limit + 1):
+    for side in sides:
+        for i in side:
+            for length in range(1, min(side.stop - i, MAX_PHRASE_WORDS) + 1):
                 key = tuple(norm[i : i + length])
                 if key in lexicon.negative:
                     negative = True
@@ -135,33 +145,40 @@ def detect_polarity(
                     positive_starts.append(i)
     # A positive cue with "no" earlier in the window flips to negative.
     if positive_starts and not negative:
-        no_positions = [
-            k
-            for side_lo, side_hi in sides
-            for k in range(side_lo, side_hi + 1)
-            if norm[k] == "no"
-        ]
-        if no_positions:
-            earliest_no = min(no_positions)
-            if any(start > earliest_no for start in positive_starts):
-                negative = True
+        earliest_no = next((k for side in sides for k in side if norm[k] == "no"), n)
+        negative = max(positive_starts) > earliest_no
     # Symbol cues immediately adjacent to the target.
-    adj = lexicon.symbol_adjacency
-    for i in range(max(0, t_first - adj), t_first):
-        surf = tokens[i].surface
-        if surf in lexicon.symbol_negative:
-            negative = True
-        elif surf in lexicon.symbol_positive:
-            positive = True
-    for i in range(t_last + 1, min(n, t_last + adj + 1)):
-        surf = tokens[i].surface
-        if surf in lexicon.symbol_negative:
-            negative = True
-        elif surf in lexicon.symbol_positive:
-            positive = True
+    for side in _around(rng, n, lexicon.symbol_adjacency):
+        for i in side:
+            surf = written(i)
+            if surf in lexicon.symbol_negative:
+                negative = True
+            elif surf in lexicon.symbol_positive:
+                positive = True
 
     if negative:
         return Polarity.NEGATIVE
     if positive:
         return Polarity.POSITIVE
     return Polarity.UNKNOWN
+
+
+def detect_polarity(
+    tokens: Sequence[Token], target: Span, lexicon: CueLexicon
+) -> Polarity:
+    """Polarity of the mention at *target* given its sentence *tokens*."""
+    norm = [normalize_word(t.surface) for t in tokens]
+    return _polarity(
+        norm, lambda i: tokens[i].surface, token_range(tokens, target), lexicon
+    )
+
+
+def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> Polarity:
+    """Polarity of the mention at *target* inside *view*'s sentence."""
+    text, tokens = view.text, view.tokens
+    return _polarity(
+        view.norm_surfaces,
+        lambda i: text[tokens[i][0] : tokens[i][1]],
+        view.token_range(target),
+        lexicon,
+    )

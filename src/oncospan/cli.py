@@ -92,7 +92,9 @@ def _load_documents(path_str: str) -> list[Document]:
     documents = []
     for file in files:
         try:
-            text = file.read_text(encoding="utf-8")
+            # Not read_text: its newline translation would turn "\r\n" and a
+            # lone "\r" into "\n" and shift every offset after them.
+            text = file.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
             raise _InputError(f"{file}: not valid UTF-8 ({exc})") from None
         try:

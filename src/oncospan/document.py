@@ -10,7 +10,6 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
@@ -33,9 +32,6 @@ class Span:
     def __post_init__(self):
         if self.begin < 0 or self.end <= self.begin:
             raise ValueError(f"invalid span [{self.begin}, {self.end})")
-
-    def overlaps(self, other: "Span") -> bool:
-        return self.begin < other.end and other.begin < self.end
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,16 +98,6 @@ def split_sentences(
     ]
 
 
-def _make_tokens(
-    text: str, triples: Sequence[tuple[int, int, int]], shift: int
-) -> list[Token]:
-    """``Token`` objects for kernel triples over *text*, spans moved by *shift*."""
-    return [
-        Token(Span(b + shift, e + shift), text[b:e], _KIND_BY_CODE[kind])
-        for b, e, kind in triples
-    ]
-
-
 def tokenize(document: Document, sentence: Sentence) -> list[Token]:
     span = sentence.span
     if span.end > len(document.text):
@@ -120,14 +106,17 @@ def tokenize(document: Document, sentence: Sentence) -> list[Token]:
             f"{document.id!r}"
         )
     text = document.text
-    return _make_tokens(text, _textops.token_spans(text, span.begin, span.end), 0)
+    return [
+        Token(Span(b, e), text[b:e], _KIND_BY_CODE[kind])
+        for b, e, kind in _textops.token_spans(text, span.begin, span.end)
+    ]
 
 
 def token_range(tokens: Sequence[Token], span: Span) -> tuple[int, int] | None:
     """Indexes (first, last) of the *tokens* overlapping *span*, or None.
 
-    *tokens* must be in text order without overlaps, as ``tokenize`` and
-    ``SentenceView.token_objects`` give them.
+    *tokens* must be in text order without overlaps, as ``tokenize`` gives
+    them.
     """
     first = bisect_right(tokens, span.begin, key=lambda t: t.span.end)
     last = bisect_left(tokens, span.end, key=lambda t: t.span.begin) - 1
@@ -136,7 +125,6 @@ def token_range(tokens: Sequence[Token], span: Span) -> tuple[int, int] | None:
     return first, last
 
 
-@lru_cache(maxsize=4096)
 def normalize_word(word: str) -> str:
     """Case- and accent-fold a short string (token surfaces, cue words)."""
     return _textops.normalize_text(word)[0]
@@ -150,9 +138,8 @@ class SentenceView:
     triples with offsets relative to the sentence, kind codes as in
     ``_textops.token_spans``.  ``norm_surfaces[i]`` is the folded surface of
     token ``i``.  Built once per sentence and shared by every annotator;
-    the tokens and their folded surfaces are built on first read, and
-    ``Token`` objects only when ``token_objects`` is called.  *folded*, when
-    given, is ``_textops.normalize_text(text)``, computed by the caller
+    the tokens and their folded surfaces are built on first read.  *folded*,
+    when given, is ``_textops.normalize_text(text)``, computed by the caller
     (see ``in_folded``).
     """
 
@@ -163,7 +150,6 @@ class SentenceView:
         "norm_map",
         "_tokens",
         "_norm_surfaces",
-        "_objects",
     )
 
     def __init__(
@@ -177,7 +163,7 @@ class SentenceView:
         self.norm, self.norm_map = (
             _textops.normalize_text(text) if folded is None else folded
         )
-        self._tokens = self._norm_surfaces = self._objects = None
+        self._tokens = self._norm_surfaces = None
 
     @property
     def tokens(self) -> list[tuple[int, int, int]]:
@@ -219,12 +205,6 @@ class SentenceView:
             hi = bisect_left(offsets, end)
             own = norm[lo:hi], [i - begin for i in offsets[lo:hi]]
         return cls(text[begin:end], begin, own)
-
-    def token_objects(self) -> list[Token]:
-        """The tokens as ``Token`` objects with absolute spans, built once."""
-        if self._objects is None:
-            self._objects = _make_tokens(self.text, self.tokens, self.base)
-        return self._objects
 
     def token_range(self, span: Span) -> tuple[int, int] | None:
         """Indexes (first, last) of the tokens overlapping *span*, or None."""

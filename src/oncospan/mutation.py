@@ -11,10 +11,10 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Sequence
 
 from ._textops import NUMBER
-from .assertion import CueLexicon, Polarity, detect_polarity
+from .assertion import CueLexicon, Polarity, polarity_in_view
 from .document import Document, Sentence, SentenceView, Span
 
 
@@ -186,7 +186,7 @@ def annotate_view(
     for gene, span in mentions:
         if gene not in genes:
             continue
-        polarity = detect_polarity(view.token_objects(), span, lexicon)
+        polarity = polarity_in_view(view, span, lexicon)
         exon = point = None
         if gene is Gene.EGFR:
             exon = _nearest(view, span, exons)
@@ -229,12 +229,8 @@ def annotate_view(
 def _implied_polarity(view: SentenceView, span: Span, lexicon: CueLexicon) -> Polarity:
     # Writing out an exon or point asserts the finding unless it is
     # explicitly negated.
-    found = detect_polarity(view.token_objects(), span, lexicon)
+    found = polarity_in_view(view, span, lexicon)
     return Polarity.NEGATIVE if found is Polarity.NEGATIVE else Polarity.POSITIVE
-
-
-def _views(document: Document, sentences: Iterable[Sentence]) -> list[SentenceView]:
-    return [SentenceView.from_sentence(document, s) for s in sentences]
 
 
 def find_gene_mentions(text: str) -> list[tuple[Gene, Span]]:
@@ -259,7 +255,8 @@ def annotate_mutations(
     genes: frozenset[Gene] = frozenset(Gene),
 ) -> list[MutationAnnotation]:
     out: list[MutationAnnotation] = []
-    for view in _views(document, sentences):
+    for sentence in sentences:
+        view = SentenceView.from_sentence(document, sentence)
         out.extend(annotate_view(view, lexicon, genes))
     return out
 

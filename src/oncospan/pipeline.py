@@ -82,9 +82,7 @@ class DocumentResult:
 class Pipeline:
     """Immutable bundle of compiled rules; see build_pipeline."""
 
-    __slots__ = (
-        "config", "lexicon", "_genes", "_tnm", "_stage", "_ecog", "_karnofsky", "_anchors"
-    )
+    __slots__ = ("config", "lexicon", "_genes", "_anchors")
 
     def __init__(self, config: PipelineConfig, lexicon: CueLexicon):
         self.config = config
@@ -93,10 +91,6 @@ class Pipeline:
         self._genes = frozenset(
             gene for kind, gene in _GENE_BY_KIND.items() if kind in enabled
         )
-        self._tnm = AnnotatorKind.TNM in enabled
-        self._stage = AnnotatorKind.STAGE in enabled
-        self._ecog = AnnotatorKind.ECOG in enabled
-        self._karnofsky = AnnotatorKind.KARNOFSKY in enabled
         self._anchors = tuple(
             (call, re.compile(_ANCHOR_BY_CALL[call]))
             for call in sorted({_CALL_BY_KIND[kind] for kind in enabled})
@@ -163,13 +157,13 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
             annotations.extend(anns)
             diagnostics.extend(diags)
     annotations.sort(key=lambda a: (a.span.begin, a.span.end, a.annotator))
+    # A disabled annotator finds nothing, so it leaves no pair to check.
     reports: list[ConsistencyReport] = []
-    if pipeline._tnm and pipeline._stage:
-        tnms = [a for a in annotations if isinstance(a, TNMAnnotation)]
-        stages = [a for a in annotations if isinstance(a, StageAnnotation)]
-        for tnm in tnms:
-            for stage in stages:
-                reports.append(check_consistency(tnm, stage))
+    tnms = [a for a in annotations if isinstance(a, TNMAnnotation)]
+    stages = [a for a in annotations if isinstance(a, StageAnnotation)]
+    for tnm in tnms:
+        for stage in stages:
+            reports.append(check_consistency(tnm, stage))
     return DocumentResult(
         document_id=document.id,
         text=document.text,

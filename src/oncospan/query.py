@@ -16,6 +16,9 @@ from .mutation import Gene, MutationAnnotation
 from .perfstatus import PSAnnotation, PSScale
 from .pipeline import DocumentResult
 from .staging import (
+    _M_BY_KEY,
+    _N_BY_KEY,
+    _T_BY_KEY,
     MCategory,
     NCategory,
     StageAnnotation,
@@ -105,9 +108,6 @@ _POLARITY_BY_NAME = {
     "unk": Polarity.UNKNOWN,
     "unknown": Polarity.UNKNOWN,
 }
-_T_BY_NAME = {t.value.lower(): t for t in TCategory}
-_N_BY_NAME = {n.value.lower(): n for n in NCategory}
-_M_BY_NAME = {m.value.lower(): m for m in MCategory}
 
 _RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
 
@@ -163,11 +163,11 @@ def parse_filter(expression: str) -> QueryPredicate:
         elif key in ("ecog", "karnofsky"):
             fields[key] = _parse_range(value)
         elif key == "t":
-            fields[key] = _lookup(_T_BY_NAME, value, "T category")
+            fields[key] = _lookup(_T_BY_KEY, value, "T category")
         elif key == "n":
-            fields[key] = _lookup(_N_BY_NAME, value, "N category")
+            fields[key] = _lookup(_N_BY_KEY, value, "N category")
         elif key == "m":
-            fields[key] = _lookup(_M_BY_NAME, value, "M category")
+            fields[key] = _lookup(_M_BY_KEY, value, "M category")
         else:
             raise InvalidFilter(f"unknown filter key {key!r}")
     return QueryPredicate(**fields)  # type: ignore[arg-type]

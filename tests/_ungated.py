@@ -8,11 +8,12 @@ checks this property on generated clinical text).
 
 from oncospan import mutation, perfstatus, staging
 from oncospan.document import Document, SentenceView, split_sentences
-from oncospan.pipeline import DocumentResult, Pipeline
+from oncospan.pipeline import AnnotatorKind, DocumentResult, Pipeline
 from oncospan.staging import StageAnnotation, TNMAnnotation, check_consistency
 
 
 def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
+    enabled = pipeline.config.enabled_annotators
     annotations = []
     diagnostics = []
     for sentence in split_sentences(document.text):
@@ -21,21 +22,21 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
             annotations.extend(
                 mutation.annotate_view(view, pipeline.lexicon, pipeline._genes)
             )
-        if pipeline._tnm:
+        if AnnotatorKind.TNM in enabled:
             annotations.extend(staging.tnm_in_view(view))
-        if pipeline._stage:
+        if AnnotatorKind.STAGE in enabled:
             annotations.extend(staging.stages_in_view(view))
-        if pipeline._ecog:
+        if AnnotatorKind.ECOG in enabled:
             anns, diags = perfstatus.ecog_in_view(view)
             annotations.extend(anns)
             diagnostics.extend(diags)
-        if pipeline._karnofsky:
+        if AnnotatorKind.KARNOFSKY in enabled:
             anns, diags = perfstatus.karnofsky_in_view(view)
             annotations.extend(anns)
             diagnostics.extend(diags)
     annotations.sort(key=lambda a: (a.span.begin, a.span.end, a.annotator))
     reports = []
-    if pipeline._tnm and pipeline._stage:
+    if AnnotatorKind.TNM in enabled and AnnotatorKind.STAGE in enabled:
         tnms = [a for a in annotations if isinstance(a, TNMAnnotation)]
         stages = [a for a in annotations if isinstance(a, StageAnnotation)]
         for tnm in tnms:

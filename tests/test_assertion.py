@@ -1,4 +1,9 @@
+import dataclasses
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oncospan import (
     ConflictingEntry,
@@ -11,7 +16,8 @@ from oncospan import (
     split_sentences,
     tokenize,
 )
-from oncospan.assertion import CueLexicon, _phrase_key
+from oncospan.assertion import CueLexicon, _phrase_key, polarity_in_view
+from oncospan.document import SentenceView
 
 
 def tokens_of(text):
@@ -164,3 +170,56 @@ def test_cue_lexicon_validates_window():
             negative=frozenset({_phrase_key("no")}),
             window=0,
         )
+
+
+# Sentence pieces for the two-path property: cue words, "no", the symbol
+# cues and their folded look-alikes ("≠" folds to "="), a Hangul syllable
+# and a bare combining mark (both fold to other than one character).
+_pieces = st.sampled_from(
+    [
+        "EGFR", "ALK", "no", "se", "detecta", "mutado", "MUTADO", "positivo",
+        "negativo", "ausencia", "de", "traslocado", "mutación", "x",
+        "+", "-", "≠", "=", "\ud55c", "\u0301", "19",
+    ]
+)
+_sentences = st.lists(
+    st.tuples(_pieces, st.sampled_from([" ", "", ", "])), max_size=14
+).map(lambda parts: "".join(p + sep for p, sep in parts))
+
+_DEFAULT = load_cue_lexicon()
+_LEXICONS = [
+    _DEFAULT,
+    dataclasses.replace(_DEFAULT, symbol_negative=frozenset({"≠"})),
+    dataclasses.replace(_DEFAULT, symbol_negative=frozenset({"="})),
+]
+
+
+@pytest.mark.parametrize("lexicon", _LEXICONS)
+@given(text=_sentences)
+@settings(max_examples=150, deadline=None)
+def test_view_polarity_equals_token_polarity(lexicon, text):
+    doc = Document("d", text)
+    for sentence in split_sentences(text):
+        tokens = tokenize(doc, sentence)
+        view = SentenceView.from_sentence(doc, sentence)
+        pairs = itertools.combinations_with_replacement(range(len(tokens)), 2)
+        for first, last in pairs:
+            target = Span(tokens[first].span.begin, tokens[last].span.end)
+            assert polarity_in_view(view, target, lexicon) is detect_polarity(
+                tokens, target, lexicon
+            ), (text, target)
+
+
+@pytest.mark.parametrize(
+    "symbols, expected",
+    [
+        (frozenset({"≠"}), {"EGFR ≠": Polarity.NEGATIVE, "EGFR =": Polarity.UNKNOWN}),
+        (frozenset({"="}), {"EGFR ≠": Polarity.UNKNOWN, "EGFR =": Polarity.NEGATIVE}),
+    ],
+)
+def test_symbol_cues_compare_written_surface(symbols, expected):
+    lexicon = dataclasses.replace(_DEFAULT, symbol_negative=symbols)
+    for text, polarity in expected.items():
+        assert polarity_of(text, "EGFR", lexicon) is polarity
+        target = span_of(text, "EGFR")
+        assert polarity_in_view(SentenceView(text), target, lexicon) is polarity

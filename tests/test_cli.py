@@ -10,6 +10,7 @@ import pytest
 from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
 import oncospan
 from oncospan import deserialize_result
+from oncospan.standoff import read_standoff
 from oncospan.cli import cli_main
 
 
@@ -261,3 +262,26 @@ def test_bad_usage_exits_one(capsys):
     assert cli_main([]) == 1
     assert cli_main(["annotate"]) == 1
     assert cli_main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_annotate_offsets_index_the_file_as_written(newline, tmp_path):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    lines = [
+        "Paciente con EGFR mutado.",
+        "ALK no traslocado, ECOG 1.",
+        "pT1aN0M0, estadio IA1.",
+    ]
+    (notes / "docCr.txt").write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    out = tmp_path / "out"
+    assert _annotate(notes, out) == 0
+    with open(notes / "docCr.txt", encoding="utf-8", newline="") as file:
+        text = file.read()
+    data = (out / "docCr.ann").read_bytes()
+    assert data.split(b"\n")[1] == f"#len {len(text)}".encode()
+    standoff = read_standoff(data)
+    assert standoff.source_text == text
+    assert len(standoff.records) == 5
+    for record in standoff.records:
+        assert text[record.begin : record.end] == record.covered_text

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import _ungated
 from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
-from oncospan import _textops, mutation, perfstatus, staging
+from oncospan import _textops, assertion, document, mutation, perfstatus, staging
 from oncospan import (
     ALL_ANNOTATORS,
     AnnotatorKind,
@@ -385,3 +385,37 @@ def test_each_annotator_reads_only_its_sentences(default_pipeline, monkeypatch):
     }
     assert tokenized == ["EGFR mutado."]
     assert len(result.annotations) == 4
+
+
+def test_polarity_reads_the_view(default_pipeline, monkeypatch):
+    # Polarity works on the view's triples and folded surfaces: no Token
+    # object is built and no token is folded again.
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(document, "Token")
+    counting(document, "normalize_word")
+    counting(assertion, "normalize_word")
+    text = (
+        "EGFR mutado con deleción del exón 19. ALK no traslocado. "
+        "Se detecta ROS1 +. No se detecta mutación en EGFR T790M."
+    )
+    # Every character folds to one, so the view slices its folded surfaces
+    # out of the note's shadow.
+    assert type(_textops.normalize_text(text)[1]) is range
+    result = default_pipeline.process_document(Document("d", text))
+    assert [(a.gene.value, a.polarity.value) for a in result.annotations] == [
+        ("EGFR", "Positive"),
+        ("ALK", "Negative"),
+        ("ROS1", "Positive"),
+        ("EGFR", "Negative"),
+    ]
+    assert calls == []
