@@ -10,6 +10,7 @@ standoff data, bad flag values), 2 internal error.
 """
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -156,10 +157,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if not store.is_dir():
         raise _InputError(f"store directory does not exist: {store}")
     predicate = parse_filter(args.filter)
+    # Names sort as the Paths of one directory do, at a fraction of the cost.
+    # Entries that are not regular files are skipped, as annotate skips them
+    # among its .txt inputs.
+    with os.scandir(store) as entries:
+        names = sorted(e.name for e in entries if e.name.endswith(".ann") and e.is_file())
     results = []
-    for file in sorted(store.glob("*.ann")):
+    for name in names:
+        file = os.path.join(store, name)
+        with open(file, "rb") as stream:
+            data = stream.read()
         try:
-            results.append(deserialize_result(file.read_bytes()))
+            results.append(deserialize_result(data))
         except OncospanError as exc:
             raise _InputError(f"{file}: {exc}") from None
     for document_id in query_results(results, predicate):

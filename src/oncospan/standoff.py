@@ -15,10 +15,12 @@ annotator's keys, encoder and decoder.  Covered text and diagnostic messages
 escape backslash, tab, newline and carriage return so one record is always
 one line.  ``#diag`` carries a diagnostic (begin, end, message);
 ``#check`` carries a consistency report as two record indexes, the verdict
-and the expected group (``-`` when not comparable).  Deserialization is the
+and the expected group (``-`` when not comparable).  Every integer is a
+canonical ASCII decimal, ``0`` or ``[1-9][0-9]*``.  Deserialization is the
 exact inverse of serialization and is strict: anything unexpected raises
 MalformedFile with a line number, and a covered-text disagreement raises
-SpanMismatch.
+SpanMismatch.  It reads enum values and whole ``#check`` lines by table
+lookup and works out which diagnostic applies only when a lookup misses.
 """
 
 from dataclasses import dataclass
@@ -136,29 +138,65 @@ def serialize_result(result: DocumentResult) -> bytes:
 
 
 def _parse_int(raw: str, what: str, line_no: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise MalformedFile(f"{what} is not an integer: {raw!r}", line_no) from None
+    # Canonical decimals only, "0" or [1-9][0-9]*: int() would also take a
+    # sign, spaces, underscores, leading zeros and non-ASCII digits, which
+    # serialize_result would write back as other bytes.
+    if raw.isdigit() and raw.isascii() and (raw[0] != "0" or len(raw) == 1):
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise MalformedFile(f"{what} is not an integer: {raw!r}", line_no)
 
 
-def _parse_enum(enum_cls, raw: str, what: str, line_no: int):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        raise MalformedFile(f"unknown {what} {raw!r}", line_no) from None
+def _by_value(enum_cls) -> dict:
+    """Each member of *enum_cls* keyed by its value, the string a file holds."""
+    return {member.value: member for member in enum_cls}
+
+
+_GENES = _by_value(Gene)
+_POLARITIES = _by_value(Polarity)
+_EXON_KINDS = _by_value(ExonKind)
+_POINTS = _by_value(PointVariant)
+_PREFIXES = _by_value(TnmPrefix)
+_TS = _by_value(TCategory)
+_NS = _by_value(NCategory)
+_MS = _by_value(MCategory)
+_STAGES = _by_value(StageGroup)
+_SCALES = _by_value(PSScale)
+_VERDICTS = _by_value(ConsistencyVerdict)
+
+# The verdict<TAB>expected tail of every valid #check line: a comparable
+# verdict names one of the groups, NotComparable names none.
+_CHECK_TAILS = {
+    f"{verdict.value}\t{group.value}": (verdict, group)
+    for verdict in (ConsistencyVerdict.CONSISTENT, ConsistencyVerdict.INCONSISTENT)
+    for group in StageGroup
+}
+_CHECK_TAILS[f"{ConsistencyVerdict.NOT_COMPARABLE.value}\t-"] = (
+    ConsistencyVerdict.NOT_COMPARABLE,
+    None,
+)
+
+
+def _parse_enum(members: dict, raw: str, what: str, line_no: int):
+    member = members.get(raw)
+    if member is None:
+        raise MalformedFile(f"unknown {what} {raw!r}", line_no)
+    return member
 
 
 def _parse_span(begin: str, end: str, text_len: int, line_no: int) -> Span:
     b = _parse_int(begin, "begin", line_no)
     e = _parse_int(end, "end", line_no)
-    if b < 0 or e <= b or e > text_len:
+    if e <= b or e > text_len:
         raise MalformedFile(f"span [{b}, {e}) out of bounds", line_no)
     return Span(b, e)
 
 
-def _parse_features(raw: str, annotator: str, line_no: int) -> dict[str, str]:
-    kind = ANNOTATION_TYPES[annotator]
+def _parse_features(
+    raw: str, annotator: str, kind: AnnotationType, line_no: int
+) -> dict[str, str]:
     features: dict[str, str] = {}
     for item in raw.split(";"):
         key, sep, value = item.partition("=")
@@ -202,8 +240,8 @@ def _mutation_features(ann: MutationAnnotation) -> list[tuple[str, str]]:
 def _mutation_from(
     span: Span, covered: str, features: dict[str, str], line_no: int
 ) -> MutationAnnotation:
-    gene = _parse_enum(Gene, features["gene"], "gene", line_no)
-    polarity = _parse_enum(Polarity, features["polarity"], "polarity", line_no)
+    gene = _parse_enum(_GENES, features["gene"], "gene", line_no)
+    polarity = _parse_enum(_POLARITIES, features["polarity"], "polarity", line_no)
     implied_raw = features["implied"]
     if implied_raw not in ("true", "false"):
         raise MalformedFile(f"implied must be true/false, got {implied_raw!r}", line_no)
@@ -213,7 +251,7 @@ def _mutation_from(
             raise MalformedFile("incomplete exon feature group", line_no)
         kind = None
         if "exon_kind" in features:
-            kind = _parse_enum(ExonKind, features["exon_kind"], "exon kind", line_no)
+            kind = _parse_enum(_EXON_KINDS, features["exon_kind"], "exon kind", line_no)
         exon = ExonMention(
             Span(
                 _parse_int(features["exon_begin"], "exon_begin", line_no),
@@ -233,7 +271,7 @@ def _mutation_from(
                 _parse_int(features["point_begin"], "point_begin", line_no),
                 _parse_int(features["point_end"], "point_end", line_no),
             ),
-            _parse_enum(PointVariant, features["point"], "mutation point", line_no),
+            _parse_enum(_POINTS, features["point"], "mutation point", line_no),
         )
     return MutationAnnotation(
         span, gene, polarity, exon, point, implied_raw == "true"
@@ -255,10 +293,10 @@ ANNOTATION_TYPES: dict[str, AnnotationType] = {
         lambda a: [(key, getattr(a, key).value) for key in ("prefix", "t", "n", "m")],
         lambda span, covered, f, line_no: TNMAnnotation(
             span,
-            _parse_enum(TnmPrefix, f["prefix"], "prefix", line_no),
-            _parse_enum(TCategory, f["t"], "T category", line_no),
-            _parse_enum(NCategory, f["n"], "N category", line_no),
-            _parse_enum(MCategory, f["m"], "M category", line_no),
+            _parse_enum(_PREFIXES, f["prefix"], "prefix", line_no),
+            _parse_enum(_TS, f["t"], "T category", line_no),
+            _parse_enum(_NS, f["n"], "N category", line_no),
+            _parse_enum(_MS, f["m"], "M category", line_no),
             covered,
         ),
     ),
@@ -266,7 +304,7 @@ ANNOTATION_TYPES: dict[str, AnnotationType] = {
         frozenset({"stage"}),
         lambda a: [("stage", a.stage.value)],
         lambda span, covered, f, line_no: StageAnnotation(
-            span, _parse_enum(StageGroup, f["stage"], "stage group", line_no), covered
+            span, _parse_enum(_STAGES, f["stage"], "stage group", line_no), covered
         ),
     ),
     PSAnnotation.annotator: AnnotationType(
@@ -274,7 +312,7 @@ ANNOTATION_TYPES: dict[str, AnnotationType] = {
         lambda a: [("scale", a.scale.value), ("value", str(a.value))],
         lambda span, covered, f, line_no: PSAnnotation(
             span,
-            _parse_enum(PSScale, f["scale"], "scale", line_no),
+            _parse_enum(_SCALES, f["scale"], "scale", line_no),
             _parse_int(f["value"], "value", line_no),
             covered,
         ),
@@ -304,8 +342,6 @@ def deserialize_result(data: bytes) -> DocumentResult:
     if nl2 == -1 or not content.startswith("#len ", nl1 + 1):
         raise MalformedFile("second line must be '#len <n>'", 2)
     length = _parse_int(content[nl1 + 6 : nl2], "text length", 2)
-    if length < 0:
-        raise MalformedFile("negative text length", 2)
 
     text_start = nl2 + 1
     text_end = text_start + length
@@ -316,61 +352,43 @@ def deserialize_result(data: bytes) -> DocumentResult:
         raise MalformedFile("source text must end with a newline delimiter", 3)
 
     first_line = 4 + text.count("\n")
-    body = content[text_end + 1 :]
-    lines = body.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    else:
+    lines = content[text_end + 1 :].split("\n")
+    if lines[-1] != "":
         raise MalformedFile("file must end with a newline", first_line + len(lines) - 1)
+    lines.pop()
 
+    # The sections come in order: records, #diag lines, then #check lines to
+    # the end, where _parse_check reports any line out of place.
     annotations: list[Annotation] = []
+    i = 0
+    while i < len(lines) and not lines[i].startswith("#"):
+        annotations.append(_parse_record(lines[i], text, first_line + i))
+        i += 1
     diagnostics: list[Diagnostic] = []
+    while i < len(lines) and lines[i].startswith("#diag\t"):
+        diagnostics.append(_parse_diag(lines[i], len(text), first_line + i))
+        i += 1
     reports: list[ConsistencyReport] = []
-    section = "records"
-    for offset, line in enumerate(lines):
-        line_no = first_line + offset
-        if line.startswith("#diag\t"):
-            if section == "checks":
-                raise MalformedFile("#diag after #check", line_no)
-            section = "diags"
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedFile("#diag needs 4 tab-separated fields", line_no)
-            span = _parse_span(fields[1], fields[2], len(text), line_no)
-            diagnostics.append(Diagnostic(span, _unescape(fields[3], line_no)))
-            continue
-        if line.startswith("#check\t"):
-            section = "checks"
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise MalformedFile("#check needs 5 tab-separated fields", line_no)
-            reports.append(
-                _parse_check(fields, annotations, line_no)
-            )
-            continue
-        if line.startswith("#"):
-            raise MalformedFile(f"unknown directive {line.split(chr(9))[0]!r}", line_no)
-        if section != "records":
-            raise MalformedFile("record after #diag/#check section", line_no)
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise MalformedFile("record needs 5 tab-separated fields", line_no)
-        begin_raw, end_raw, annotator, covered_raw, features_raw = fields
-        if annotator not in ANNOTATION_TYPES:
-            raise MalformedFile(f"unknown annotator {annotator!r}", line_no)
-        span = _parse_span(begin_raw, end_raw, len(text), line_no)
-        covered = _unescape(covered_raw, line_no)
-        if text[span.begin : span.end] != covered:
-            raise SpanMismatch(
-                f"line {line_no}: covered text {covered!r} does not match "
-                f"text[{span.begin}:{span.end}]"
-            )
-        features = _parse_features(features_raw, annotator, line_no)
-        decode = ANNOTATION_TYPES[annotator].decode
-        try:
-            annotations.append(decode(span, covered, features, line_no))
-        except ValueError as exc:
-            raise MalformedFile(str(exc), line_no) from None
+    if i < len(lines):
+        # A #check line is valid exactly when its two indexes are keys of
+        # these maps and its tail is a key of _CHECK_TAILS.  A miss goes to
+        # _parse_check, which raises the diagnostic.
+        tnm_at = {
+            str(k): a for k, a in enumerate(annotations) if isinstance(a, TNMAnnotation)
+        }
+        stage_at = {
+            str(k): a for k, a in enumerate(annotations) if isinstance(a, StageAnnotation)
+        }
+        for line_no, line in enumerate(lines[i:], first_line + i):
+            fields = line.split("\t", 3)
+            if len(fields) == 4 and fields[0] == "#check":
+                tnm = tnm_at.get(fields[1])
+                stage = stage_at.get(fields[2])
+                tail = _CHECK_TAILS.get(fields[3])
+                if tnm is not None and stage is not None and tail is not None:
+                    reports.append(ConsistencyReport(tnm, stage, *tail))
+                    continue
+            reports.append(_parse_check(line, annotations, line_no))
 
     return DocumentResult(
         document_id=document_id,
@@ -381,23 +399,69 @@ def deserialize_result(data: bytes) -> DocumentResult:
     )
 
 
+def _parse_record(line: str, text: str, line_no: int) -> Annotation:
+    fields = line.split("\t")
+    if len(fields) != 5:
+        raise MalformedFile("record needs 5 tab-separated fields", line_no)
+    begin_raw, end_raw, annotator, covered_raw, features_raw = fields
+    kind = ANNOTATION_TYPES.get(annotator)
+    if kind is None:
+        raise MalformedFile(f"unknown annotator {annotator!r}", line_no)
+    span = _parse_span(begin_raw, end_raw, len(text), line_no)
+    covered = _unescape(covered_raw, line_no)
+    if text[span.begin : span.end] != covered:
+        raise SpanMismatch(
+            f"line {line_no}: covered text {covered!r} does not match "
+            f"text[{span.begin}:{span.end}]"
+        )
+    features = _parse_features(features_raw, annotator, kind, line_no)
+    try:
+        return kind.decode(span, covered, features, line_no)
+    except ValueError as exc:
+        raise MalformedFile(str(exc), line_no) from None
+
+
+def _parse_diag(line: str, text_len: int, line_no: int) -> Diagnostic:
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise MalformedFile("#diag needs 4 tab-separated fields", line_no)
+    span = _parse_span(fields[1], fields[2], text_len, line_no)
+    return Diagnostic(span, _unescape(fields[3], line_no))
+
+
+def _misplaced(line: str, line_no: int) -> MalformedFile:
+    """The error for a line that is no record, #diag or #check where it stands."""
+    if line.startswith("#diag\t"):
+        return MalformedFile("#diag after #check", line_no)
+    if line.startswith("#"):
+        return MalformedFile(f"unknown directive {line.split(chr(9))[0]!r}", line_no)
+    return MalformedFile("record after #diag/#check section", line_no)
+
+
 def _parse_check(
-    fields: list[str], annotations: list[Annotation], line_no: int
+    line: str, annotations: list[Annotation], line_no: int
 ) -> ConsistencyReport:
+    """Parse a line of the #check section field by field, raising the first
+    diagnostic that applies."""
+    if not line.startswith("#check\t"):
+        raise _misplaced(line, line_no)
+    fields = line.split("\t")
+    if len(fields) != 5:
+        raise MalformedFile("#check needs 5 tab-separated fields", line_no)
     tnm_idx = _parse_int(fields[1], "tnm record index", line_no)
     stage_idx = _parse_int(fields[2], "stage record index", line_no)
-    if not 0 <= tnm_idx < len(annotations) or not isinstance(
+    if tnm_idx >= len(annotations) or not isinstance(
         annotations[tnm_idx], TNMAnnotation
     ):
         raise MalformedFile(f"index {tnm_idx} is not a tnm record", line_no)
-    if not 0 <= stage_idx < len(annotations) or not isinstance(
+    if stage_idx >= len(annotations) or not isinstance(
         annotations[stage_idx], StageAnnotation
     ):
         raise MalformedFile(f"index {stage_idx} is not a stage record", line_no)
-    verdict = _parse_enum(ConsistencyVerdict, fields[3], "verdict", line_no)
+    verdict = _parse_enum(_VERDICTS, fields[3], "verdict", line_no)
     expected = None
     if fields[4] != "-":
-        expected = _parse_enum(StageGroup, fields[4], "stage group", line_no)
+        expected = _parse_enum(_STAGES, fields[4], "stage group", line_no)
     try:
         return ConsistencyReport(
             annotations[tnm_idx], annotations[stage_idx], verdict, expected
@@ -407,7 +471,13 @@ def _parse_check(
 
 
 def read_standoff(data: bytes) -> StandoffFile:
-    """Parse only the header, text and annotation records of a file."""
+    """Decode *data* with the strict ``deserialize_result`` and return its id,
+    text and annotation records.
+
+    Every line is checked, the ``#diag`` and ``#check`` lines too, and an
+    error raises as ``deserialize_result`` raises it; only the records are
+    returned.
+    """
     result = deserialize_result(data)
     records = tuple(
         StandoffRecord(

@@ -234,6 +234,17 @@ def test_query_corrupt_store(corpus_dir, tmp_path, capsys):
     assert "docMutation.ann" in capsys.readouterr().err
 
 
+def test_query_skips_entries_that_are_not_files(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    _annotate(corpus_dir, out)
+    (out / "x.ann").mkdir()
+    (out / "dangling.ann").symlink_to(tmp_path / "missing")
+    capsys.readouterr()
+    code = cli_main(["query", "--store", str(out), "--filter", "stage=IV"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == ["docCombined"]
+
+
 def test_check(corpus_dir, capsys):
     code = cli_main(["check", "--input", str(corpus_dir)])
     assert code == 0

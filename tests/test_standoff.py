@@ -1,10 +1,12 @@
 import dataclasses
+import re
 import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _standoff_oracle
 from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
 from oncospan import (
     Document,
@@ -14,8 +16,20 @@ from oncospan import (
     deserialize_result,
     serialize_result,
 )
+from oncospan.assertion import Polarity
 from oncospan.corpusgen import generate_corpus
+from oncospan.errors import OncospanError
+from oncospan.mutation import ExonKind, Gene, PointVariant
+from oncospan.perfstatus import PSScale
 from oncospan.pipeline import Annotation
+from oncospan.staging import (
+    ConsistencyVerdict,
+    MCategory,
+    NCategory,
+    StageGroup,
+    TCategory,
+    TnmPrefix,
+)
 from oncospan.standoff import ANNOTATION_TYPES, read_standoff
 
 
@@ -210,6 +224,54 @@ def test_record_errors(record):
     assert exc.value.line_no == 4
 
 
+def _with_int(field: str, raw: str) -> bytes:
+    """A valid file with one integer field written as *raw*."""
+    text = "EGFR del exon 19"
+    lines = {
+        "len": f"#len {raw}\n{text}\n",
+        "begin": f"#len 16\n{text}\n{raw}\t4\tmutation\tEGFR\t"
+        "gene=EGFR;polarity=Unknown;implied=false\n",
+        "end": f"#len 16\n{text}\n0\t{raw}\tmutation\tEGFR\t"
+        "gene=EGFR;polarity=Unknown;implied=false\n",
+        "exon": f"#len 16\n{text}\n0\t4\tmutation\tEGFR\tgene=EGFR;"
+        f"polarity=Unknown;exon={raw};exon_begin=5;exon_end=16;implied=false\n",
+        "exon_begin": f"#len 16\n{text}\n0\t4\tmutation\tEGFR\tgene=EGFR;"
+        f"polarity=Unknown;exon=19;exon_begin={raw};exon_end=16;implied=false\n",
+        "point_end": f"#len 16\n{text}\n0\t4\tmutation\tEGFR\tgene=EGFR;"
+        f"polarity=Unknown;point=T790M;point_begin=5;point_end={raw};implied=false\n",
+        "value": f"#len 16\n{text}\n0\t4\tps\tEGFR\tscale=ECOG;value={raw}\n",
+        "diag": f"#len 16\n{text}\n#diag\t{raw}\t4\tmessage\n",
+    }
+    return f"#doc d\n{lines[field]}".encode()
+
+
+_CANONICAL = {
+    "len": "16", "begin": "0", "end": "4", "exon": "19", "exon_begin": "5",
+    "point_end": "16", "value": "1", "diag": "0",
+}
+
+
+@pytest.mark.parametrize("field", sorted(_CANONICAL))
+def test_canonical_integers_decode(field):
+    data = _with_int(field, _CANONICAL[field])
+    assert serialize_result(deserialize_result(data)) == data
+
+
+@pytest.mark.parametrize("field", sorted(_CANONICAL))
+@pytest.mark.parametrize("form", ["+{}", " {}", "{} ", "0{}", "0_{}", "-{}", "arabic", ""])
+def test_non_canonical_integers_rejected(field, form):
+    # int() reads every form but the empty one as the canonical value, and
+    # serialize_result would write that value back as other bytes.
+    canonical = _CANONICAL[field]
+    if form == "arabic":
+        raw = "".join(chr(0x660 + int(d)) for d in canonical)  # U+0660..U+0669
+    else:
+        raw = form.format(canonical)
+    with pytest.raises(MalformedFile, match="is not an integer") as exc:
+        deserialize_result(_with_int(field, raw))
+    assert exc.value.line_no == (2 if field == "len" else 4)
+
+
 def test_span_mismatch():
     data = b"#doc d\n#len 4\nEGFR\n0\t4\tmutation\tALK1\tgene=EGFR;polarity=Unknown;implied=false\n"
     with pytest.raises(SpanMismatch):
@@ -264,23 +326,37 @@ def test_diag_field_count():
 @pytest.mark.parametrize(
     "check",
     [
-        b"#check\t0\t0\tConsistent\tIA1\n",  # index 0 is mutation, not tnm
+        b"#check\t0\t0\tConsistent\tIA1\n",  # index 0 is the tnm record
         b"#check\t5\t0\tConsistent\tIA1\n",  # out of range
         b"#check\t0\t1\tMaybe\tIA1\n",
         b"#check\t0\t1\tConsistent\n",  # 4 fields
+        b"#check\t0\t1\tConsistent\tIA1\textra\n",  # 6 fields
         b"#check\t0\t1\tConsistent\tZZ\n",
         b"#check\t0\t1\tNotComparable\tIA1\n",  # expected must be '-'
         b"#check\t0\t1\tConsistent\t-\n",  # expected required
+        b"#check\t01\t1\tConsistent\tIA1\n",
+        b"#check\t+0\t1\tConsistent\tIA1\n",
+        b"#check\t 0\t1\tConsistent\tIA1\n",
+        b"#check\t0\t-1\tConsistent\tIA1\n",
+        b"#check\t1\t1\tConsistent\tIA1\n",  # index 1 is the stage record
+        b"#check\t0\t2\tConsistent\tIA1\n",  # index 2 is the mutation record
+        b"#check\t0\t1\tConsistent\tIA1\n#check\t0\t01\tConsistent\tIA1\n",
+        b"#check\t0\t1\tConsistent\tIA1\n#diag\t0\t1\tlate\n",
+        b"#check\t0\t1\tConsistent\tIA1\n#note\n",
     ],
 )
 def test_check_errors(check):
     base = (
-        b"#doc d\n#len 17\npT1aN0M0 pT1aN0M0\n"
+        b"#doc d\n#len 22\npT1aN0M0 pT1aN0M0 EGFR\n"
         b"0\t8\ttnm\tpT1aN0M0\tprefix=P;t=T1a;n=N0;m=M0\n"
         b"9\t17\tstage\tpT1aN0M0\tstage=IA1\n"
+        b"18\t22\tmutation\tEGFR\tgene=EGFR;polarity=Unknown;implied=false\n"
     )
-    with pytest.raises(MalformedFile):
+    assert len(deserialize_result(base + b"#check\t0\t1\tConsistent\tIA1\n").consistency) == 1
+    with pytest.raises(MalformedFile) as exc:
         deserialize_result(base + check)
+    # The last line of *check* is the bad one; base ends on line 6.
+    assert exc.value.line_no == 6 + check.count(b"\n")
 
 
 def test_read_standoff(default_pipeline):
@@ -316,3 +392,101 @@ def test_round_trip_property(default_pipeline, parts):
     back = deserialize_result(data)
     assert back == result
     assert serialize_result(back) == data
+
+
+# Notes whose results hold every kind of line: records of each annotator,
+# exon and point features, escapes, #diag lines and #check lines of all
+# three verdicts.
+_ORACLE_NOTES = [
+    MUTATION_NOTE,
+    STAGING_NOTE,
+    PERFSTATUS_NOTE,
+    COMBINED_NOTE,
+    "ECOG 7 y Karnofsky 95 registrado.",
+    "EGFR mutado L858R en exón 21. cT2N0M0, estadio IB.",
+    "Estadio IIIA con T1N0M0.",
+    "a\\b\tc d. pT2aN1M0, estadio IIB.",
+] + [doc.text for doc in generate_corpus(4, seed=11)]
+
+_NUMBERS = st.one_of(
+    st.integers(0, 12).map(str),
+    st.sampled_from(["-1", "01", "+1", " 1", "1_0", "\u0661", "", "99999"]),
+)
+
+_VALUES = sorted(
+    {
+        member.value
+        for enum_cls in (
+            ConsistencyVerdict, StageGroup, Gene, Polarity, ExonKind, PointVariant,
+            TnmPrefix, TCategory, NCategory, MCategory, PSScale,
+        )
+        for member in enum_cls
+    }
+    | {"-", "true", "false", "ZZ"}
+)
+
+
+def _decoded(decode, data: bytes):
+    """The result of *decode*, or the class and line number of its error."""
+    try:
+        return decode(data)
+    except OncospanError as exc:
+        return type(exc), getattr(exc, "line_no", None)
+
+
+def _line_kind(line: str) -> str:
+    return line.partition(" ")[0].partition("\t")[0] if line[:1] == "#" else "record"
+
+
+def _mutate(line: str, draw) -> str:
+    """*line* with one field dropped or duplicated, a tab added, an integer
+    rewritten, or a value swapped for another annotation or check value."""
+    how = draw(st.sampled_from(["drop", "duplicate", "tab", "integer", "value"]))
+    fields = line.split("\t")
+    if how in ("drop", "duplicate"):
+        k = draw(st.integers(0, len(fields) - 1))
+        if how == "drop":
+            del fields[k]
+        else:
+            fields.insert(k, fields[k])
+        return "\t".join(fields)
+    if how == "tab":
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + "\t" + line[at:]
+    if how == "integer":
+        # Not the digits of a category or group, which "value" swaps.
+        spots = [m.span() for m in re.finditer(r"(?<![A-Za-z])[0-9]+", line)]
+        new = _NUMBERS
+    else:
+        spots = [m.span() for m in re.finditer(r"[^\t;=]+", line) if m[0] in _VALUES]
+        new = st.sampled_from(_VALUES)
+    if not spots:
+        return line
+    begin, end = draw(st.sampled_from(spots))
+    return line[:begin] + draw(new) + line[end:]
+
+
+@given(st.lists(st.sampled_from(_ORACLE_NOTES), min_size=1, max_size=3), st.data())
+@settings(deadline=None, max_examples=500)
+def test_decoder_equals_line_by_line_oracle(default_pipeline, parts, data):
+    # On any input the table-driven decoder returns what the line-by-line one
+    # returns, or raises the same class at the same line.
+    text = "\n\n".join(parts)
+    serialized = serialize_result(default_pipeline.process_document(Document("d", text)))
+    head = f"#doc d\n#len {len(text)}\n{text}\n"
+    lines = serialized.decode("utf-8")[len(head) :].split("\n")[:-1]
+    lines.insert(0, f"#len {len(text)}")
+    kind = data.draw(st.sampled_from(sorted({_line_kind(ln) for ln in lines})))
+    target = data.draw(
+        st.sampled_from([i for i, ln in enumerate(lines) if _line_kind(ln) == kind])
+    )
+    if target > 0 and data.draw(st.integers(0, 5)) == 0:
+        lines.append(lines.pop(target))  # move a body line to the end
+    else:
+        lines[target] = _mutate(lines[target], data.draw)
+    mutated = f"#doc d\n{lines[0]}\n{text}\n" + "".join(f"{ln}\n" for ln in lines[1:])
+    mutated = mutated.encode("utf-8")
+    expected = _decoded(_standoff_oracle.deserialize_result, mutated)
+    assert _decoded(deserialize_result, mutated) == expected
+    if isinstance(expected, DocumentResult):
+        assert serialize_result(expected) == mutated
