@@ -429,22 +429,17 @@ def _parse_diag(line: str, text_len: int, line_no: int) -> Diagnostic:
     return Diagnostic(span, _unescape(fields[3], line_no))
 
 
-def _misplaced(line: str, line_no: int) -> MalformedFile:
-    """The error for a line that is no record, #diag or #check where it stands."""
-    if line.startswith("#diag\t"):
-        return MalformedFile("#diag after #check", line_no)
-    if line.startswith("#"):
-        return MalformedFile(f"unknown directive {line.split(chr(9))[0]!r}", line_no)
-    return MalformedFile("record after #diag/#check section", line_no)
-
-
 def _parse_check(
     line: str, annotations: list[Annotation], line_no: int
 ) -> ConsistencyReport:
     """Parse a line of the #check section field by field, raising the first
     diagnostic that applies."""
     if not line.startswith("#check\t"):
-        raise _misplaced(line, line_no)
+        if line.startswith("#diag\t"):
+            raise MalformedFile("#diag after #check", line_no)
+        if line.startswith("#"):
+            raise MalformedFile(f"unknown directive {line.split(chr(9))[0]!r}", line_no)
+        raise MalformedFile("record after #diag/#check section", line_no)
     fields = line.split("\t")
     if len(fields) != 5:
         raise MalformedFile("#check needs 5 tab-separated fields", line_no)
