@@ -20,7 +20,7 @@ from .document import ABBREVIATION_STOPLIST, Diagnostic, Document, SentenceView,
 from .errors import ConfigError, DuplicateDocumentId
 from .mutation import Gene, MutationAnnotation
 from .perfstatus import PSAnnotation
-from .staging import ConsistencyReport, StageAnnotation, TNMAnnotation, check_consistency
+from .staging import ConsistencyReport, StageAnnotation, TNMAnnotation
 
 Annotation = Union[MutationAnnotation, TNMAnnotation, StageAnnotation, PSAnnotation]
 
@@ -158,12 +158,10 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
             diagnostics.extend(diags)
     annotations.sort(key=lambda a: (a.span.begin, a.span.end, a.annotator))
     # A disabled annotator finds nothing, so it leaves no pair to check.
-    reports: list[ConsistencyReport] = []
-    tnms = [a for a in annotations if isinstance(a, TNMAnnotation)]
-    stages = [a for a in annotations if isinstance(a, StageAnnotation)]
-    for tnm in tnms:
-        for stage in stages:
-            reports.append(check_consistency(tnm, stage))
+    reports = staging.consistency_reports(
+        [a for a in annotations if isinstance(a, TNMAnnotation)],
+        [a for a in annotations if isinstance(a, StageAnnotation)],
+    )
     return DocumentResult(
         document_id=document.id,
         text=document.text,

@@ -109,11 +109,12 @@ _POLARITY_BY_NAME = {
     "unknown": Polarity.UNKNOWN,
 }
 
-_RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
+# ASCII digits only, as in the .ann files the filters are matched against.
+_RANGE_RE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
 
 def _parse_range(value: str) -> tuple[int, int]:
-    m = _RANGE_RE.match(value)
+    m = _RANGE_RE.fullmatch(value)
     if m is None:
         raise InvalidFilter(f"expected N or N..M, got {value!r}")
     try:

@@ -4,12 +4,18 @@ The M0 grid and the M1 rows reproduce the 8th-edition lung-cancer stage
 grouping.  Coarse inputs (T1, T2, M1 without a sub-letter) resolve only
 when every covered cell agrees; T1,N0,M0 collapses to coarse IA because its
 cells differ only in the substage digit.
+
+``tnm_to_stage_group`` and ``stage_covers`` define the rule.  The
+consistency check reads a verdict table built from them at import: each
+(T, N, M) key points at the row of its expected group, or at the
+not-comparable row when the key is ambiguous, and a row holds the
+(verdict, expected group) for each written stage.
 """
 
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 from .document import SentenceView, Span
 from .errors import AmbiguousCategory, InvalidStage
@@ -279,18 +285,22 @@ def _collapse_to_letter(groups: set[StageGroup]) -> StageGroup | None:
 
 
 def check_consistency(tnm: TNMAnnotation, stage: StageAnnotation) -> ConsistencyReport:
-    try:
-        expected = tnm_to_stage_group(tnm.t, tnm.n, tnm.m)
-    except AmbiguousCategory:
-        return ConsistencyReport(
-            tnm, stage, ConsistencyVerdict.NOT_COMPARABLE, None
-        )
-    verdict = (
-        ConsistencyVerdict.CONSISTENT
-        if stage_covers(stage.stage, expected)
-        else ConsistencyVerdict.INCONSISTENT
-    )
+    verdict, expected = _VERDICTS[tnm.t, tnm.n, tnm.m][_STAGE_INDEX[stage.stage]]
     return ConsistencyReport(tnm, stage, verdict, expected)
+
+
+def consistency_reports(
+    tnms: Sequence[TNMAnnotation], stages: Sequence[StageAnnotation]
+) -> list[ConsistencyReport]:
+    """``check_consistency`` of every (TNM, stage) pair, TNM-major."""
+    columns = [(stage, _STAGE_INDEX[stage.stage]) for stage in stages]
+    reports = []
+    for tnm in tnms:
+        row = _VERDICTS[tnm.t, tnm.n, tnm.m]
+        reports += [
+            ConsistencyReport(tnm, stage, *row[i]) for stage, i in columns
+        ]
+    return reports
 
 
 def stage_covers(written: StageGroup, expected: StageGroup) -> bool:
@@ -308,6 +318,46 @@ def stage_covers(written: StageGroup, expected: StageGroup) -> bool:
     if wd is not None and wd != ed:
         return False
     return True
+
+
+_STAGE_INDEX = {stage: i for i, stage in enumerate(StageGroup)}
+
+
+def _verdict_row(
+    expected: StageGroup | None,
+) -> tuple[tuple[ConsistencyVerdict, StageGroup | None], ...]:
+    if expected is None:
+        return ((ConsistencyVerdict.NOT_COMPARABLE, None),) * len(StageGroup)
+    return tuple(
+        (
+            ConsistencyVerdict.CONSISTENT
+            if stage_covers(written, expected)
+            else ConsistencyVerdict.INCONSISTENT,
+            expected,
+        )
+        for written in StageGroup
+    )
+
+
+def _verdict_table() -> dict[tuple[TCategory, NCategory, MCategory], tuple]:
+    rows: dict[StageGroup | None, tuple] = {}
+    table = {}
+    for t in TCategory:
+        for n in NCategory:
+            for m in MCategory:
+                try:
+                    expected = tnm_to_stage_group(t, n, m)
+                except AmbiguousCategory:
+                    expected = None
+                if expected not in rows:
+                    rows[expected] = _verdict_row(expected)
+                table[t, n, m] = rows[expected]
+    return table
+
+
+# Row of (verdict, expected) for each (T, N, M), indexed by _STAGE_INDEX of
+# the written stage; the keys with one expected group share one row.
+_VERDICTS = _verdict_table()
 
 
 def parse_tnm(text: str) -> list[TNMAnnotation]:
@@ -334,5 +384,6 @@ __all__ = [
     "normalize_stage",
     "tnm_to_stage_group",
     "check_consistency",
+    "consistency_reports",
     "stage_covers",
 ]

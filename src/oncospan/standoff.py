@@ -124,15 +124,23 @@ def serialize_result(result: DocumentResult) -> bytes:
             f"#diag\t{diag.span.begin}\t{diag.span.end}\t{_escape(diag.message)}\n"
         )
     # Record index of each annotation; equal annotations keep the first
-    # index, as list.index would give.
+    # index, as list.index would give.  A report names its annotations by
+    # identity when they are the result's own objects, which saves hashing
+    # them per report; any other object is looked up by value.
     position: dict[Annotation, int] = {}
+    by_id: dict[int, int] = {}
     for i, ann in enumerate(annotations):
-        position.setdefault(ann, i)
+        by_id[id(ann)] = position.setdefault(ann, i)
     for report in result.consistency:
+        tnm = by_id.get(id(report.tnm))
+        if tnm is None:
+            tnm = position[report.tnm]
+        stage = by_id.get(id(report.stage))
+        if stage is None:
+            stage = position[report.stage]
         expected = "-" if report.expected is None else report.expected.value
         parts.append(
-            f"#check\t{position[report.tnm]}\t{position[report.stage]}\t"
-            f"{report.verdict.value}\t{expected}\n"
+            f"#check\t{tnm}\t{stage}\t{report.verdict.value}\t{expected}\n"
         )
     return "".join(parts).encode("utf-8")
 

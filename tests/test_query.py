@@ -14,7 +14,7 @@ from oncospan import (
     process_corpus,
     query_results,
 )
-from oncospan.query import matches
+from oncospan.query import _parse_range, matches
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +185,21 @@ def test_parse_filter_whitespace_tolerant():
         # Past int()'s 4,300-digit limit.
         pytest.param("ecog=" + "9" * 5000, id="ecog=<5000 digits>"),
         pytest.param("karnofsky=0.." + "9" * 5000, id="karnofsky=0..<5000 digits>"),
+        # Decimal digits outside ASCII, which no .ann file holds.
+        pytest.param("ecog=\u0660..\u0662", id="ecog=<arabic-indic 0..2>"),
+        pytest.param("karnofsky=\u0667\u0660", id="karnofsky=<arabic-indic 70>"),
+        pytest.param("ecog=\uff11", id="ecog=<fullwidth 1>"),
+        pytest.param("karnofsky=7\u0660", id="karnofsky=<7, arabic-indic 0>"),
     ],
 )
 def test_parse_filter_errors(expression):
     with pytest.raises(InvalidFilter):
         parse_filter(expression)
+
+
+@pytest.mark.parametrize("value", ["1\n", "1..2\n", "\n1"])
+def test_parse_range_rejects_newline(value):
+    # parse_filter strips its values; the range rule itself must not let
+    # a newline through either.
+    with pytest.raises(InvalidFilter):
+        _parse_range(value)

@@ -15,6 +15,7 @@ from oncospan import (
     TCategory,
     TnmPrefix,
     check_consistency,
+    consistency_reports,
     normalize_stage,
     parse_stage,
     parse_tnm,
@@ -300,3 +301,46 @@ def test_stage_covers_is_component_aware():
 def test_m1_always_stage_four(t, n):
     for m in (MCategory.M1A, MCategory.M1B, MCategory.M1C):
         assert tnm_to_stage_group(t, n, m) in (StageGroup.IVA, StageGroup.IVB)
+
+
+@pytest.mark.parametrize("t", list(TCategory), ids=lambda t: t.value)
+def test_check_consistency_follows_the_rule_exhaustively(t):
+    # Every (N, M, written stage) for this T: the verdict table against the
+    # 8th-edition rule and the coarse-subsumes-fine rule it is built from.
+    for n, m, written in itertools.product(NCategory, MCategory, StageGroup):
+        tnm, stage = _tnm(t, n, m), _stage(written)
+        try:
+            expected = tnm_to_stage_group(t, n, m)
+        except AmbiguousCategory:
+            want = (ConsistencyVerdict.NOT_COMPARABLE, None)
+        else:
+            verdict = (
+                ConsistencyVerdict.CONSISTENT
+                if stage_covers(written, expected)
+                else ConsistencyVerdict.INCONSISTENT
+            )
+            want = (verdict, expected)
+        report = check_consistency(tnm, stage)
+        assert (report.tnm, report.stage) == (tnm, stage)
+        assert (report.verdict, report.expected) == want, (t, n, m, written)
+
+
+_tnm_annotations = st.builds(
+    _tnm,
+    st.sampled_from(list(TCategory)),
+    st.sampled_from(list(NCategory)),
+    st.sampled_from(list(MCategory)),
+    st.sampled_from(list(TnmPrefix)),
+)
+_stage_annotations = st.builds(_stage, st.sampled_from(list(StageGroup)))
+
+
+@given(st.lists(_tnm_annotations, max_size=6), st.lists(_stage_annotations, max_size=6))
+@settings(deadline=None)
+def test_consistency_reports_pairs_tnm_major(tnms, stages):
+    reports = consistency_reports(tnms, stages)
+    assert reports == [check_consistency(t, s) for t in tnms for s in stages]
+    pairs = [(t, s) for t in tnms for s in stages]
+    assert all(
+        r.tnm is t and r.stage is s for r, (t, s) in zip(reports, pairs, strict=True)
+    )

@@ -81,6 +81,29 @@ def test_check_indexes_first_of_equal_annotations(default_pipeline):
     assert checks == ["#check\t0\t2\tConsistent\tIA1"]
 
 
+def test_check_indexes_equal_copies_by_value(default_pipeline):
+    # Reports holding records equal to, but not the same objects as, the
+    # first ones name the first equal record: copies that are later records
+    # of the result, and copies that are not records of it at all.
+    result = default_pipeline.process_document(Document("stg", STAGING_NOTE))
+    tnm, stage = result.annotations
+    (report,) = result.consistency
+    later = dataclasses.replace(tnm), dataclasses.replace(stage)
+    outside = dataclasses.replace(tnm), dataclasses.replace(stage)
+    for copy, original in zip(later + outside, (tnm, stage) * 2):
+        assert copy == original and copy is not original
+    doubled = dataclasses.replace(
+        result,
+        annotations=(tnm, stage, *later),
+        consistency=tuple(
+            dataclasses.replace(report, tnm=t, stage=s)
+            for t, s in (later, outside, (tnm, stage))
+        ),
+    )
+    checks = [ln for ln in _lines(serialize_result(doubled)) if ln.startswith("#check\t")]
+    assert checks == ["#check\t0\t1\tConsistent\tIA1"] * 3
+
+
 def test_round_trip_fixtures(default_pipeline):
     for doc_id, text in [
         ("mut", MUTATION_NOTE),
