@@ -6,17 +6,14 @@ checking, and performance status (ECOG, Karnofsky), as character-offset
 annotations over the original text.
 """
 
-from .assertion import CueLexicon, Polarity, detect_polarity, load_cue_lexicon
+from .assertion import CueLexicon, Polarity, load_cue_lexicon
 from .document import (
     Diagnostic,
     Document,
     Sentence,
     Span,
-    Token,
-    TokenKind,
     covered_text,
     split_sentences,
-    tokenize,
 )
 from .errors import (
     AmbiguousCategory,
@@ -39,7 +36,6 @@ from .mutation import (
     MutationAnnotation,
     MutationPoint,
     PointVariant,
-    annotate_mutations,
     find_exon_mentions,
     find_gene_mentions,
     find_mutation_points,

@@ -4,16 +4,16 @@ Cues are short phrases looked up in a window of tokens around the target
 mention, after case/accent folding.  Negative evidence always beats
 positive evidence, and a positive cue preceded by "no" inside the window
 counts as negative ("no se detecta mutación" must not fire as positive).
-The rule works on token indexes: ``polarity_in_view`` feeds it a sentence
-view's tokens, ``detect_polarity`` a list of ``Token`` objects.
+``polarity_in_view`` applies the rule to the tokens of a sentence view:
+phrase cues are compared with their folded surfaces, symbol cues with the
+tokens as written.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
 
-from .document import SentenceView, Span, Token, normalize_word, token_range
+from .document import SentenceView, Span, normalize_word
 from .errors import ConflictingEntry, MalformedLexicon
 
 MAX_PHRASE_WORDS = 4
@@ -112,21 +112,12 @@ def _around(rng: tuple[int, int], n: int, width: int) -> tuple[range, range]:
     return range(max(0, first - width), first), range(last + 1, min(n, last + 1 + width))
 
 
-def _polarity(
-    norm: Sequence[str],
-    written: Callable[[int], str],
-    rng: tuple[int, int] | None,
-    lexicon: CueLexicon,
-) -> Polarity:
-    """The polarity rule over token indexes.
-
-    *norm* holds the folded surface of every token of the sentence, which
-    phrase cues are compared with; ``written(i)`` is token ``i`` as written,
-    which symbol cues are compared with.  *rng* is the (first, last) token
-    index of the target, or None when no token overlaps it.
-    """
+def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> Polarity:
+    """Polarity of the mention at *target* inside *view*'s sentence."""
+    rng = view.token_range(target)
     if rng is None:
         return Polarity.UNKNOWN
+    norm = view.norm_surfaces
     n = len(norm)
     negative = False
     positive = False
@@ -150,7 +141,8 @@ def _polarity(
     # Symbol cues immediately adjacent to the target.
     for side in _around(rng, n, lexicon.symbol_adjacency):
         for i in side:
-            surf = written(i)
+            begin, end, _ = view.tokens[i]
+            surf = view.text[begin:end]
             if surf in lexicon.symbol_negative:
                 negative = True
             elif surf in lexicon.symbol_positive:
@@ -161,24 +153,3 @@ def _polarity(
     if positive:
         return Polarity.POSITIVE
     return Polarity.UNKNOWN
-
-
-def detect_polarity(
-    tokens: Sequence[Token], target: Span, lexicon: CueLexicon
-) -> Polarity:
-    """Polarity of the mention at *target* given its sentence *tokens*."""
-    norm = [normalize_word(t.surface) for t in tokens]
-    return _polarity(
-        norm, lambda i: tokens[i].surface, token_range(tokens, target), lexicon
-    )
-
-
-def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> Polarity:
-    """Polarity of the mention at *target* inside *view*'s sentence."""
-    text, tokens = view.text, view.tokens
-    return _polarity(
-        view.norm_surfaces,
-        lambda i: text[tokens[i][0] : tokens[i][1]],
-        view.token_range(target),
-        lexicon,
-    )

@@ -1,4 +1,4 @@
-"""Document model: spans, sentences, tokens.
+"""Document model: spans, sentences, sentence views.
 
 All offsets are Unicode code-point indexes into the original document text,
 begin inclusive, end exclusive.  Normalization (case and accent folding)
@@ -9,7 +9,6 @@ the text as written.
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from operator import itemgetter
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from .errors import OutOfBounds
 ABBREVIATION_STOPLIST = frozenset({"dr", "dra", "sr", "sra", "vs", "fig", "pag"})
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
+_BAD_ID_CHAR = re.compile("[\t\n\r\ud800-\udfff]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,35 +40,30 @@ class Document:
     text: str
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("document id must be non-empty")
-        if any(c in "\n\r\t" for c in self.id):
-            raise ValueError("document id must not contain control characters")
-        if _SURROGATE.search(self.id) or _SURROGATE.search(self.text):
+        check_document_id(self.id)
+        if _SURROGATE.search(self.text):
             # No output format could encode it.
-            raise ValueError("document id and text must not hold a lone surrogate")
+            raise ValueError("document text must not hold a lone surrogate")
+
+
+def check_document_id(document_id: str) -> None:
+    """Raise ValueError unless *document_id* can name a document.
+
+    The id heads a standoff file on a line of its own, so it is non-empty
+    and holds no tab, newline, carriage return or lone surrogate.
+    """
+    if not document_id:
+        raise ValueError("document id must be non-empty")
+    if _BAD_ID_CHAR.search(document_id):
+        raise ValueError(
+            "document id must not hold a tab, newline, carriage return or lone surrogate"
+        )
 
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
     span: Span
     index: int
-
-
-class TokenKind(Enum):
-    WORD = "Word"
-    NUMBER = "Number"
-    SYMBOL = "Symbol"
-
-
-_KIND_BY_CODE = (TokenKind.WORD, TokenKind.NUMBER, TokenKind.SYMBOL)
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    span: Span
-    surface: str
-    kind: TokenKind
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,33 +91,6 @@ def split_sentences(
         Sentence(Span(b, e), i)
         for i, (b, e) in enumerate(_textops.sentence_spans(text, abbrevs))
     ]
-
-
-def tokenize(document: Document, sentence: Sentence) -> list[Token]:
-    span = sentence.span
-    if span.end > len(document.text):
-        raise OutOfBounds(
-            f"sentence span [{span.begin}, {span.end}) exceeds document "
-            f"{document.id!r}"
-        )
-    text = document.text
-    return [
-        Token(Span(b, e), text[b:e], _KIND_BY_CODE[kind])
-        for b, e, kind in _textops.token_spans(text, span.begin, span.end)
-    ]
-
-
-def token_range(tokens: Sequence[Token], span: Span) -> tuple[int, int] | None:
-    """Indexes (first, last) of the *tokens* overlapping *span*, or None.
-
-    *tokens* must be in text order without overlaps, as ``tokenize`` gives
-    them.
-    """
-    first = bisect_right(tokens, span.begin, key=lambda t: t.span.end)
-    last = bisect_left(tokens, span.end, key=lambda t: t.span.begin) - 1
-    if first > last:
-        return None
-    return first, last
 
 
 def normalize_word(word: str) -> str:

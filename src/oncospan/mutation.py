@@ -15,7 +15,7 @@ from typing import ClassVar, Sequence
 
 from ._textops import NUMBER
 from .assertion import CueLexicon, Polarity, polarity_in_view
-from .document import Document, Sentence, SentenceView, Span
+from .document import SentenceView, Span
 
 
 class Gene(Enum):
@@ -248,19 +248,6 @@ def find_mutation_points(text: str) -> list[MutationPoint]:
     return mutation_points_in_view(view)
 
 
-def annotate_mutations(
-    document: Document,
-    sentences: Sequence[Sentence],
-    lexicon: CueLexicon,
-    genes: frozenset[Gene] = frozenset(Gene),
-) -> list[MutationAnnotation]:
-    out: list[MutationAnnotation] = []
-    for sentence in sentences:
-        view = SentenceView.from_sentence(document, sentence)
-        out.extend(annotate_view(view, lexicon, genes))
-    return out
-
-
 __all__ = [
     "Gene",
     "ExonKind",
@@ -271,6 +258,5 @@ __all__ = [
     "find_gene_mentions",
     "find_exon_mentions",
     "find_mutation_points",
-    "annotate_mutations",
     "annotate_view",
 ]

@@ -16,7 +16,8 @@ escape backslash, tab, newline and carriage return so one record is always
 one line.  ``#diag`` carries a diagnostic (begin, end, message);
 ``#check`` carries a consistency report as two record indexes, the verdict
 and the expected group (``-`` when not comparable).  Every integer is a
-canonical ASCII decimal, ``0`` or ``[1-9][0-9]*``.  Deserialization is the
+canonical ASCII decimal, ``0`` or ``[1-9][0-9]*``, and the id follows
+``document.check_document_id``.  Deserialization is the
 exact inverse of serialization and is strict: anything unexpected raises
 MalformedFile with a line number, and a covered-text disagreement raises
 SpanMismatch.  It reads enum values and whole ``#check`` lines by table
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .assertion import Polarity
-from .document import Diagnostic, Span
+from .document import Diagnostic, Span, check_document_id
 from .errors import MalformedFile, SpanMismatch
 from .mutation import (
     ExonKind,
@@ -343,8 +344,10 @@ def deserialize_result(data: bytes) -> DocumentResult:
     if nl1 == -1 or not content.startswith("#doc "):
         raise MalformedFile("first line must be '#doc <id>'", 1)
     document_id = content[5:nl1]
-    if not document_id:
-        raise MalformedFile("empty document id", 1)
+    try:
+        check_document_id(document_id)
+    except ValueError as exc:
+        raise MalformedFile(str(exc), 1) from None
 
     nl2 = content.find("\n", nl1 + 1)
     if nl2 == -1 or not content.startswith("#len ", nl1 + 1):

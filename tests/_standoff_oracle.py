@@ -225,8 +225,10 @@ def deserialize_result(data: bytes) -> DocumentResult:
     if nl1 == -1 or not content.startswith("#doc "):
         raise MalformedFile("first line must be '#doc <id>'", 1)
     document_id = content[5:nl1]
-    if not document_id:
-        raise MalformedFile("empty document id", 1)
+    # Document's id rule: the id ends at the first newline, and decoded
+    # UTF-8 holds no lone surrogate, so only emptiness, tab and CR remain.
+    if not document_id or "\t" in document_id or "\r" in document_id:
+        raise MalformedFile("document id must be non-empty, without tab or CR", 1)
 
     nl2 = content.find("\n", nl1 + 1)
     if nl2 == -1 or not content.startswith("#len ", nl1 + 1):

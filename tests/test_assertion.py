@@ -11,20 +11,18 @@ from oncospan import (
     MalformedLexicon,
     Polarity,
     Span,
-    detect_polarity,
     load_cue_lexicon,
     split_sentences,
-    tokenize,
 )
+from oncospan import _textops
 from oncospan.assertion import CueLexicon, _phrase_key, polarity_in_view
 from oncospan.document import SentenceView
 
 
-def tokens_of(text):
-    doc = Document("d", text)
+def view_of(text):
     sentences = split_sentences(text)
     assert len(sentences) == 1
-    return tokenize(doc, sentences[0])
+    return SentenceView.from_sentence(Document("d", text), sentences[0])
 
 
 def span_of(text, fragment):
@@ -34,7 +32,7 @@ def span_of(text, fragment):
 
 def polarity_of(text, fragment, lexicon=None):
     lexicon = lexicon or load_cue_lexicon()
-    return detect_polarity(tokens_of(text), span_of(text, fragment), lexicon)
+    return polarity_in_view(view_of(text), span_of(text, fragment), lexicon)
 
 
 def test_default_lexicon_contents():
@@ -95,12 +93,9 @@ def test_window_excludes_distant_cue():
     # five filler tokens push "no" out of the 5-token window... the target
     # window covers exactly 5 tokens beyond the mention.
     text = "EGFR a b c d e no mutado"
-    tokens = tokens_of(text)
-    target = span_of(text, "EGFR")
-    lexicon = load_cue_lexicon()
     # "no" sits at index 6, inside token window [1..5]? no: indexes 1..5 are
     # a b c d e, so "no" (6) and "mutado" (7) are outside.
-    assert detect_polarity(tokens, target, lexicon) is Polarity.UNKNOWN
+    assert polarity_of(text, "EGFR") is Polarity.UNKNOWN
 
 
 def test_locality_distant_tokens_ignored():
@@ -116,8 +111,8 @@ def test_determinism():
 
 
 def test_target_outside_tokens_unknown():
-    tokens = tokens_of("EGFR mutado")
-    assert detect_polarity(tokens, Span(100, 104), load_cue_lexicon()) is (
+    view = view_of("EGFR mutado")
+    assert polarity_in_view(view, Span(100, 104), load_cue_lexicon()) is (
         Polarity.UNKNOWN
     )
 
@@ -172,7 +167,7 @@ def test_cue_lexicon_validates_window():
         )
 
 
-# Sentence pieces for the two-path property: cue words, "no", the symbol
+# Sentence pieces for the view-cutting property: cue words, "no", the symbol
 # cues and their folded look-alikes ("≠" folds to "="), a Hangul syllable
 # and a bare combining mark (both fold to other than one character).
 _pieces = st.sampled_from(
@@ -194,19 +189,31 @@ _LEXICONS = [
 ]
 
 
+# Notes of a few such sentences: a Hangul syllable or a bare mark in an
+# earlier sentence shifts the note's fold against its text.
+_notes = st.lists(_sentences, min_size=1, max_size=3).map(". ".join)
+
+
 @pytest.mark.parametrize("lexicon", _LEXICONS)
-@given(text=_sentences)
+@given(text=_notes)
 @settings(max_examples=150, deadline=None)
-def test_view_polarity_equals_token_polarity(lexicon, text):
-    doc = Document("d", text)
+def test_in_folded_view_equals_standalone_view(lexicon, text):
+    # The pipeline cuts each sentence's view out of the note's fold; it must
+    # read like a view that folds the sentence text on its own.
+    folded = _textops.normalize_text(text)
     for sentence in split_sentences(text):
-        tokens = tokenize(doc, sentence)
-        view = SentenceView.from_sentence(doc, sentence)
-        pairs = itertools.combinations_with_replacement(range(len(tokens)), 2)
-        for first, last in pairs:
-            target = Span(tokens[first].span.begin, tokens[last].span.end)
-            assert polarity_in_view(view, target, lexicon) is detect_polarity(
-                tokens, target, lexicon
+        begin, end = sentence.span.begin, sentence.span.end
+        cut = SentenceView.in_folded(text, folded, sentence.span)
+        alone = SentenceView(text[begin:end], begin)
+        assert (cut.text, cut.base, cut.norm) == (alone.text, alone.base, alone.norm)
+        assert list(cut.norm_map) == list(alone.norm_map)
+        assert cut.tokens == alone.tokens
+        assert cut.norm_surfaces == alone.norm_surfaces
+        pairs = itertools.combinations_with_replacement(alone.tokens, 2)
+        for (first, _, _), (_, last, _) in pairs:
+            target = Span(begin + first, begin + last)
+            assert polarity_in_view(cut, target, lexicon) is polarity_in_view(
+                alone, target, lexicon
             ), (text, target)
 
 
@@ -221,5 +228,3 @@ def test_symbol_cues_compare_written_surface(symbols, expected):
     lexicon = dataclasses.replace(_DEFAULT, symbol_negative=symbols)
     for text, polarity in expected.items():
         assert polarity_of(text, "EGFR", lexicon) is polarity
-        target = span_of(text, "EGFR")
-        assert polarity_in_view(SentenceView(text), target, lexicon) is polarity

@@ -1,17 +1,13 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oncospan import (
-    Document,
-    OutOfBounds,
-    Span,
-    TokenKind,
-    covered_text,
-    split_sentences,
-    tokenize,
-)
-from oncospan.document import SentenceView, normalize_word, token_range
+import _textops_py
+from oncospan import Document, OutOfBounds, Span, covered_text, split_sentences
+from oncospan._textops import NUMBER, SYMBOL, WORD
+from oncospan.document import SentenceView, normalize_word
 
 
 def spans(sentences):
@@ -31,8 +27,9 @@ def test_span_invariants():
 def test_document_id_required():
     with pytest.raises(ValueError):
         Document("", "text")
-    with pytest.raises(ValueError):
-        Document("a\nb", "text")
+    for control in "\n\r\t":
+        with pytest.raises(ValueError, match="tab, newline, carriage return"):
+            Document(f"a{control}b", "text")
     with pytest.raises(ValueError, match="lone surrogate"):
         Document("a\udcff", "text")
 
@@ -111,30 +108,25 @@ def test_sentences_ordered_and_disjoint():
     ],
 )
 def test_tokenize_surfaces(text, expected):
-    doc = Document("d", text)
-    sentence = split_sentences(text)[0]
-    tokens = tokenize(doc, sentence)
-    assert [t.surface for t in tokens] == expected
+    view = SentenceView(text)
+    assert [text[b:e] for b, e, _ in view.tokens] == expected
 
 
 def test_tokenize_kinds():
-    text = "T1a G719X 19 +"
-    doc = Document("d", text)
-    tokens = tokenize(doc, split_sentences(text)[0])
-    kinds = [t.kind for t in tokens]
-    assert kinds == [TokenKind.WORD, TokenKind.WORD, TokenKind.NUMBER, TokenKind.SYMBOL]
+    view = SentenceView("T1a G719X 19 +")
+    assert [kind for _, _, kind in view.tokens] == [WORD, WORD, NUMBER, SYMBOL]
 
 
 def test_tokenize_spans_match_surfaces():
     text = "EGFR+ (del exón 19), ECOG 3."
     doc = Document("d", text)
     for sentence in split_sentences(text):
-        previous_end = sentence.span.begin
-        for token in tokenize(doc, sentence):
-            assert token.span.begin >= previous_end
-            assert token.span.end <= sentence.span.end
-            assert token.surface == text[token.span.begin : token.span.end]
-            previous_end = token.span.end
+        view = SentenceView.from_sentence(doc, sentence)
+        previous_end = 0
+        for (b, e, _), norm in zip(view.tokens, view.norm_surfaces, strict=True):
+            assert previous_end <= b < e <= len(view.text)
+            assert norm == normalize_word(view.text[b:e])
+            previous_end = e
 
 
 def test_covered_text():
@@ -159,25 +151,24 @@ _view_texts = st.one_of(
 )
 
 
-# Kind codes of the kernel triples, as _textops.token_spans documents them.
-_KINDS = (TokenKind.WORD, TokenKind.NUMBER, TokenKind.SYMBOL)
-
-
 def _check_view(text, cuts):
+    # The view tokenizes like the loop tokenizer of _textops_py: the same
+    # triples and folded surfaces, and token_range gives the first and last
+    # triple overlapping the span.
     doc = Document("d", text)
     for sentence in split_sentences(text):
         view = SentenceView.from_sentence(doc, sentence)
-        tokens = tokenize(doc, sentence)
-        assert len(view.tokens) == len(tokens) == len(view.norm_surfaces)
-        for (b, e, kind), token, norm in zip(view.tokens, tokens, view.norm_surfaces):
-            assert Span(view.base + b, view.base + e) == token.span
-            assert _KINDS[kind] is token.kind
-            assert norm == normalize_word(token.surface)
-        # token_range over the triples agrees with the one over Token objects.
         begin, end = sentence.span.begin, sentence.span.end
+        expected = _textops_py.token_spans(text, begin, end)
+        assert [(begin + b, begin + e, k) for b, e, k in view.tokens] == expected
+        assert view.norm_surfaces == [
+            _textops_py._norm_token(text, b, e) for b, e, _ in expected
+        ]
         points = sorted({begin, end, *(begin + c for c in cuts if begin + c < end)})
-        for lo, hi in zip(points, points[1:]):
-            assert view.token_range(Span(lo, hi)) == token_range(tokens, Span(lo, hi))
+        for lo, hi in itertools.combinations(points, 2):
+            hits = [i for i, (b, e, _) in enumerate(expected) if b < hi and lo < e]
+            want = (hits[0], hits[-1]) if hits else None
+            assert view.token_range(Span(lo, hi)) == want, (lo, hi)
 
 
 @pytest.mark.parametrize(

@@ -6,20 +6,24 @@ from oncospan import (
     Gene,
     PointVariant,
     Polarity,
-    annotate_mutations,
     find_exon_mentions,
     find_gene_mentions,
     find_mutation_points,
     load_cue_lexicon,
     split_sentences,
 )
-from oncospan.mutation import ExonMention, MutationAnnotation
-from oncospan.document import Span
+from oncospan.mutation import ExonMention, MutationAnnotation, annotate_view
+from oncospan.document import SentenceView, Span
 
 
 def annotate(text, genes=frozenset(Gene)):
     doc = Document("d", text)
-    return annotate_mutations(doc, split_sentences(text), load_cue_lexicon(), genes)
+    lexicon = load_cue_lexicon()
+    return [
+        ann
+        for sentence in split_sentences(text)
+        for ann in annotate_view(SentenceView.from_sentence(doc, sentence), lexicon, genes)
+    ]
 
 
 def test_find_gene_mentions_variants():

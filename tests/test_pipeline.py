@@ -388,8 +388,8 @@ def test_each_annotator_reads_only_its_sentences(default_pipeline, monkeypatch):
 
 
 def test_polarity_reads_the_view(default_pipeline, monkeypatch):
-    # Polarity works on the view's triples and folded surfaces: no Token
-    # object is built and no token is folded again.
+    # Polarity works on the view's triples and folded surfaces: no token is
+    # folded again.
     calls = []
 
     def counting(module, name):
@@ -401,7 +401,6 @@ def test_polarity_reads_the_view(default_pipeline, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(document, "Token")
     counting(document, "normalize_word")
     counting(assertion, "normalize_word")
     text = (

@@ -190,6 +190,8 @@ def test_minimal_valid_file():
         (b"", 1),
         (b"doc d\n#len 0\n\n", 1),
         (b"#doc \n#len 0\n\n", 1),
+        (b"#doc a\tb\n#len 0\n\n", 1),
+        (b"#doc a\rb\n#len 0\n\n", 1),
         (b"#doc d\n#length 0\n\n", 2),
         (b"#doc d\n#len x\n\n", 2),
         (b"#doc d\n#len -1\n\n", 2),
@@ -198,9 +200,10 @@ def test_minimal_valid_file():
     ],
 )
 def test_header_errors(data, line_no):
-    with pytest.raises(MalformedFile) as exc:
-        deserialize_result(data)
-    assert exc.value.line_no == line_no
+    for decode in (deserialize_result, _standoff_oracle.deserialize_result):
+        with pytest.raises(MalformedFile) as exc:
+            decode(data)
+        assert exc.value.line_no == line_no
 
 
 def test_not_utf8():
