@@ -4,17 +4,18 @@ They are the hot path of the whole package: every document is normalized,
 and each sentence holding an anchor is found by ``sentence_span_at`` and
 tokenized if an annotator reads its tokens.  ``sentence_spans`` splits a
 whole text; the lookup is checked against it.  The per-character work runs
-inside ``str.translate`` and ``re``; Python-level loops are left for the
-rare characters that fold to more or fewer than one character and for the
-token before each period.  ``tests/_textops_py.py`` keeps the plain loop
-version of the same contract, and the test suite checks that both agree.
+inside ``str.lower``, ``str.translate`` and ``re``: the fold translates
+only the runs of non-ASCII characters and lowers the rest in one call.
+Python-level loops are left for the rare characters that fold to more or
+fewer than one character and for the token before each period.
+``tests/_textops_py.py`` keeps the plain loop version of the same contract,
+and the test suite checks that both agree.
 
 ``document`` and the annotators call the kernels through this module, so a
 wrapper set on a module attribute sees every call.
 """
 
 import re
-import threading
 import unicodedata
 from typing import Sequence
 
@@ -37,12 +38,9 @@ def set_backend(name: str) -> None:
 
 # Characters whose fold is not exactly one character: bare combining marks
 # vanish, Hangul syllables become their jamo.  Only texts holding one of
-# them need the per-character offset loop.  _IRREGULAR_RE is a character
-# class over the set (None while it is empty), rebuilt under the lock as
-# the set grows.
+# them need the per-character offset loop.  All of them are non-ASCII, so
+# normalize_text looks for them in the non-ASCII runs only.
 _IRREGULAR: set[str] = set()
-_IRREGULAR_RE: re.Pattern | None = None
-_IRREGULAR_LOCK = threading.Lock()
 
 # The tables keep entries for the Basic Multilingual Plane only, so they stay
 # bounded; rarer code points are folded and classified again on each call.
@@ -53,7 +51,6 @@ class _FoldTable(dict):
     """Code point -> lowercased, accent-stripped string, filled lazily."""
 
     def __missing__(self, code: int) -> str:
-        global _IRREGULAR_RE
         ch = chr(code)
         folded = "".join(
             c
@@ -61,20 +58,17 @@ class _FoldTable(dict):
             if unicodedata.category(c) != "Mn"
         )
         # Threads share the tables: a thread that finds this entry must
-        # also find the character in _IRREGULAR_RE, so record it first.
+        # also find the character in _IRREGULAR, so record it first.
         if len(folded) != 1:
-            with _IRREGULAR_LOCK:
-                if ch not in _IRREGULAR:
-                    _IRREGULAR.add(ch)
-                    _IRREGULAR_RE = re.compile(
-                        "[" + "".join(map(re.escape, sorted(_IRREGULAR))) + "]"
-                    )
+            _IRREGULAR.add(ch)
         if code < _CACHED_BELOW:
             self[code] = folded
         return folded
 
 
 _FOLD = _FoldTable()
+# A run of non-ASCII characters; the group keeps the runs in split's output.
+_NON_ASCII_RUN = re.compile(r"([^\x00-\x7f]+)")
 
 
 def normalize_text(text: str) -> tuple[str, Sequence[int]]:
@@ -87,10 +81,20 @@ def normalize_text(text: str) -> tuple[str, Sequence[int]]:
     When every character folds to exactly one, ``offsets`` is the identity
     ``range(len(text))``, and ``normalized[b:e]`` is the fold of
     ``text[b:e]``; otherwise it is a list.
+
+    The fold of an ASCII character is its ``lower()``, and ``lower()``
+    leaves the fold of any character unchanged.  So only the runs of
+    non-ASCII characters go through the fold table, and one ``lower()`` of
+    the whole result folds the ASCII between them.  No capital sigma is
+    left for ``lower()`` to read in context.
     """
-    normalized = text.translate(_FOLD)
-    irregular = _IRREGULAR_RE
-    if irregular is None or irregular.search(text) is None:
+    if text.isascii():
+        return text.lower(), range(len(text))
+    parts = _NON_ASCII_RUN.split(text)
+    runs = parts[1::2]
+    parts[1::2] = [run.translate(_FOLD) for run in runs]
+    normalized = "".join(parts).lower()
+    if _IRREGULAR.isdisjoint("".join(runs)):
         return normalized, range(len(text))
     offsets: list[int] = []
     for i, ch in enumerate(text):

@@ -76,11 +76,12 @@ _POINT_RE = re.compile(r"(?<![0-9a-z])(g719x|t790m|l858r|l861q)(?![0-9a-z])")
 _EXON_KEYWORD = "exon"
 _EXON_LOOKAHEAD = 2  # tokens after the keyword that may hold the number
 
-# Literals on the folded shadow that every mutation annotation contains: a
-# gene name, a point variant or the exon keyword.  The pipeline analyses
-# only the sentences that hold one of the enabled annotators' anchors.
-ANCHOR = "|".join(
-    ["egfr", "alk", "ros", *(p.value.lower() for p in PointVariant), _EXON_KEYWORD]
+# Literals on the folded shadow, one of which every mutation annotation
+# contains: a gene name, a point variant or the exon keyword.  The pipeline
+# analyses only the sentences that hold one of the enabled annotators'
+# anchors.
+ANCHOR = (
+    "egfr", "alk", "ros", *(p.value.lower() for p in PointVariant), _EXON_KEYWORD
 )
 
 _KIND_CUES = {

@@ -35,18 +35,18 @@ class PSAnnotation:
             )
 
 
-# Literals on the folded shadow that every annotation and diagnostic of the
-# scale contains (see mutation.ANCHOR).
-ECOG_ANCHOR = "ecog"
-KARNOFSKY_ANCHOR = "karnofsky|kps"
+# Literals on the folded shadow, one of which every annotation and
+# diagnostic of the scale contains (see mutation.ANCHOR).
+ECOG_ANCHOR = ("ecog",)
+KARNOFSKY_ANCHOR = ("karnofsky", "kps")
 
 _PS_SEP = r"[ :\-_().]*"
 _ECOG_RE = re.compile(
-    r"(?<![0-9a-z])" + ECOG_ANCHOR + r"(?:" + _PS_SEP + r"ps)?" + _PS_SEP +
-    r"([0-9]+)(?![0-9a-z])\)?"
+    r"(?<![0-9a-z])(?:" + "|".join(ECOG_ANCHOR) + r")(?:" + _PS_SEP + r"ps)?" +
+    _PS_SEP + r"([0-9]+)(?![0-9a-z])\)?"
 )
 _KARNOFSKY_RE = re.compile(
-    r"(?<![0-9a-z])(?:" + KARNOFSKY_ANCHOR + r")" + _PS_SEP +
+    r"(?<![0-9a-z])(?:" + "|".join(KARNOFSKY_ANCHOR) + r")" + _PS_SEP +
     r"([0-9]+)(?![0-9a-z])(?: ?%)?\)?"
 )
 

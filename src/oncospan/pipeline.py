@@ -1,10 +1,11 @@
 """Annotator composition: one configured engine, one result per document.
 
 Normalization runs once per document.  Each annotator module declares
-anchors: literals on the folded shadow that every one of its annotations
-contains.  The note is never split as a whole: only the sentences holding
-an anchor of an enabled annotator are looked up, each gets one view, and
-each annotator runs only on the sentences that hold one of its own anchors.
+anchors: literals on the folded shadow, one of which every one of its
+annotations contains (TNM declares a pattern instead).  The note is never
+split as a whole: only the sentences holding an anchor of an enabled
+annotator are looked up, each gets one view, and each annotator runs only
+on the sentences that hold one of its own anchors.
 The pipeline object is immutable after build.
 """
 
@@ -44,15 +45,16 @@ _GENE_BY_KIND = {
 }
 
 # The annotator calls, in the order they run on a sentence (and so the
-# order of their diagnostics), and the anchor each one needs.
+# order of their diagnostics), and the anchors each one needs: literals,
+# or for TNM a pattern.
 _MUTATION, _TNM, _STAGE, _ECOG, _KARNOFSKY = range(5)
-_ANCHOR_BY_CALL = (
-    mutation.ANCHOR,
-    staging.TNM_ANCHOR,
-    staging.STAGE_ANCHOR,
-    perfstatus.ECOG_ANCHOR,
-    perfstatus.KARNOFSKY_ANCHOR,
-)
+_LITERALS_BY_CALL = {
+    _MUTATION: mutation.ANCHOR,
+    _STAGE: staging.STAGE_ANCHOR,
+    _ECOG: perfstatus.ECOG_ANCHOR,
+    _KARNOFSKY: perfstatus.KARNOFSKY_ANCHOR,
+}
+_PATTERN_BY_CALL = {_TNM: staging.TNM_ANCHOR}
 _CALL_BY_KIND = {
     AnnotatorKind.EGFR: _MUTATION,
     AnnotatorKind.ALK: _MUTATION,
@@ -82,7 +84,7 @@ class DocumentResult:
 class Pipeline:
     """Immutable bundle of compiled rules; see build_pipeline."""
 
-    __slots__ = ("config", "lexicon", "_genes", "_anchors")
+    __slots__ = ("config", "lexicon", "_genes", "_anchors", "_patterns")
 
     def __init__(self, config: PipelineConfig, lexicon: CueLexicon):
         self.config = config
@@ -91,9 +93,16 @@ class Pipeline:
         self._genes = frozenset(
             gene for kind, gene in _GENE_BY_KIND.items() if kind in enabled
         )
+        calls = sorted({_CALL_BY_KIND[kind] for kind in enabled})
         self._anchors = tuple(
-            (call, re.compile(_ANCHOR_BY_CALL[call]))
-            for call in sorted({_CALL_BY_KIND[kind] for kind in enabled})
+            (call, literal)
+            for call in calls
+            for literal in _LITERALS_BY_CALL.get(call, ())
+        )
+        self._patterns = tuple(
+            (call, re.compile(_PATTERN_BY_CALL[call]))
+            for call in calls
+            if call in _PATTERN_BY_CALL
         )
 
     def process_document(self, document: Document) -> DocumentResult:
@@ -111,26 +120,39 @@ def build_pipeline(config: PipelineConfig) -> Pipeline:
     return Pipeline(config, lexicon)
 
 
+def _anchor_hits(
+    pipeline: Pipeline, norm: str, offsets: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Sorted ``(index in the text, call)`` of each anchor start on the
+    shadow *norm*; *offsets* maps the shadow back to the text."""
+    # Each literal is found at every start, overlapping or not.  Matches of
+    # a pattern do not overlap, which hides no start: a TNM match holds one
+    # "t", so no other match can start inside it.
+    hits = [
+        (offsets[m.start()], call)
+        for call, pattern in pipeline._patterns
+        for m in pattern.finditer(norm)
+    ]
+    find = norm.find
+    for call, literal in pipeline._anchors:
+        at = find(literal)
+        while at >= 0:
+            hits.append((offsets[at], call))
+            at = find(literal, at + 1)
+    hits.sort()
+    return hits
+
+
 def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
     annotations: list[Annotation] = []
     diagnostics: list[Diagnostic] = []
     text = document.text
     folded = _textops.normalize_text(text)
-    norm, offsets = folded
     # An annotator can find something only in a sentence where one of its
-    # anchors starts; the offsets place each hit on the shadow back in the
-    # text.  Matches of one anchor do not overlap, which hides no sentence:
-    # a start skipped inside a match lies in the same run of letters and
-    # digits, except in a TNM match, whose separator may end a sentence but
-    # which holds no second "t".
-    hits = sorted(
-        (offsets[m.start()], call)
-        for call, anchor in pipeline._anchors
-        for m in anchor.finditer(norm)
-    )
+    # anchors starts.
     live: list[tuple[Span, set[int]]] = []
     end = 0
-    for at, call in hits:
+    for at, call in _anchor_hits(pipeline, *folded):
         if at >= end:
             begin, end = _textops.sentence_span_at(text, at, end, ABBREVIATION_STOPLIST)
             calls: set[int] = set()

@@ -149,11 +149,11 @@ _STAGE_RE = re.compile(
 _TRIGGERS = frozenset({"estadio", "stage"})
 _TRIGGER_DISTANCE = 3
 
-# Literals on the folded shadow that every annotation contains (see
-# mutation.ANCHOR): the T and N categories of a TNM expression, and the
-# trigger token that a stage needs.
+# What every annotation contains on the folded shadow (see
+# mutation.ANCHOR): for a TNM expression, its T and N categories, matched
+# by a pattern; for a stage, one of the trigger literals.
 TNM_ANCHOR = _T + _SEP + r"n[0-3]"
-STAGE_ANCHOR = "|".join(sorted(_TRIGGERS))
+STAGE_ANCHOR = tuple(sorted(_TRIGGERS))
 
 
 T = TCategory

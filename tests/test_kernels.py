@@ -13,7 +13,10 @@ from oncospan.document import ABBREVIATION_STOPLIST
 # surprises that reach the kernels' slow and edge paths: a bare combining
 # acute (folds to nothing), a Hangul syllable (folds to three jamo), a
 # superscript two (a word, not a number), an Arabic-Indic three (a decimal
-# number), and a vertical tab between newlines (not a blank line).
+# number), a vertical tab between newlines (not a blank line), and the
+# letters whose lower() is special: capital and final sigma (lowered by
+# context), dotted capital I (lowers to two characters), capital sharp s,
+# the Kelvin sign and the titlecase dz digraph.
 _clinical = st.lists(
     st.sampled_from(
         list(
@@ -23,6 +26,7 @@ _clinical = st.lists(
             "0123456789"
             " \t\n\r.,;:()/%+-_!?"
             "\u0301한²٣"
+            "\u03a3\u03c2\u0130\u1e9e\u212a\u01c5"
         )
         + ["\n\x0b\n"]
     ),
@@ -156,22 +160,18 @@ def test_number_kind_is_int_parseable():
 def test_irregular_character_recorded_before_its_fold_entry(monkeypatch):
     # Annotate threads share the fold table.  A thread that finds a
     # character's entry does not fold it again, so the irregular-character
-    # pattern must already match it for that thread to take the slow
-    # offset path.
+    # set must already hold it for that thread to take the slow offset
+    # path.
     recorded_when_written = []
 
     class RecordingTable(_textops._FoldTable):
         def __setitem__(self, code, folded):
             if len(folded) != 1:
-                pattern = _textops._IRREGULAR_RE
-                recorded_when_written.append(
-                    pattern is not None and pattern.match(chr(code)) is not None
-                )
+                recorded_when_written.append(chr(code) in _textops._IRREGULAR)
             super().__setitem__(code, folded)
 
     monkeypatch.setattr(_textops, "_FOLD", RecordingTable())
     monkeypatch.setattr(_textops, "_IRREGULAR", set())
-    monkeypatch.setattr(_textops, "_IRREGULAR_RE", None)
     text = "a\u0301 \uac00"
     assert _textops.normalize_text(text) == _textops_py.normalize_text(text)
     assert recorded_when_written == [True, True]
@@ -186,23 +186,55 @@ def test_astral_characters_leave_the_tables_unchanged(monkeypatch):
     text = " ".join(
         "".join(map(chr, codes[i : i + 7])) + ".\n" for i in range(0, len(codes), 7)
     )
-    _textops.normalize_text(" .\n")
+    # The text's BMP characters: a bare combining mark sends the fold
+    # through the offset loop, which reads the table for ASCII too.
+    _textops.normalize_text(" .\n\u0301")
     _textops.token_spans(" .\n", 0, 3)
     sizes = len(_textops._FOLD), len(_textops._CLASS)
     norm, offsets = _textops.normalize_text(text)
     assert (norm, list(offsets)) == _textops_py.normalize_text(text)
-    pattern = _textops._IRREGULAR_RE
-    assert pattern.search("\U0001d15e") and pattern.search("\U0001d167")
+    assert {"\U0001d15e", "\U0001d167"} <= _textops._IRREGULAR
     assert _textops.token_spans(text, 0, len(text)) == _textops_py.token_spans(
         text, 0, len(text)
     )
     assert _textops.sentence_spans(text, ABBREVIATION_STOPLIST) == (
         _textops_py.sentence_spans(text, ABBREVIATION_STOPLIST)
     )
-    # Meeting the irregular characters again does not rebuild the pattern.
+    # Meeting the irregular characters again compiles no pattern.
     compiled = []
     compile_ = re.compile
     monkeypatch.setattr(re, "compile", lambda *a: compiled.append(a) or compile_(*a))
     _textops.normalize_text(text)
     assert compiled == []
     assert (len(_textops._FOLD), len(_textops._CLASS)) == sizes
+
+
+def test_first_fold_of_new_irregular_characters_compiles_at_most_once(monkeypatch):
+    # Each new Hangul syllable folds to three jamo.  Recording one must not
+    # rebuild anything that grows with the characters recorded so far.
+    monkeypatch.setattr(_textops, "_FOLD", _textops._FoldTable())
+    monkeypatch.setattr(_textops, "_IRREGULAR", set())
+    text = "".join(map(chr, range(0xAC00, 0xAC00 + 4000)))
+    compiled = []
+    compile_ = re.compile
+    monkeypatch.setattr(re, "compile", lambda *a: compiled.append(a) or compile_(*a))
+    norm, offsets = _textops.normalize_text(text)
+    assert len(compiled) <= 1
+    assert (norm, list(offsets)) == _textops_py.normalize_text(text)
+
+
+def test_lower_leaves_every_fold_unchanged():
+    # normalize_text translates only the non-ASCII runs and then lowers the
+    # whole text, so an ASCII character must fold to its lower(), and
+    # lower() must leave the fold of every character as it is.
+    assert [_textops_py._norm_char(chr(c)) for c in range(0x80)] == [
+        chr(c).lower() for c in range(0x80)
+    ]
+    changed = []
+    for code in range(0x10000):
+        if 0xD800 <= code <= 0xDFFF:
+            continue
+        folded = _textops_py._norm_char(chr(code))
+        if folded.lower() != folded:
+            changed.append(hex(code))
+    assert changed == []

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,7 @@ from oncospan import (
 from oncospan.document import SentenceView
 from oncospan.mutation import MutationAnnotation
 from oncospan.perfstatus import PSAnnotation
+from oncospan.pipeline import _LITERALS_BY_CALL, _anchor_hits
 from oncospan.staging import StageAnnotation, TNMAnnotation
 
 
@@ -187,9 +189,8 @@ def test_pipeline_pickles(default_pipeline):
     copy = pickle.loads(pickle.dumps(default_pipeline))
     assert copy.config == default_pipeline.config
     assert copy.lexicon == default_pipeline.lexicon
-    assert [(call, a.pattern) for call, a in copy._anchors] == [
-        (call, a.pattern) for call, a in default_pipeline._anchors
-    ]
+    assert copy._anchors == default_pipeline._anchors
+    assert copy._patterns == default_pipeline._patterns
     text = " ".join([MUTATION_NOTE, STAGING_NOTE, PERFSTATUS_NOTE, COMBINED_NOTE])
     doc = Document("d", text)
     assert copy.process_document(doc) == default_pipeline.process_document(doc)
@@ -288,6 +289,14 @@ _gate_units = st.one_of(
             "exo", "t5n0", "t1m0", "l858", "g719", "n0", "m1",
         ]
     ),
+    # Literals glued together, some overlapping: one alternation's finditer
+    # skips the second start of "egfros", "l858ros" and "stagestadio".
+    st.sampled_from(
+        [
+            "rosalk", "exonexon", "egfros", "EGFRos1", "l858ros", "stagestadio",
+            "KPSkarnofsky", "ecogecog",
+        ]
+    ),
     st.sampled_from(
         [
             "IV", "IIIA", "I-A1", "del", "ins", "no", "no se detecta", "mutado",
@@ -336,6 +345,19 @@ def test_gate_equals_every_sentence(text, kinds):
     pipe = _pipe_of(frozenset(kinds))
     doc = Document("d", text)
     assert pipe.process_document(doc) == _ungated.process_document(pipe, doc)
+
+
+@given(_gate_texts)
+@settings(deadline=None, max_examples=300)
+@example("egfros stagestadio l858ros exonexon rosalk")
+def test_find_loops_cover_finditer(default_pipeline, text):
+    # Every start that one alternation of a call's literals finds is among
+    # the hits; the find loops may add the starts that it skips.
+    norm, offsets = _textops.normalize_text(text)
+    hits = set(_anchor_hits(default_pipeline, norm, offsets))
+    for call, literals in _LITERALS_BY_CALL.items():
+        for m in re.finditer("|".join(literals), norm):
+            assert (offsets[m.start()], call) in hits
 
 
 def test_gate_skips_sentences_without_anchors(default_pipeline, monkeypatch):
