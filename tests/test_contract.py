@@ -1,5 +1,6 @@
 """The contract bytes, pinned: what the package writes for a seeded corpus
-and for a set of hand-written edge notes.
+and for a set of hand-written edge notes, and what ``oncospan check`` prints
+for them and for a few notes of its own.
 
 A change that alters any of these digests changes the output format or the
 annotations themselves, and must say why.  To see which document differs,
@@ -21,6 +22,7 @@ from oncospan import (
     query_results,
     serialize_result,
 )
+from oncospan.cli import cli_main
 from oncospan.corpusgen import generate_corpus
 from oncospan.standoff import read_standoff
 
@@ -146,3 +148,25 @@ def test_edge_sql_script(edge_results):
 def test_edge_read_standoff_records(edge_ann_files):
     files = "".join(f"{read_standoff(data)!r}\n" for data in edge_ann_files)
     assert _sha256(files.encode("utf-8")) == EDGE_RECORDS_SHA256
+
+
+# Notes for ``oncospan check`` only: several TNM x stage pairs in one note,
+# a coarse T that no stage group matches, and a coarse written stage.
+CHECK_NOTES = (
+    "pT2aN0M0, estadio IB. Luego T3 N1 M0: estadio IIIA; estadio IV.",
+    "cT2 N0 M0, estadio IB. T1 N0 M0, estadio I.",
+)
+
+CHECK_SHA256 = "43f4c56a83f502cd781a3fa7c9dd625c457b632cb0c0867d88ad37b552aee439"
+
+
+def test_check_output(tmp_path, capsys):
+    documents = [*generate_corpus(300, seed=7)]
+    documents += [Document(f"edge-{i:02d}", text) for i, text in enumerate(EDGE_NOTES)]
+    documents += [Document(f"check-{i:02d}", t) for i, t in enumerate(CHECK_NOTES)]
+    for document in documents:
+        (tmp_path / f"{document.id}.txt").write_bytes(document.text.encode("utf-8"))
+    assert cli_main(["check", "--input", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    assert "Inconsistent" in printed and "NotComparable" in printed
+    assert _sha256(printed.encode("utf-8")) == CHECK_SHA256
