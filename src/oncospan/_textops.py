@@ -36,11 +36,10 @@ def set_backend(name: str) -> None:
         raise ValueError(f"unknown backend {name!r}")
 
 
-# Characters whose fold is not exactly one character: bare combining marks
-# vanish, Hangul syllables become their jamo.  Only texts holding one of
-# them need the per-character offset loop.  All of them are non-ASCII, so
-# normalize_text looks for them in the non-ASCII runs only.
-_IRREGULAR: set[str] = set()
+# Characters whose fold is not one character, with its length (combining
+# marks vanish, Hangul syllables become jamo).  All of them are non-ASCII,
+# so normalize_text looks for them in the non-ASCII runs only.
+_IRREGULAR: dict[str, int] = {}
 
 # The tables keep entries for the Basic Multilingual Plane only, so they stay
 # bounded; rarer code points are folded and classified again on each call.
@@ -60,7 +59,7 @@ class _FoldTable(dict):
         # Threads share the tables: a thread that finds this entry must
         # also find the character in _IRREGULAR, so record it first.
         if len(folded) != 1:
-            _IRREGULAR.add(ch)
+            _IRREGULAR[ch] = len(folded)
         if code < _CACHED_BELOW:
             self[code] = folded
         return folded
@@ -94,11 +93,18 @@ def normalize_text(text: str) -> tuple[str, Sequence[int]]:
     runs = parts[1::2]
     parts[1::2] = [run.translate(_FOLD) for run in runs]
     normalized = "".join(parts).lower()
-    if _IRREGULAR.isdisjoint("".join(runs)):
+    if _IRREGULAR.keys().isdisjoint("".join(runs)):
         return normalized, range(len(text))
+    # Only a run holding an irregular character is walked one by one.
     offsets: list[int] = []
-    for i, ch in enumerate(text):
-        offsets.extend([i] * len(_FOLD[ord(ch)]))
+    start = 0
+    for run in _NON_ASCII_RUN.finditer(text):
+        if not _IRREGULAR.keys().isdisjoint(run[0]):
+            offsets += range(start, run.start())
+            for i, ch in enumerate(run[0], run.start()):
+                offsets += [i] * _IRREGULAR.get(ch, 1)
+            start = run.end()
+    offsets += range(start, len(text))
     return normalized, offsets
 
 

@@ -78,7 +78,16 @@ class DocumentResult:
     text: str
     annotations: tuple[Annotation, ...] = ()
     diagnostics: tuple[Diagnostic, ...] = ()
-    consistency: tuple[ConsistencyReport, ...] = ()
+
+    @property
+    def consistency(self) -> tuple[ConsistencyReport, ...]:
+        """Every (TNM, stage) pair's 8th-edition check, built on each read."""
+        return tuple(
+            staging.consistency_reports(
+                [a for a in self.annotations if isinstance(a, TNMAnnotation)],
+                [a for a in self.annotations if isinstance(a, StageAnnotation)],
+            )
+        )
 
 
 class Pipeline:
@@ -179,17 +188,11 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
             annotations.extend(anns)
             diagnostics.extend(diags)
     annotations.sort(key=lambda a: (a.span.begin, a.span.end, a.annotator))
-    # A disabled annotator finds nothing, so it leaves no pair to check.
-    reports = staging.consistency_reports(
-        [a for a in annotations if isinstance(a, TNMAnnotation)],
-        [a for a in annotations if isinstance(a, StageAnnotation)],
-    )
     return DocumentResult(
         document_id=document.id,
         text=document.text,
         annotations=tuple(annotations),
         diagnostics=tuple(diagnostics),
-        consistency=tuple(reports),
     )
 
 

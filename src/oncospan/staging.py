@@ -5,11 +5,13 @@ grouping.  Coarse inputs (T1, T2, M1 without a sub-letter) resolve only
 when every covered cell agrees; T1,N0,M0 collapses to coarse IA because its
 cells differ only in the substage digit.
 
-``tnm_to_stage_group`` and ``stage_covers`` define the rule.  The
-consistency check reads a verdict table built from them at import: each
-(T, N, M) key points at the row of its expected group, or at the
-not-comparable row when the key is ambiguous, and a row holds the
-(verdict, expected group) for each written stage.
+``tnm_to_stage_group`` and ``stage_covers`` define the rule, and a verdict
+table built from them at import answers it: each (T, N, M) key points at
+the row of its expected group, or at the not-comparable row when the key
+is ambiguous, and a row holds the (verdict, expected group) of each written
+stage.  A ``ConsistencyReport`` is built only when asked for, as
+``DocumentResult.consistency`` does; ``standoff`` writes and checks the
+``#check`` lines from the table itself.
 """
 
 import re

@@ -15,17 +15,21 @@ annotator's keys, encoder and decoder.  Covered text and diagnostic messages
 escape backslash, tab, newline and carriage return so one record is always
 one line.  ``#diag`` carries a diagnostic (begin, end, message);
 ``#check`` carries a consistency report as two record indexes, the verdict
-and the expected group (``-`` when not comparable).  Every integer is a
+and the expected group (``-`` when not comparable); the section is every
+(TNM, stage) pair, TNM-major, through the 8th-edition verdict table, each
+record named by the first index of an equal one.  Every integer is a
 canonical ASCII decimal, ``0`` or ``[1-9][0-9]*``, and the id follows
-``document.check_document_id``.  Deserialization is the
-exact inverse of serialization and is strict: anything unexpected raises
-MalformedFile with a line number, and a covered-text disagreement raises
-SpanMismatch.  It reads enum values and whole ``#check`` lines by table
-lookup and works out which diagnostic applies only when a lookup misses.
+``document.check_document_id``.  Deserialization is the exact inverse of
+serialization and is strict: anything unexpected raises MalformedFile with a
+line number, and a covered-text disagreement raises SpanMismatch.  It reads
+enum values by table lookup and compares the ``#check`` section with the
+one the records give as one string, reading it line by line only to report
+a mismatch; so a well-formed section that is not that pairing is rejected.
 """
 
+import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .assertion import Polarity
 from .document import Diagnostic, Span, check_document_id
@@ -41,7 +45,8 @@ from .mutation import (
 from .perfstatus import PSAnnotation, PSScale
 from .pipeline import Annotation, DocumentResult
 from .staging import (
-    ConsistencyReport,
+    _STAGE_INDEX,
+    _VERDICTS,
     ConsistencyVerdict,
     MCategory,
     NCategory,
@@ -88,32 +93,44 @@ def _escape(value: str) -> str:
 
 
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+# A backslash and the character after it, if any.
+_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
 
 
 def _unescape(value: str, line_no: int) -> str:
     if "\\" not in value:
         return value
-    out = []
-    i = 0
-    n = len(value)
-    while i < n:
-        ch = value[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n or value[i + 1] not in _UNESCAPE:
-            raise MalformedFile("bad escape sequence", line_no)
-        out.append(_UNESCAPE[value[i + 1]])
-        i += 2
-    return "".join(out)
+    try:
+        return _ESCAPE_RE.sub(lambda match: _UNESCAPE[match[1]], value)
+    except KeyError:
+        raise MalformedFile("bad escape sequence", line_no) from None
+
+
+def _check_section(annotations: Sequence[Annotation]) -> str:
+    """The ``#check`` section of *annotations*, as the module doc gives it."""
+    first: dict[Annotation, int] = {}
+    tnms, stages = [], []
+    for i, ann in enumerate(annotations):
+        if isinstance(ann, TNMAnnotation):
+            tnms.append((first.setdefault(ann, i), ann))
+        elif isinstance(ann, StageAnnotation):
+            stages.append((first.setdefault(ann, i), _STAGE_INDEX[ann.stage]))
+    # The TNMs that share a verdict row share the tails of their lines.
+    tails: dict[int, list[str]] = {}
+    parts = []
+    for i, tnm in tnms if stages else ():
+        row = _VERDICTS[tnm.t, tnm.n, tnm.m]
+        if id(row) not in tails:
+            tails[id(row)] = [f"{j}\t{_CELL_TEXT[row[k]]}\n" for j, k in stages]
+        head = f"#check\t{i}\t"
+        parts.append(head + head.join(tails[id(row)]))
+    return "".join(parts)
 
 
 def serialize_result(result: DocumentResult) -> bytes:
     text = result.text
     parts = [f"#doc {result.document_id}\n#len {len(text)}\n{text}\n"]
-    annotations = list(result.annotations)
-    for ann in annotations:
+    for ann in result.annotations:
         covered = text[ann.span.begin : ann.span.end]
         features = ";".join(f"{k}={v}" for k, v in features_of(ann))
         parts.append(
@@ -124,25 +141,7 @@ def serialize_result(result: DocumentResult) -> bytes:
         parts.append(
             f"#diag\t{diag.span.begin}\t{diag.span.end}\t{_escape(diag.message)}\n"
         )
-    # Record index of each annotation; equal annotations keep the first
-    # index, as list.index would give.  A report names its annotations by
-    # identity when they are the result's own objects, which saves hashing
-    # them per report; any other object is looked up by value.
-    position: dict[Annotation, int] = {}
-    by_id: dict[int, int] = {}
-    for i, ann in enumerate(annotations):
-        by_id[id(ann)] = position.setdefault(ann, i)
-    for report in result.consistency:
-        tnm = by_id.get(id(report.tnm))
-        if tnm is None:
-            tnm = position[report.tnm]
-        stage = by_id.get(id(report.stage))
-        if stage is None:
-            stage = position[report.stage]
-        expected = "-" if report.expected is None else report.expected.value
-        parts.append(
-            f"#check\t{tnm}\t{stage}\t{report.verdict.value}\t{expected}\n"
-        )
+    parts.append(_check_section(result.annotations))
     return "".join(parts).encode("utf-8")
 
 
@@ -173,19 +172,16 @@ _NS = _by_value(NCategory)
 _MS = _by_value(MCategory)
 _STAGES = _by_value(StageGroup)
 _SCALES = _by_value(PSScale)
-_VERDICTS = _by_value(ConsistencyVerdict)
+_VERDICT_NAMES = _by_value(ConsistencyVerdict)
 
-# The verdict<TAB>expected tail of every valid #check line: a comparable
-# verdict names one of the groups, NotComparable names none.
-_CHECK_TAILS = {
-    f"{verdict.value}\t{group.value}": (verdict, group)
-    for verdict in (ConsistencyVerdict.CONSISTENT, ConsistencyVerdict.INCONSISTENT)
-    for group in StageGroup
+# The verdict<TAB>expected tail of a #check line, by table cell.
+_CELL_TEXT = {
+    (verdict, group): f"{verdict.value}\t{'-' if group is None else group.value}"
+    for verdict in ConsistencyVerdict
+    for group in (None, *StageGroup)
 }
-_CHECK_TAILS[f"{ConsistencyVerdict.NOT_COMPARABLE.value}\t-"] = (
-    ConsistencyVerdict.NOT_COMPARABLE,
-    None,
-)
+# Only a file holding both of these has a #check section.
+_PAIRED = frozenset({TNMAnnotation.annotator, StageAnnotation.annotator})
 
 
 def _parse_enum(members: dict, raw: str, what: str, line_no: int):
@@ -363,50 +359,41 @@ def deserialize_result(data: bytes) -> DocumentResult:
         raise MalformedFile("source text must end with a newline delimiter", 3)
 
     first_line = 4 + text.count("\n")
-    lines = content[text_end + 1 :].split("\n")
-    if lines[-1] != "":
-        raise MalformedFile("file must end with a newline", first_line + len(lines) - 1)
+    if not content.endswith("\n"):
+        last = first_line + content.count("\n", text_end + 1)
+        raise MalformedFile("file must end with a newline", last)
+    # Records, #diag lines, then the #check section: from the first line that
+    # starts with "#check\t", as no record or #diag line does, to the end.
+    check_at = content.find("\n#check\t", text_end) + 1 or len(content)
+    lines = content[text_end + 1 : check_at].split("\n")
     lines.pop()
 
-    # The sections come in order: records, #diag lines, then #check lines to
-    # the end, where _parse_check reports any line out of place.
     annotations: list[Annotation] = []
+    annotators: set[str] = set()
     i = 0
     while i < len(lines) and not lines[i].startswith("#"):
-        annotations.append(_parse_record(lines[i], text, first_line + i))
+        ann = _parse_record(lines[i], text, first_line + i)
+        annotations.append(ann)
+        annotators.add(ann.annotator)
         i += 1
     diagnostics: list[Diagnostic] = []
     while i < len(lines) and lines[i].startswith("#diag\t"):
         diagnostics.append(_parse_diag(lines[i], len(text), first_line + i))
         i += 1
-    reports: list[ConsistencyReport] = []
     if i < len(lines):
-        # A #check line is valid exactly when its two indexes are keys of
-        # these maps and its tail is a key of _CHECK_TAILS.  A miss goes to
-        # _parse_check, which raises the diagnostic.
-        tnm_at = {
-            str(k): a for k, a in enumerate(annotations) if isinstance(a, TNMAnnotation)
-        }
-        stage_at = {
-            str(k): a for k, a in enumerate(annotations) if isinstance(a, StageAnnotation)
-        }
-        for line_no, line in enumerate(lines[i:], first_line + i):
-            fields = line.split("\t", 3)
-            if len(fields) == 4 and fields[0] == "#check":
-                tnm = tnm_at.get(fields[1])
-                stage = stage_at.get(fields[2])
-                tail = _CHECK_TAILS.get(fields[3])
-                if tnm is not None and stage is not None and tail is not None:
-                    reports.append(ConsistencyReport(tnm, stage, *tail))
-                    continue
-            reports.append(_parse_check(line, annotations, line_no))
+        _parse_check(lines[i], annotations, first_line + i)  # raises: out of place
+    # The section must be what serialize_result writes for these records,
+    # which is nothing when they hold no (TNM, stage) pair.
+    section = content[check_at:]
+    expected = _check_section(annotations) if _PAIRED <= annotators else ""
+    if section != expected:
+        _reject_check_section(section, expected, annotations, first_line + len(lines))
 
     return DocumentResult(
         document_id=document_id,
         text=text,
         annotations=tuple(annotations),
         diagnostics=tuple(diagnostics),
-        consistency=tuple(reports),
     )
 
 
@@ -440,10 +427,8 @@ def _parse_diag(line: str, text_len: int, line_no: int) -> Diagnostic:
     return Diagnostic(span, _unescape(fields[3], line_no))
 
 
-def _parse_check(
-    line: str, annotations: list[Annotation], line_no: int
-) -> ConsistencyReport:
-    """Parse a line of the #check section field by field, raising the first
+def _parse_check(line: str, annotations: list[Annotation], line_no: int) -> None:
+    """Check a line of the #check section field by field, raising the first
     diagnostic that applies."""
     if not line.startswith("#check\t"):
         if line.startswith("#diag\t"):
@@ -454,36 +439,38 @@ def _parse_check(
     fields = line.split("\t")
     if len(fields) != 5:
         raise MalformedFile("#check needs 5 tab-separated fields", line_no)
-    tnm_idx = _parse_int(fields[1], "tnm record index", line_no)
-    stage_idx = _parse_int(fields[2], "stage record index", line_no)
-    if tnm_idx >= len(annotations) or not isinstance(
-        annotations[tnm_idx], TNMAnnotation
-    ):
-        raise MalformedFile(f"index {tnm_idx} is not a tnm record", line_no)
-    if stage_idx >= len(annotations) or not isinstance(
-        annotations[stage_idx], StageAnnotation
-    ):
-        raise MalformedFile(f"index {stage_idx} is not a stage record", line_no)
-    verdict = _parse_enum(_VERDICTS, fields[3], "verdict", line_no)
-    expected = None
+    for raw, cls in ((fields[1], TNMAnnotation), (fields[2], StageAnnotation)):
+        index = _parse_int(raw, f"{cls.annotator} record index", line_no)
+        if index >= len(annotations) or not isinstance(annotations[index], cls):
+            raise MalformedFile(f"index {index} is not a {cls.annotator} record", line_no)
+    verdict = _parse_enum(_VERDICT_NAMES, fields[3], "verdict", line_no)
     if fields[4] != "-":
-        expected = _parse_enum(_STAGES, fields[4], "stage group", line_no)
-    try:
-        return ConsistencyReport(
-            annotations[tnm_idx], annotations[stage_idx], verdict, expected
-        )
-    except ValueError as exc:
-        raise MalformedFile(str(exc), line_no) from None
+        _parse_enum(_STAGES, fields[4], "stage group", line_no)
+    if (fields[4] == "-") != (verdict is ConsistencyVerdict.NOT_COMPARABLE):
+        raise MalformedFile("expected group is set exactly when comparable", line_no)
+
+
+def _reject_check_section(
+    section: str, expected: str, annotations: list[Annotation], line_no: int
+) -> NoReturn:
+    """Raise for the #check *section* from *line_no*, which is not *expected*:
+    at its first malformed line, or else at the first line that differs."""
+    lines = section.split("\n")
+    for k, line in enumerate(lines[:-1]):
+        _parse_check(line, annotations, line_no + k)
+    # Both end in "", so a missing line differs at the end of the file.
+    for k, (line, want) in enumerate(zip(lines, expected.split("\n"))):
+        if line != want:
+            raise MalformedFile(
+                "#check section is not the pairing of the records: expected "
+                + (repr(want) if want else "the end of the file"),
+                line_no + k,
+            )
 
 
 def read_standoff(data: bytes) -> StandoffFile:
-    """Decode *data* with the strict ``deserialize_result`` and return its id,
-    text and annotation records.
-
-    Every line is checked, the ``#diag`` and ``#check`` lines too, and an
-    error raises as ``deserialize_result`` raises it; only the records are
-    returned.
-    """
+    """Decode *data* with the strict ``deserialize_result``, which checks every
+    line and raises as it does, and return its id, text and records."""
     result = deserialize_result(data)
     records = tuple(
         StandoffRecord(

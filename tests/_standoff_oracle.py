@@ -1,12 +1,17 @@
 """The line-by-line standoff decoder: one validation call per field.
 
 The executable specification of ``standoff.deserialize_result``, which reads
-enum fields and ``#check`` lines by table lookup and runs these diagnostics
-only when a lookup misses.  For every input both must return equal results
-or raise the same exception class with the same line number
+enum fields by table lookup, compares the ``#check`` section with the one the
+records give as one string, and runs these diagnostics only when a lookup or
+that comparison misses.  For every input both must return equal results or
+raise the same exception class with the same line number
 (``test_standoff.py`` checks this property on serialized pipeline results
 and single-line mutations of them).  Integers are canonical ASCII decimals:
-``0`` or ``[1-9][0-9]*``.
+``0`` or ``[1-9][0-9]*``.  The ``#check`` lines must be exactly the pairing
+of the records: every (TNM, stage) pair in record order, TNM-major, checked
+by ``staging.check_consistency`` and named by ``list.index``; the first
+line that differs, or the end of the file when lines are missing, is the
+error.
 """
 
 import re
@@ -34,6 +39,7 @@ from oncospan.staging import (
     TCategory,
     TNMAnnotation,
     TnmPrefix,
+    check_consistency,
 )
 
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
@@ -252,7 +258,7 @@ def deserialize_result(data: bytes) -> DocumentResult:
 
     annotations = []
     diagnostics = []
-    reports = []
+    checks = []
     section = "records"
     for offset, line in enumerate(lines):
         line_no = first_line + offset
@@ -271,7 +277,8 @@ def deserialize_result(data: bytes) -> DocumentResult:
             fields = line.split("\t")
             if len(fields) != 5:
                 raise MalformedFile("#check needs 5 tab-separated fields", line_no)
-            reports.append(_parse_check(fields, annotations, line_no))
+            _parse_check(fields, annotations, line_no)
+            checks.append((line_no, line))
             continue
         if line.startswith("#"):
             raise MalformedFile(f"unknown directive {line.split(chr(9))[0]!r}", line_no)
@@ -296,10 +303,35 @@ def deserialize_result(data: bytes) -> DocumentResult:
         except ValueError as exc:
             raise MalformedFile(str(exc), line_no) from None
 
+    # The #check lines must be the records' pairing, line for line; a
+    # missing line is reported where it would start, at the end of the file.
+    pairing = [
+        _check_line(annotations, check_consistency(tnm, stage))
+        for tnm in annotations
+        if isinstance(tnm, TNMAnnotation)
+        for stage in annotations
+        if isinstance(stage, StageAnnotation)
+    ]
+    for k, want in enumerate(pairing):
+        if k == len(checks):
+            raise MalformedFile("missing #check line", first_line + len(lines))
+        if checks[k][1] != want:
+            raise MalformedFile("#check line differs", checks[k][0])
+    if len(checks) > len(pairing):
+        raise MalformedFile("extra #check line", checks[len(pairing)][0])
+
     return DocumentResult(
         document_id=document_id,
         text=text,
         annotations=tuple(annotations),
         diagnostics=tuple(diagnostics),
-        consistency=tuple(reports),
+    )
+
+
+def _check_line(annotations, report):
+    """The #check line of *report*, naming each record by its first index."""
+    expected = "-" if report.expected is None else report.expected.value
+    return (
+        f"#check\t{annotations.index(report.tnm)}\t"
+        f"{annotations.index(report.stage)}\t{report.verdict.value}\t{expected}"
     )

@@ -2,17 +2,25 @@
 
 The executable specification of ``pipeline.process_document``, which builds
 views only for the sentences that hold an anchor of an enabled annotator.
-Both must return equal results for every document (``test_pipeline.py``
-checks this property on generated clinical text).
+Both must return equal results for every document, and the result's derived
+``consistency`` must equal the reports checked here pair by pair
+(``test_pipeline.py`` checks this property on generated clinical text).
 """
 
 from oncospan import mutation, perfstatus, staging
 from oncospan.document import Document, SentenceView, split_sentences
 from oncospan.pipeline import AnnotatorKind, DocumentResult, Pipeline
-from oncospan.staging import StageAnnotation, TNMAnnotation, check_consistency
+from oncospan.staging import (
+    ConsistencyReport,
+    StageAnnotation,
+    TNMAnnotation,
+    check_consistency,
+)
 
 
-def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
+def process_document(
+    pipeline: Pipeline, document: Document
+) -> tuple[DocumentResult, list[ConsistencyReport]]:
     enabled = pipeline.config.enabled_annotators
     annotations = []
     diagnostics = []
@@ -42,10 +50,10 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
         for tnm in tnms:
             for stage in stages:
                 reports.append(check_consistency(tnm, stage))
-    return DocumentResult(
+    result = DocumentResult(
         document_id=document.id,
         text=document.text,
         annotations=tuple(annotations),
         diagnostics=tuple(diagnostics),
-        consistency=tuple(reports),
     )
+    return result, reports

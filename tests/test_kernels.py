@@ -2,11 +2,13 @@
 
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _textops_py
 from oncospan import _textops
+from oncospan.corpusgen import generate_corpus
 from oncospan.document import ABBREVIATION_STOPLIST
 
 # Mix of plain ASCII, Spanish clinical text, digits, symbols and a few
@@ -171,7 +173,7 @@ def test_irregular_character_recorded_before_its_fold_entry(monkeypatch):
             super().__setitem__(code, folded)
 
     monkeypatch.setattr(_textops, "_FOLD", RecordingTable())
-    monkeypatch.setattr(_textops, "_IRREGULAR", set())
+    monkeypatch.setattr(_textops, "_IRREGULAR", {})
     text = "a\u0301 \uac00"
     assert _textops.normalize_text(text) == _textops_py.normalize_text(text)
     assert recorded_when_written == [True, True]
@@ -186,14 +188,13 @@ def test_astral_characters_leave_the_tables_unchanged(monkeypatch):
     text = " ".join(
         "".join(map(chr, codes[i : i + 7])) + ".\n" for i in range(0, len(codes), 7)
     )
-    # The text's BMP characters: a bare combining mark sends the fold
-    # through the offset loop, which reads the table for ASCII too.
+    # The text's BMP characters, through the offset loop as well.
     _textops.normalize_text(" .\n\u0301")
     _textops.token_spans(" .\n", 0, 3)
     sizes = len(_textops._FOLD), len(_textops._CLASS)
     norm, offsets = _textops.normalize_text(text)
     assert (norm, list(offsets)) == _textops_py.normalize_text(text)
-    assert {"\U0001d15e", "\U0001d167"} <= _textops._IRREGULAR
+    assert {"\U0001d15e", "\U0001d167"} <= _textops._IRREGULAR.keys()
     assert _textops.token_spans(text, 0, len(text)) == _textops_py.token_spans(
         text, 0, len(text)
     )
@@ -213,7 +214,7 @@ def test_first_fold_of_new_irregular_characters_compiles_at_most_once(monkeypatc
     # Each new Hangul syllable folds to three jamo.  Recording one must not
     # rebuild anything that grows with the characters recorded so far.
     monkeypatch.setattr(_textops, "_FOLD", _textops._FoldTable())
-    monkeypatch.setattr(_textops, "_IRREGULAR", set())
+    monkeypatch.setattr(_textops, "_IRREGULAR", {})
     text = "".join(map(chr, range(0xAC00, 0xAC00 + 4000)))
     compiled = []
     compile_ = re.compile
@@ -240,3 +241,36 @@ def test_lower_leaves_every_fold_unchanged(monkeypatch):
         if folded.lower() != folded:
             changed.append(hex(code))
     assert changed == []
+
+
+# About 20 kB of accented notes, into which one character whose fold is not
+# one character is put first, in the middle or last.
+_LONG = " ".join(doc.text for doc in generate_corpus(20, seed=7))
+
+
+@pytest.mark.parametrize("irregular", ["한", "\u0301", "é\u0301한ñ", "\U0001d15e"])
+@pytest.mark.parametrize("where", [0, len(_LONG) // 2, len(_LONG)])
+def test_offsets_of_long_text_with_one_irregular_character(irregular, where):
+    text = _LONG[:where] + irregular + _LONG[where:]
+    norm, offsets = _textops.normalize_text(text)
+    assert isinstance(offsets, list)
+    assert (norm, offsets) == _textops_py.normalize_text(text)
+
+
+def test_fold_table_read_once_per_non_ascii_character(monkeypatch):
+    # The offsets of a text holding an irregular character are built without
+    # reading the fold table again, and never for its ASCII characters.
+    lookups = []
+
+    class CountingTable(_textops._FoldTable):
+        def __getitem__(self, code):
+            lookups.append(code)
+            return super().__getitem__(code)
+
+    monkeypatch.setattr(_textops, "_FOLD", CountingTable())
+    monkeypatch.setattr(_textops, "_IRREGULAR", {})
+    for text in (_LONG + "한", "\u0301" + _LONG, _LONG):
+        lookups.clear()
+        norm, offsets = _textops.normalize_text(text)
+        assert (norm, list(offsets)) == _textops_py.normalize_text(text)
+        assert 0 < len(lookups) <= sum(not ch.isascii() for ch in text)

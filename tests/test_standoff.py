@@ -1,9 +1,10 @@
 import dataclasses
+import itertools
 import re
 import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _standoff_oracle
@@ -23,6 +24,7 @@ from oncospan.mutation import ExonKind, Gene, PointVariant
 from oncospan.perfstatus import PSScale
 from oncospan.pipeline import Annotation
 from oncospan.staging import (
+    ConsistencyReport,
     ConsistencyVerdict,
     MCategory,
     NCategory,
@@ -78,30 +80,27 @@ def test_check_indexes_first_of_equal_annotations(default_pipeline):
     tnm, stage = result.annotations
     doubled = dataclasses.replace(result, annotations=(tnm, tnm, stage, stage))
     checks = [ln for ln in _lines(serialize_result(doubled)) if ln.startswith("#check\t")]
-    assert checks == ["#check\t0\t2\tConsistent\tIA1"]
+    assert checks == ["#check\t0\t2\tConsistent\tIA1"] * 4
 
 
-def test_check_indexes_equal_copies_by_value(default_pipeline):
-    # Reports holding records equal to, but not the same objects as, the
-    # first ones name the first equal record: copies that are later records
-    # of the result, and copies that are not records of it at all.
-    result = default_pipeline.process_document(Document("stg", STAGING_NOTE))
-    tnm, stage = result.annotations
-    (report,) = result.consistency
-    later = dataclasses.replace(tnm), dataclasses.replace(stage)
-    outside = dataclasses.replace(tnm), dataclasses.replace(stage)
-    for copy, original in zip(later + outside, (tnm, stage) * 2):
-        assert copy == original and copy is not original
-    doubled = dataclasses.replace(
-        result,
-        annotations=(tnm, stage, *later),
-        consistency=tuple(
-            dataclasses.replace(report, tnm=t, stage=s)
-            for t, s in (later, outside, (tnm, stage))
-        ),
-    )
-    checks = [ln for ln in _lines(serialize_result(doubled)) if ln.startswith("#check\t")]
-    assert checks == ["#check\t0\t1\tConsistent\tIA1"] * 3
+def test_check_indexes_name_the_first_equal_record(default_pipeline):
+    # Records equal to, but not the same objects as, earlier ones are named
+    # by the earlier index, in every line that pairs them.
+    text = "pT2aN0M0, estadio IB. Luego T3 N1 M0: estadio IIIA; estadio IV."
+    result = default_pipeline.process_document(Document("d", text))
+    tnm1, stage1, tnm2, stage2, stage3 = result.annotations
+    copies = [dataclasses.replace(a) for a in (stage2, tnm1, stage3)]
+    annotations = (tnm1, stage1, stage2, *copies, tnm2, stage3, tnm1)
+    data = serialize_result(dataclasses.replace(result, annotations=annotations))
+    checks = [ln.split("\t") for ln in _lines(data) if ln.startswith("#check\t")]
+    tnms = [a for a in annotations if a.annotator == "tnm"]
+    stages = [a for a in annotations if a.annotator == "stage"]
+    assert [(int(t), int(s)) for _, t, s, _, _ in checks] == [
+        (annotations.index(t), annotations.index(s)) for t in tnms for s in stages
+    ]
+    assert {int(f[1]) for f in checks} == {0, 6}
+    assert {int(f[2]) for f in checks} == {1, 2, 5}
+    assert serialize_result(deserialize_result(data)) == data
 
 
 def test_round_trip_fixtures(default_pipeline):
@@ -516,3 +515,91 @@ def test_decoder_equals_line_by_line_oracle(default_pipeline, parts, data):
     assert _decoded(deserialize_result, mutated) == expected
     if isinstance(expected, DocumentResult):
         assert serialize_result(expected) == mutated
+
+
+# Notes with several (TNM, stage) pairs, and one with none.
+_PAIRED_NOTES = [
+    STAGING_NOTE,
+    "pT2aN0M0, estadio IB. Luego T3 N1 M0: estadio IIIA; estadio IV.",
+    "cT2 N0 M0, estadio IB. T1 N0 M0, estadio I. ypT1b N2 M1b, estadio IV.",
+    "Estadio IIIA con T1N0M0. ECOG 1. EGFR mutado.",
+]
+_VERDICT_FLIP = {"Consistent": "Inconsistent", "Inconsistent": "Consistent"}
+
+
+def _mutate_section(lines: list[str], draw) -> list[str]:
+    """*lines* with one well-formed change: a verdict or group flipped, or a
+    line dropped, duplicated or swapped with another."""
+    how = draw(st.sampled_from(["verdict", "group", "drop", "duplicate", "swap"]))
+    k = draw(st.integers(0, len(lines) - 1))
+    lines = list(lines)
+    fields = lines[k].split("\t")
+    if how == "verdict" and fields[3] in _VERDICT_FLIP:
+        fields[3] = _VERDICT_FLIP[fields[3]]
+        lines[k] = "\t".join(fields)
+    elif how == "group" and fields[4] != "-":
+        others = [g.value for g in StageGroup if g.value != fields[4]]
+        fields[4] = draw(st.sampled_from(others))
+        lines[k] = "\t".join(fields)
+    elif how == "drop":
+        del lines[k]
+    elif how == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[j], lines[k] = lines[k], lines[j]
+    return lines
+
+
+@given(st.lists(st.sampled_from(_PAIRED_NOTES), min_size=1, max_size=3), st.data())
+@settings(deadline=None, max_examples=200)
+def test_section_not_the_pairing_rejected_at_first_differing_line(
+    default_pipeline, parts, data
+):
+    text = "\n\n".join(parts)
+    serialized = _serialized(default_pipeline, text).decode("utf-8")
+    at = serialized.index("\n#check\t") + 1
+    head, section = serialized[:at], serialized[at:].split("\n")[:-1]
+    mutated = _mutate_section(section, data.draw)
+    differing = [
+        k for k, (a, b) in enumerate(itertools.zip_longest(section, mutated)) if a != b
+    ]
+    assume(differing)
+    file = head + "".join(f"{ln}\n" for ln in mutated)
+    with pytest.raises(MalformedFile) as exc:
+        deserialize_result(file.encode("utf-8"))
+    assert exc.value.line_no == head.count("\n") + 1 + differing[0]
+
+
+@pytest.mark.parametrize(
+    "text", [MUTATION_NOTE, PERFSTATUS_NOTE, "pT1a N0 M0.", "Estadio IIIA.", ""]
+)
+def test_section_appended_to_a_file_without_pairs_rejected(default_pipeline, text):
+    data = _serialized(default_pipeline, text)
+    assert b"#check" not in data
+    lines = data.count(b"\n")
+    for check in (b"#check\t0\t0\tConsistent\tIA1\n", b"#check\t0\t1\tNotComparable\t-\n"):
+        with pytest.raises(MalformedFile) as exc:
+            deserialize_result(data + check)
+        assert exc.value.line_no == lines + 1
+
+
+def test_reports_built_only_when_read(default_pipeline, monkeypatch):
+    built = []
+    original = ConsistencyReport.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ConsistencyReport, "__post_init__", counting)
+    text = "cT2 N0 M0, estadio IB. T1 N0 M0, estadio I. ypT1b N2 M1b, estadio IV."
+    result = default_pipeline.process_document(Document("d", text))
+    back = deserialize_result(serialize_result(result))
+    assert back == result
+    assert built == []
+    reports = back.consistency
+    assert len(built) == len(reports) == 9
+    assert [(r.tnm.raw, r.stage.raw) for r in reports] == [
+        (t, s) for t in ("cT2 N0 M0", "T1 N0 M0", "ypT1b N2 M1b") for s in ("IB", "I", "IV")
+    ]
