@@ -115,13 +115,16 @@ def _check_section(annotations: Sequence[Annotation]) -> str:
             tnms.append((first.setdefault(ann, i), ann))
         elif isinstance(ann, StageAnnotation):
             stages.append((first.setdefault(ann, i), _STAGE_INDEX[ann.stage]))
+    if not stages:
+        return ""
     # The TNMs that share a verdict row share the tails of their lines.
     tails: dict[int, list[str]] = {}
     parts = []
-    for i, tnm in tnms if stages else ():
+    for i, tnm in tnms:
         row = _VERDICTS[tnm.t, tnm.n, tnm.m]
         if id(row) not in tails:
-            tails[id(row)] = [f"{j}\t{_CELL_TEXT[row[k]]}\n" for j, k in stages]
+            text = _ROW_TEXT[id(row)]
+            tails[id(row)] = [f"{j}\t{text[k]}\n" for j, k in stages]
         head = f"#check\t{i}\t"
         parts.append(head + head.join(tails[id(row)]))
     return "".join(parts)
@@ -174,11 +177,10 @@ _STAGES = _by_value(StageGroup)
 _SCALES = _by_value(PSScale)
 _VERDICT_NAMES = _by_value(ConsistencyVerdict)
 
-# The verdict<TAB>expected tail of a #check line, by table cell.
-_CELL_TEXT = {
-    (verdict, group): f"{verdict.value}\t{'-' if group is None else group.value}"
-    for verdict in ConsistencyVerdict
-    for group in (None, *StageGroup)
+# The verdict<TAB>expected of each cell, by row id; the table keeps rows alive.
+_ROW_TEXT = {
+    id(row): [f"{verdict.value}\t{'-' if group is None else group.value}" for verdict, group in row]
+    for row in _VERDICTS.values()
 }
 # Only a file holding both of these has a #check section.
 _PAIRED = frozenset({TNMAnnotation.annotator, StageAnnotation.annotator})
