@@ -64,7 +64,6 @@ from .staging import (
     TNMAnnotation,
     TnmPrefix,
     check_consistency,
-    consistency_reports,
     normalize_stage,
     parse_stage,
     parse_tnm,

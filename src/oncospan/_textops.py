@@ -137,19 +137,17 @@ _TOKEN_RE = re.compile(r"(d+)(?![dw])|([dw]+)|(s)")
 _KIND_BY_GROUP = (None, NUMBER, WORD, SYMBOL)
 
 
-def token_spans(text: str, begin: int, end: int) -> list[tuple[int, int, int]]:
-    """Tokenize ``text[begin:end]`` into ``(begin, end, kind)`` triples.
+def token_spans(text: str) -> list[tuple[int, int, int]]:
+    """Tokenize *text* into ``(begin, end, kind)`` triples.
 
-    Offsets are absolute in *text*.  Kind codes: 0 word, 1 number,
-    2 symbol.  Maximal alphanumeric runs form words (numbers when every
-    character is a decimal digit); every other non-whitespace character is
-    its own symbol token.
+    Kind codes: 0 word, 1 number, 2 symbol.  Maximal alphanumeric runs form
+    words (numbers when every character is a decimal digit); every other
+    non-whitespace character is its own symbol token.
     """
-    classes = text[begin:end].translate(_CLASS)
     kinds = _KIND_BY_GROUP
     return [
-        (m.start() + begin, m.end() + begin, kinds[m.lastindex])
-        for m in _TOKEN_RE.finditer(classes)
+        (m.start(), m.end(), kinds[m.lastindex])
+        for m in _TOKEN_RE.finditer(text.translate(_CLASS))
     ]
 
 

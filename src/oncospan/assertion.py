@@ -4,9 +4,9 @@ Cues are short phrases looked up in a window of tokens around the target
 mention, after case/accent folding.  Negative evidence always beats
 positive evidence, and a positive cue preceded by "no" inside the window
 counts as negative ("no se detecta mutación" must not fire as positive).
-``polarity_in_view`` applies the rule to the tokens of a sentence view:
-phrase cues are compared with their folded surfaces, symbol cues with the
-tokens as written.
+``polarity_in_view`` applies the rule to the folded token surfaces of a
+sentence view.  Phrase cues come from the lexicon; the window widths and
+the symbol cues are fixed.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,13 @@ from .document import SentenceView, Span, normalize_word
 from .errors import ConflictingEntry, MalformedLexicon
 
 MAX_PHRASE_WORDS = 4
+# Tokens on each side of the mention searched for phrase cues, and for
+# symbol cues.  No character but "+" and "-" folds to them, so a folded
+# surface equals one of them only where the written one does.
+WINDOW = 5
+SYMBOL_ADJACENCY = 1
+SYMBOL_POSITIVE = frozenset({"+"})
+SYMBOL_NEGATIVE = frozenset({"-"})
 
 
 class Polarity(Enum):
@@ -59,18 +66,12 @@ def _phrase_key(phrase: str) -> tuple[str, ...]:
 class CueLexicon:
     positive: frozenset[tuple[str, ...]]
     negative: frozenset[tuple[str, ...]]
-    symbol_positive: frozenset[str] = frozenset({"+"})
-    symbol_negative: frozenset[str] = frozenset({"-"})
-    window: int = 5
-    symbol_adjacency: int = 1
 
     def __post_init__(self):
         clash = self.positive & self.negative
         if clash:
             listing = ", ".join(" ".join(p) for p in sorted(clash))
             raise ConflictingEntry(f"phrases in both polarities: {listing}")
-        if self.window < 1 or self.symbol_adjacency < 1:
-            raise ValueError("window sizes must be at least 1")
         for phrase in self.positive | self.negative:
             if not 1 <= len(phrase) <= MAX_PHRASE_WORDS:
                 raise ValueError(f"phrase length out of range: {phrase!r}")
@@ -123,7 +124,7 @@ def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> P
     positive = False
     # Phrase cues, each side of the target separately; a phrase must fit
     # entirely inside the window on its side.
-    sides = _around(rng, n, lexicon.window)
+    sides = _around(rng, n, WINDOW)
     positive_starts: list[int] = []
     for side in sides:
         for i in side:
@@ -139,13 +140,11 @@ def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> P
         earliest_no = next((k for side in sides for k in side if norm[k] == "no"), n)
         negative = max(positive_starts) > earliest_no
     # Symbol cues immediately adjacent to the target.
-    for side in _around(rng, n, lexicon.symbol_adjacency):
+    for side in _around(rng, n, SYMBOL_ADJACENCY):
         for i in side:
-            begin, end, _ = view.tokens[i]
-            surf = view.text[begin:end]
-            if surf in lexicon.symbol_negative:
+            if norm[i] in SYMBOL_NEGATIVE:
                 negative = True
-            elif surf in lexicon.symbol_positive:
+            elif norm[i] in SYMBOL_POSITIVE:
                 positive = True
 
     if negative:

@@ -5,6 +5,8 @@
     oncospan query    --store <dir> --filter <expr>
     oncospan check    --input <dir|file>
 
+``--jobs`` takes any N >= 1 and annotates serially whatever its value.
+
 Exit codes: 0 success, 1 input error (missing files, malformed lexicon or
 standoff data, bad flag values), 2 internal error.
 """
@@ -66,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="accepted for compatibility; any N >= 1 annotates serially",
+        help="accepted for compatibility and ignored: any N >= 1 annotates serially",
     )
 
     query = sub.add_parser("query", help="query a directory of standoff files")
@@ -136,7 +138,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         lexicon_path=args.lexicon,
     )
     pipeline = build_pipeline(config)
-    results = process_corpus(pipeline, documents, jobs=args.jobs)
+    results = process_corpus(pipeline, documents)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for result in results:

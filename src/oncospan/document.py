@@ -15,9 +15,8 @@ from typing import Sequence
 from . import _textops
 from .errors import OutOfBounds
 
-# Tokens before a period that never end a sentence.  Extend per corpus via
-# the extra_abbreviations argument of split_sentences; single letters
-# ("J.") are always treated as abbreviations.
+# Tokens before a period that never end a sentence; single letters ("J.")
+# are always treated as abbreviations.
 ABBREVIATION_STOPLIST = frozenset({"dr", "dra", "sr", "sra", "vs", "fig", "pag"})
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -83,13 +82,10 @@ def covered_text(document: Document, span: Span) -> str:
     return document.text[span.begin : span.end]
 
 
-def split_sentences(
-    text: str, extra_abbreviations: frozenset[str] = frozenset()
-) -> list[Sentence]:
-    abbrevs = ABBREVIATION_STOPLIST | extra_abbreviations
+def split_sentences(text: str) -> list[Sentence]:
     return [
         Sentence(Span(b, e), i)
-        for i, (b, e) in enumerate(_textops.sentence_spans(text, abbrevs))
+        for i, (b, e) in enumerate(_textops.sentence_spans(text, ABBREVIATION_STOPLIST))
     ]
 
 
@@ -136,7 +132,7 @@ class SentenceView:
     @property
     def tokens(self) -> list[tuple[int, int, int]]:
         if self._tokens is None:
-            self._tokens = _textops.token_spans(self.text, 0, len(self.text))
+            self._tokens = _textops.token_spans(self.text)
         return self._tokens
 
     @property

@@ -2,11 +2,12 @@
 
 Normalization runs once per document.  Each annotator module declares
 anchors: literals on the folded shadow, one of which every one of its
-annotations contains (TNM declares a pattern instead).  The note is never
-split as a whole: only the sentences holding an anchor of an enabled
-annotator are looked up, each gets one view, and each annotator runs only
-on the sentences that hold one of its own anchors.
-The pipeline object is immutable after build.
+annotations contains (TNM declares a pattern instead).  ``_CALLS`` lists
+each annotator once: the kinds that enable it, its anchors and its place
+in the run order.  The note is never split as a whole: only the sentences
+holding an anchor of an enabled annotator are looked up, each gets one
+view, and each annotator runs only on the sentences that hold one of its
+own anchors.  The pipeline object is immutable after build.
 """
 
 import re
@@ -44,26 +45,41 @@ _GENE_BY_KIND = {
     AnnotatorKind.ROS1: Gene.ROS1,
 }
 
-# The annotator calls, in the order they run on a sentence (and so the
-# order of their diagnostics), and the anchors each one needs: literals,
-# or for TNM a pattern.
-_MUTATION, _TNM, _STAGE, _ECOG, _KARNOFSKY = range(5)
-_LITERALS_BY_CALL = {
-    _MUTATION: mutation.ANCHOR,
-    _STAGE: staging.STAGE_ANCHOR,
-    _ECOG: perfstatus.ECOG_ANCHOR,
-    _KARNOFSKY: perfstatus.KARNOFSKY_ANCHOR,
-}
-_PATTERN_BY_CALL = {_TNM: staging.TNM_ANCHOR}
-_CALL_BY_KIND = {
-    AnnotatorKind.EGFR: _MUTATION,
-    AnnotatorKind.ALK: _MUTATION,
-    AnnotatorKind.ROS1: _MUTATION,
-    AnnotatorKind.TNM: _TNM,
-    AnnotatorKind.STAGE: _STAGE,
-    AnnotatorKind.ECOG: _ECOG,
-    AnnotatorKind.KARNOFSKY: _KARNOFSKY,
-}
+# One row per annotator, in the order the annotators run on a sentence (and
+# so the order of their diagnostics): the kinds that enable it, its anchors
+# (literals, or for TNM a compiled pattern) and its call.  Each call looks
+# its annotator up at call time, so a wrapper set on a module attribute
+# sees every call.
+_CALLS = (
+    (
+        tuple(_GENE_BY_KIND),
+        mutation.ANCHOR,
+        lambda view, pipeline: (
+            mutation.annotate_view(view, pipeline.lexicon, pipeline._genes),
+            (),
+        ),
+    ),
+    (
+        (AnnotatorKind.TNM,),
+        re.compile(staging.TNM_ANCHOR),
+        lambda view, pipeline: (staging.tnm_in_view(view), ()),
+    ),
+    (
+        (AnnotatorKind.STAGE,),
+        staging.STAGE_ANCHOR,
+        lambda view, pipeline: (staging.stages_in_view(view), ()),
+    ),
+    (
+        (AnnotatorKind.ECOG,),
+        perfstatus.ECOG_ANCHOR,
+        lambda view, pipeline: perfstatus.ecog_in_view(view),
+    ),
+    (
+        (AnnotatorKind.KARNOFSKY,),
+        perfstatus.KARNOFSKY_ANCHOR,
+        lambda view, pipeline: perfstatus.karnofsky_in_view(view),
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -81,19 +97,17 @@ class DocumentResult:
 
     @property
     def consistency(self) -> tuple[ConsistencyReport, ...]:
-        """Every (TNM, stage) pair's 8th-edition check, built on each read."""
-        return tuple(
-            staging.consistency_reports(
-                [a for a in self.annotations if isinstance(a, TNMAnnotation)],
-                [a for a in self.annotations if isinstance(a, StageAnnotation)],
-            )
-        )
+        """Every (TNM, stage) pair's 8th-edition check, TNM-major, built on
+        each read."""
+        tnms = [a for a in self.annotations if isinstance(a, TNMAnnotation)]
+        stages = [a for a in self.annotations if isinstance(a, StageAnnotation)]
+        return tuple(staging.check_consistency(t, s) for t in tnms for s in stages)
 
 
 class Pipeline:
     """Immutable bundle of compiled rules; see build_pipeline."""
 
-    __slots__ = ("config", "lexicon", "_genes", "_anchors", "_patterns")
+    __slots__ = ("config", "lexicon", "_genes", "_calls")
 
     def __init__(self, config: PipelineConfig, lexicon: CueLexicon):
         self.config = config
@@ -102,16 +116,11 @@ class Pipeline:
         self._genes = frozenset(
             gene for kind, gene in _GENE_BY_KIND.items() if kind in enabled
         )
-        calls = sorted({_CALL_BY_KIND[kind] for kind in enabled})
-        self._anchors = tuple(
-            (call, literal)
-            for call in calls
-            for literal in _LITERALS_BY_CALL.get(call, ())
-        )
-        self._patterns = tuple(
-            (call, re.compile(_PATTERN_BY_CALL[call]))
-            for call in calls
-            if call in _PATTERN_BY_CALL
+        # The indexes in _CALLS of the enabled annotators.
+        self._calls = tuple(
+            row
+            for row, (kinds, _, _) in enumerate(_CALLS)
+            if any(kind in enabled for kind in kinds)
         )
 
     def process_document(self, document: Document) -> DocumentResult:
@@ -132,22 +141,23 @@ def build_pipeline(config: PipelineConfig) -> Pipeline:
 def _anchor_hits(
     pipeline: Pipeline, norm: str, offsets: Sequence[int]
 ) -> list[tuple[int, int]]:
-    """Sorted ``(index in the text, call)`` of each anchor start on the
-    shadow *norm*; *offsets* maps the shadow back to the text."""
+    """Sorted ``(index in the text, row in _CALLS)`` of each anchor start
+    on the shadow *norm*; *offsets* maps the shadow back to the text."""
     # Each literal is found at every start, overlapping or not.  Matches of
     # a pattern do not overlap, which hides no start: a TNM match holds one
     # "t", so no other match can start inside it.
-    hits = [
-        (offsets[m.start()], call)
-        for call, pattern in pipeline._patterns
-        for m in pattern.finditer(norm)
-    ]
+    hits: list[tuple[int, int]] = []
     find = norm.find
-    for call, literal in pipeline._anchors:
-        at = find(literal)
-        while at >= 0:
-            hits.append((offsets[at], call))
-            at = find(literal, at + 1)
+    for row in pipeline._calls:
+        anchors = _CALLS[row][1]
+        if isinstance(anchors, re.Pattern):
+            hits += [(offsets[m.start()], row) for m in anchors.finditer(norm)]
+            continue
+        for literal in anchors:
+            at = find(literal)
+            while at >= 0:
+                hits.append((offsets[at], row))
+                at = find(literal, at + 1)
     hits.sort()
     return hits
 
@@ -161,30 +171,16 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
     # anchors starts.
     live: list[tuple[Span, set[int]]] = []
     end = 0
-    for at, call in _anchor_hits(pipeline, *folded):
+    for at, row in _anchor_hits(pipeline, *folded):
         if at >= end:
             begin, end = _textops.sentence_span_at(text, at, end, ABBREVIATION_STOPLIST)
-            calls: set[int] = set()
-            live.append((Span(begin, end), calls))
-        calls.add(call)
-    # The annotators are looked up at call time, so a wrapper set on a
-    # module attribute sees every call.
-    for span, calls in live:
+            rows: set[int] = set()
+            live.append((Span(begin, end), rows))
+        rows.add(row)
+    for span, rows in live:
         view = SentenceView.in_folded(text, folded, span)
-        if _MUTATION in calls:
-            annotations.extend(
-                mutation.annotate_view(view, pipeline.lexicon, pipeline._genes)
-            )
-        if _TNM in calls:
-            annotations.extend(staging.tnm_in_view(view))
-        if _STAGE in calls:
-            annotations.extend(staging.stages_in_view(view))
-        if _ECOG in calls:
-            anns, diags = perfstatus.ecog_in_view(view)
-            annotations.extend(anns)
-            diagnostics.extend(diags)
-        if _KARNOFSKY in calls:
-            anns, diags = perfstatus.karnofsky_in_view(view)
+        for row in sorted(rows):
+            anns, diags = _CALLS[row][2](view, pipeline)
             annotations.extend(anns)
             diagnostics.extend(diags)
     annotations.sort(key=lambda a: (a.span.begin, a.span.end, a.annotator))
@@ -197,17 +193,15 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
 
 
 def process_corpus(
-    pipeline: Pipeline, documents: Sequence[Document], jobs: int = 1
+    pipeline: Pipeline, documents: Sequence[Document]
 ) -> list[DocumentResult]:
-    """Annotate *documents* and return their results sorted by document id.
+    """Annotate *documents* in this thread and return their results sorted
+    by document id.
 
-    *jobs* must be at least 1, and every value runs the documents serially
-    in this thread.  The annotators are pure Python, so worker threads only
-    take turns on the interpreter lock (two measured slower than one), and
-    a process pool would add a second interpreter's memory to the run.
+    The annotators are pure Python, so worker threads would only take turns
+    on the interpreter lock (two measured slower than one), and a process
+    pool would add a second interpreter's memory to the run.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     seen: set[str] = set()
     for doc in documents:
         if doc.id in seen:

@@ -17,7 +17,7 @@ stage.  A ``ConsistencyReport`` is built only when asked for, as
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 from .document import SentenceView, Span
 from .errors import AmbiguousCategory, InvalidStage
@@ -291,20 +291,6 @@ def check_consistency(tnm: TNMAnnotation, stage: StageAnnotation) -> Consistency
     return ConsistencyReport(tnm, stage, verdict, expected)
 
 
-def consistency_reports(
-    tnms: Sequence[TNMAnnotation], stages: Sequence[StageAnnotation]
-) -> list[ConsistencyReport]:
-    """``check_consistency`` of every (TNM, stage) pair, TNM-major."""
-    columns = [(stage, _STAGE_INDEX[stage.stage]) for stage in stages]
-    reports = []
-    for tnm in tnms:
-        row = _VERDICTS[tnm.t, tnm.n, tnm.m]
-        reports += [
-            ConsistencyReport(tnm, stage, *row[i]) for stage, i in columns
-        ]
-    return reports
-
-
 def stage_covers(written: StageGroup, expected: StageGroup) -> bool:
     """True when *written* equals *expected* or coarsely subsumes it."""
     if written is expected:
@@ -386,6 +372,5 @@ __all__ = [
     "normalize_stage",
     "tnm_to_stage_group",
     "check_consistency",
-    "consistency_reports",
     "stage_covers",
 ]

@@ -35,6 +35,7 @@ from oncospan import (
     serialize_result,
     tnm_to_stage_group,
 )
+from oncospan.cli import cli_main
 from oncospan.corpusgen import generate_corpus
 from oncospan.mutation import ExonKind, MutationAnnotation
 from oncospan.perfstatus import PSAnnotation
@@ -51,7 +52,7 @@ def corpus_docs():
 
 @pytest.fixture(scope="module")
 def corpus_results(default_pipeline, corpus_docs):
-    return process_corpus(default_pipeline, corpus_docs, jobs=1)
+    return process_corpus(default_pipeline, corpus_docs)
 
 
 @pytest.mark.criterion(1, "mutation fixture: 3 annotations, < 1 s")
@@ -194,7 +195,7 @@ def test_criterion_6_notation_robustness():
 
 
 @pytest.mark.criterion(7, "corpus invariants: offsets, round-trip, parallel identity")
-def test_criterion_7_corpus_invariants(default_pipeline, corpus_docs, corpus_results):
+def test_criterion_7_corpus_invariants(corpus_docs, corpus_results, tmp_path):
     assert len(corpus_results) == CORPUS_SIZE
     ids = [r.document_id for r in corpus_results]
     assert ids == sorted(ids) and len(set(ids)) == CORPUS_SIZE
@@ -217,10 +218,20 @@ def test_criterion_7_corpus_invariants(default_pipeline, corpus_docs, corpus_res
             )
     assert total > 0
 
-    parallel = process_corpus(default_pipeline, corpus_docs, jobs=4)
-    serial_bytes = b"".join(serialize_result(r) for r in corpus_results)
-    parallel_bytes = b"".join(serialize_result(r) for r in parallel)
-    assert serial_bytes == parallel_bytes
+    # --jobs is where a parallel run would be asked for: its files equal
+    # those of the default run and of the results above.
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    for doc in corpus_docs:
+        (notes / f"{doc.id}.txt").write_bytes(doc.text.encode("utf-8"))
+    for out, extra in (("serial", []), ("jobs4", ["--jobs", "4"])):
+        args = ["annotate", "--input", str(notes), "--out", str(tmp_path / out)]
+        assert cli_main(args + extra) == 0
+    for result in corpus_results:
+        name = f"{result.document_id}.ann"
+        data = (tmp_path / "serial" / name).read_bytes()
+        assert data == serialize_result(result)
+        assert (tmp_path / "jobs4" / name).read_bytes() == data
 
 
 # coarse stage groups expanded by hand; the oracle must not call the
@@ -409,7 +420,7 @@ def test_criterion_8_query_oracle(corpus_results):
 @pytest.mark.criterion(9, "throughput: 1,000 documents end-to-end < 5 s, single job")
 def test_criterion_9_throughput(default_pipeline, corpus_docs):
     start = time.perf_counter()
-    results = process_corpus(default_pipeline, corpus_docs, jobs=1)
+    results = process_corpus(default_pipeline, corpus_docs)
     elapsed = time.perf_counter() - start
     assert len(results) == CORPUS_SIZE
     assert elapsed < 5.0, f"took {elapsed:.2f}s"

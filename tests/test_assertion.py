@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -15,7 +14,7 @@ from oncospan import (
     split_sentences,
 )
 from oncospan import _textops
-from oncospan.assertion import CueLexicon, _phrase_key, polarity_in_view
+from oncospan.assertion import SYMBOL_ADJACENCY, WINDOW, polarity_in_view
 from oncospan.document import SentenceView
 
 
@@ -39,8 +38,7 @@ def test_default_lexicon_contents():
     lexicon = load_cue_lexicon()
     assert ("no", "se", "detecta") in lexicon.negative
     assert ("mutado",) in lexicon.positive
-    assert lexicon.window == 5
-    assert lexicon.symbol_adjacency == 1
+    assert (WINDOW, SYMBOL_ADJACENCY) == (5, 1)
 
 
 def test_negative_phrase_before_target():
@@ -85,17 +83,17 @@ def test_negative_beats_positive():
 
 
 def test_symbol_adjacency_limit():
-    # "+" two tokens away exceeds symbol_adjacency=1
-    assert polarity_of("EGFR x +", "EGFR") is Polarity.UNKNOWN
+    # A "+" within SYMBOL_ADJACENCY tokens is read; one token further is not.
+    fillers = "x " * (SYMBOL_ADJACENCY - 1)
+    assert polarity_of("EGFR " + fillers + "+", "EGFR") is Polarity.POSITIVE
+    assert polarity_of("EGFR x " + fillers + "+", "EGFR") is Polarity.UNKNOWN
 
 
 def test_window_excludes_distant_cue():
-    # five filler tokens push "no" out of the 5-token window... the target
-    # window covers exactly 5 tokens beyond the mention.
-    text = "EGFR a b c d e no mutado"
-    # "no" sits at index 6, inside token window [1..5]? no: indexes 1..5 are
-    # a b c d e, so "no" (6) and "mutado" (7) are outside.
-    assert polarity_of(text, "EGFR") is Polarity.UNKNOWN
+    # WINDOW filler tokens push "no mutado" out of the window; one fewer
+    # leaves "mutado" as its last token.
+    assert polarity_of("EGFR " + "x " * WINDOW + "no mutado", "EGFR") is Polarity.UNKNOWN
+    assert polarity_of("EGFR " + "x " * (WINDOW - 1) + "mutado", "EGFR") is Polarity.POSITIVE
 
 
 def test_locality_distant_tokens_ignored():
@@ -158,18 +156,9 @@ def test_load_lexicon_conflicting_entry(tmp_path):
         load_cue_lexicon(path)
 
 
-def test_cue_lexicon_validates_window():
-    with pytest.raises(ValueError):
-        CueLexicon(
-            positive=frozenset({_phrase_key("si")}),
-            negative=frozenset({_phrase_key("no")}),
-            window=0,
-        )
-
-
 # Sentence pieces for the view-cutting property: cue words, "no", the symbol
-# cues and their folded look-alikes ("≠" folds to "="), a Hangul syllable
-# and a bare combining mark (both fold to other than one character).
+# cues, a character that folds to a look-alike ("≠" folds to "="), a Hangul
+# syllable and a bare combining mark (both fold to other than one character).
 _pieces = st.sampled_from(
     [
         "EGFR", "ALK", "no", "se", "detecta", "mutado", "MUTADO", "positivo",
@@ -182,11 +171,6 @@ _sentences = st.lists(
 ).map(lambda parts: "".join(p + sep for p, sep in parts))
 
 _DEFAULT = load_cue_lexicon()
-_LEXICONS = [
-    _DEFAULT,
-    dataclasses.replace(_DEFAULT, symbol_negative=frozenset({"≠"})),
-    dataclasses.replace(_DEFAULT, symbol_negative=frozenset({"="})),
-]
 
 
 # Notes of a few such sentences: a Hangul syllable or a bare mark in an
@@ -194,10 +178,9 @@ _LEXICONS = [
 _notes = st.lists(_sentences, min_size=1, max_size=3).map(". ".join)
 
 
-@pytest.mark.parametrize("lexicon", _LEXICONS)
 @given(text=_notes)
 @settings(max_examples=150, deadline=None)
-def test_in_folded_view_equals_standalone_view(lexicon, text):
+def test_in_folded_view_equals_standalone_view(text):
     # The pipeline cuts each sentence's view out of the note's fold; it must
     # read like a view that folds the sentence text on its own.
     folded = _textops.normalize_text(text)
@@ -212,19 +195,7 @@ def test_in_folded_view_equals_standalone_view(lexicon, text):
         pairs = itertools.combinations_with_replacement(alone.tokens, 2)
         for (first, _, _), (_, last, _) in pairs:
             target = Span(begin + first, begin + last)
-            assert polarity_in_view(cut, target, lexicon) is polarity_in_view(
-                alone, target, lexicon
+            assert polarity_in_view(cut, target, _DEFAULT) is polarity_in_view(
+                alone, target, _DEFAULT
             ), (text, target)
 
-
-@pytest.mark.parametrize(
-    "symbols, expected",
-    [
-        (frozenset({"≠"}), {"EGFR ≠": Polarity.NEGATIVE, "EGFR =": Polarity.UNKNOWN}),
-        (frozenset({"="}), {"EGFR ≠": Polarity.UNKNOWN, "EGFR =": Polarity.NEGATIVE}),
-    ],
-)
-def test_symbol_cues_compare_written_surface(symbols, expected):
-    lexicon = dataclasses.replace(_DEFAULT, symbol_negative=symbols)
-    for text, polarity in expected.items():
-        assert polarity_of(text, "EGFR", lexicon) is polarity

@@ -80,12 +80,6 @@ def test_split_accented_abbreviation():
     assert len(split_sentences(text)) == 1
 
 
-def test_split_extra_abbreviations():
-    text = "Tto. con cisplatino."
-    assert len(split_sentences(text)) == 2
-    assert len(split_sentences(text, frozenset({"tto"}))) == 1
-
-
 def test_split_terminator_run():
     text = "Sin cambios... Continuar tratamiento."
     assert spans(split_sentences(text)) == [(0, 14), (15, 37)]

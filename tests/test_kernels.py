@@ -56,9 +56,7 @@ def test_sentence_spans_agree(text):
 @given(_texts)
 @settings(max_examples=300, deadline=None)
 def test_token_spans_agree(text):
-    assert _textops.token_spans(text, 0, len(text)) == _textops_py.token_spans(
-        text, 0, len(text)
-    )
+    assert _textops.token_spans(text) == _textops_py.token_spans(text, 0, len(text))
 
 
 @given(_texts)
@@ -139,7 +137,7 @@ def test_sentence_span_at_equals_split(text):
 @given(_texts)
 @settings(max_examples=200, deadline=None)
 def test_tokens_cover_all_non_whitespace(text):
-    spans = _textops.token_spans(text, 0, len(text))
+    spans = _textops.token_spans(text)
     covered = set()
     previous_end = 0
     for begin, end, kind in spans:
@@ -153,7 +151,7 @@ def test_tokens_cover_all_non_whitespace(text):
 
 
 def test_number_kind_is_int_parseable():
-    spans = _textops.token_spans("exon 19 y 2²", 0, 12)
+    spans = _textops.token_spans("exon 19 y 2²")
     numbers = ["exon 19 y 2²"[b:e] for b, e, k in spans if k == 1]
     for surface in numbers:
         int(surface)
@@ -190,14 +188,12 @@ def test_astral_characters_leave_the_tables_unchanged(monkeypatch):
     )
     # The text's BMP characters, through the offset loop as well.
     _textops.normalize_text(" .\n\u0301")
-    _textops.token_spans(" .\n", 0, 3)
+    _textops.token_spans(" .\n")
     sizes = len(_textops._FOLD), len(_textops._CLASS)
     norm, offsets = _textops.normalize_text(text)
     assert (norm, list(offsets)) == _textops_py.normalize_text(text)
     assert {"\U0001d15e", "\U0001d167"} <= _textops._IRREGULAR.keys()
-    assert _textops.token_spans(text, 0, len(text)) == _textops_py.token_spans(
-        text, 0, len(text)
-    )
+    assert _textops.token_spans(text) == _textops_py.token_spans(text, 0, len(text))
     assert _textops.sentence_spans(text, ABBREVIATION_STOPLIST) == (
         _textops_py.sentence_spans(text, ABBREVIATION_STOPLIST)
     )

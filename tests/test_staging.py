@@ -8,6 +8,7 @@ from conftest import N_COLUMNS, STAGE_TABLE
 from oncospan import (
     AmbiguousCategory,
     ConsistencyVerdict,
+    DocumentResult,
     InvalidStage,
     MCategory,
     NCategory,
@@ -15,7 +16,6 @@ from oncospan import (
     TCategory,
     TnmPrefix,
     check_consistency,
-    consistency_reports,
     normalize_stage,
     parse_stage,
     parse_tnm,
@@ -338,8 +338,9 @@ _stage_annotations = st.builds(_stage, st.sampled_from(list(StageGroup)))
 @given(st.lists(_tnm_annotations, max_size=6), st.lists(_stage_annotations, max_size=6))
 @settings(deadline=None)
 def test_consistency_reports_pairs_tnm_major(tnms, stages):
-    reports = consistency_reports(tnms, stages)
-    assert reports == [check_consistency(t, s) for t in tnms for s in stages]
+    # The annotations need not be sorted: each type keeps its own order.
+    reports = DocumentResult("d", "", tuple(tnms + stages)).consistency
+    assert list(reports) == [check_consistency(t, s) for t in tnms for s in stages]
     pairs = [(t, s) for t in tnms for s in stages]
     assert all(
         r.tnm is t and r.stage is s for r, (t, s) in zip(reports, pairs, strict=True)
