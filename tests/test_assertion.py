@@ -14,7 +14,13 @@ from oncospan import (
     split_sentences,
 )
 from oncospan import _textops
-from oncospan.assertion import SYMBOL_ADJACENCY, WINDOW, polarity_in_view
+from oncospan.assertion import (
+    SYMBOL_ADJACENCY,
+    SYMBOL_NEGATIVE,
+    SYMBOL_POSITIVE,
+    WINDOW,
+    polarity_in_view,
+)
 from oncospan.document import SentenceView
 
 
@@ -94,6 +100,18 @@ def test_window_excludes_distant_cue():
     # leaves "mutado" as its last token.
     assert polarity_of("EGFR " + "x " * WINDOW + "no mutado", "EGFR") is Polarity.UNKNOWN
     assert polarity_of("EGFR " + "x " * (WINDOW - 1) + "mutado", "EGFR") is Polarity.POSITIVE
+
+
+def test_only_the_symbol_cues_fold_to_them():
+    # Symbol cues are compared with folded surfaces, which is comparing the
+    # written ones while no other character folds to a symbol cue.
+    text = "".join(chr(c) for c in range(0x10000) if not 0xD800 <= c < 0xE000)
+    norm, offsets = _textops.normalize_text(text)
+    for cue in SYMBOL_POSITIVE | SYMBOL_NEGATIVE:
+        at = norm.find(cue)
+        while at >= 0:
+            assert text[offsets[at]] == cue
+            at = norm.find(cue, at + 1)
 
 
 def test_locality_distant_tokens_ignored():
