@@ -154,6 +154,19 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_bytes(path: str) -> bytes:
+    """The whole file at *path*, read without a buffered file object."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        # 64 KiB: more than a note's file holds, under malloc's mmap threshold.
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     store = Path(args.store)
     if not store.is_dir():
@@ -167,10 +180,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     results = []
     for name in names:
         file = os.path.join(store, name)
-        with open(file, "rb") as stream:
-            data = stream.read()
         try:
-            results.append(deserialize_result(data))
+            results.append(deserialize_result(_read_bytes(file)))
         except OncospanError as exc:
             raise _InputError(f"{file}: {exc}") from None
     for document_id in query_results(results, predicate):

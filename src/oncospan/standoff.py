@@ -10,21 +10,28 @@ Layout, all UTF-8:
     <#check lines>
 
 Record line: ``begin<TAB>end<TAB>annotator<TAB>covered_text<TAB>features``
-with features ``key=value;key=value``; ``ANNOTATION_TYPES`` declares each
-annotator's keys, encoder and decoder.  Covered text and diagnostic messages
-escape backslash, tab, newline and carriage return so one record is always
-one line.  ``#diag`` carries a diagnostic (begin, end, message);
-``#check`` carries a consistency report as two record indexes, the verdict
-and the expected group (``-`` when not comparable); the section is every
-(TNM, stage) pair, TNM-major, through the 8th-edition verdict table, each
-record named by the first index of an equal one.  Every integer is a
-canonical ASCII decimal, ``0`` or ``[1-9][0-9]*``, and the id follows
+with features ``key=value;key=value`` in the order the encoder writes them;
+``ANNOTATION_TYPES`` declares each annotator's keys, encoder, record pattern
+and decoders.  Covered text and diagnostic messages escape backslash, tab,
+newline and carriage return so one record is always one line.  ``#diag``
+carries a diagnostic (begin, end, message); ``#check`` carries a consistency
+report as two record indexes, the verdict and the expected group (``-``
+when not comparable); the section is every (TNM, stage) pair, TNM-major,
+through the 8th-edition verdict table, each record named by the first index
+of an equal one, which is looked up, and the records hashed, only for a
+type with more than one record.  Every integer is a canonical ASCII
+decimal, ``0`` or ``[1-9][0-9]*``, and the id follows
 ``document.check_document_id``.  Deserialization is the exact inverse of
 serialization and is strict: anything unexpected raises MalformedFile with a
-line number, and a covered-text disagreement raises SpanMismatch.  It reads
-enum values by table lookup and compares the ``#check`` section with the
-one the records give as one string, reading it line by line only to report
-a mismatch; so a well-formed section that is not that pairing is rejected.
+line number, and a covered-text disagreement raises SpanMismatch.  It
+accepts a record with one ``fullmatch`` of its type's pattern, which admits
+exactly the line the encoder writes, then checks the span, the covered text
+and the values the annotation itself rejects; a line the pattern misses is
+read field by field only to name its error, and one with nothing else wrong
+has its features out of canonical order.  It compares the ``#check``
+section with the one the records give as one string, reading it line by
+line only to report a mismatch; so a well-formed section that is not that
+pairing is rejected.
 """
 
 import re
@@ -79,6 +86,12 @@ class AnnotationType(NamedTuple):
 
     required: frozenset[str]
     encode: Callable[[Annotation], list[tuple[str, str]]]
+    # The record line encode gives, features in its order: groups begin,
+    # end and covered text, then the feature values, which build reads.
+    pattern: re.Pattern[str]
+    build: Callable[[Span, str, list[str | None]], Annotation]
+    # The field-by-field reading that names what is wrong with a line the
+    # pattern misses.
     decode: Callable[[Span, str, dict[str, str], int], Annotation]
     optional: frozenset[str] = frozenset()
 
@@ -106,25 +119,36 @@ def _unescape(value: str, line_no: int) -> str:
         raise MalformedFile("bad escape sequence", line_no) from None
 
 
+def _first_equal(records: list[tuple[int, Annotation]]) -> list[tuple[int, Annotation]]:
+    """*records* of one type, each index replaced by that of the first equal
+    one; a lone record is its own first, and is not hashed."""
+    if len(records) < 2:
+        return records
+    first: dict[Annotation, int] = {}
+    return [(first.setdefault(ann, i), ann) for i, ann in records]
+
+
 def _check_section(annotations: Sequence[Annotation]) -> str:
     """The ``#check`` section of *annotations*, as the module doc gives it."""
-    first: dict[Annotation, int] = {}
     tnms, stages = [], []
     for i, ann in enumerate(annotations):
         if isinstance(ann, TNMAnnotation):
-            tnms.append((first.setdefault(ann, i), ann))
+            tnms.append((i, ann))
         elif isinstance(ann, StageAnnotation):
-            stages.append((first.setdefault(ann, i), _STAGE_INDEX[ann.stage]))
+            stages.append((i, ann))
     if not stages:
         return ""
+    # Only annotations of one class compare equal, so the first equal one of
+    # a TNM is a TNM and of a stage a stage.
+    cells = [(j, _STAGE_INDEX[stage.stage]) for j, stage in _first_equal(stages)]
     # The TNMs that share a verdict row share the tails of their lines.
     tails: dict[int, list[str]] = {}
     parts = []
-    for i, tnm in tnms:
+    for i, tnm in _first_equal(tnms):
         row = _VERDICTS[tnm.t, tnm.n, tnm.m]
         if id(row) not in tails:
             text = _ROW_TEXT[id(row)]
-            tails[id(row)] = [f"{j}\t{text[k]}\n" for j, k in stages]
+            tails[id(row)] = [f"{j}\t{text[k]}\n" for j, k in cells]
         head = f"#check\t{i}\t"
         parts.append(head + head.join(tails[id(row)]))
     return "".join(parts)
@@ -182,8 +206,19 @@ _ROW_TEXT = {
     id(row): [f"{verdict.value}\t{'-' if group is None else group.value}" for verdict, group in row]
     for row in _VERDICTS.values()
 }
-# Only a file holding both of these has a #check section.
-_PAIRED = frozenset({TNMAnnotation.annotator, StageAnnotation.annotator})
+
+# A canonical integer as a regex group.
+_INT = "(0|[1-9][0-9]*)"
+
+
+def _one_of(members: dict) -> str:
+    """A regex group matching exactly the keys of *members*."""
+    return "(" + "|".join(map(re.escape, members)) + ")"
+
+
+def _record_pattern(annotator: str, features: str) -> re.Pattern[str]:
+    """The record lines of *annotator* whose feature field matches *features*."""
+    return re.compile(f"{_INT}\t{_INT}\t{annotator}\t([^\t]*)\t{features}")
 
 
 def _parse_enum(members: dict, raw: str, what: str, line_no: int):
@@ -285,19 +320,57 @@ def _mutation_from(
     )
 
 
+def _mutation_build(
+    span: Span, covered: str, values: list[str | None]
+) -> MutationAnnotation:
+    gene, polarity, number, kind, exon_begin, exon_end = values[:6]
+    point, point_begin, point_end, implied = values[6:]
+    exon = None
+    if number is not None:
+        exon = ExonMention(
+            Span(int(exon_begin), int(exon_end)), int(number), _EXON_KINDS.get(kind)
+        )
+    mutation_point = None
+    if point is not None:
+        mutation_point = MutationPoint(
+            Span(int(point_begin), int(point_end)), _POINTS[point]
+        )
+    return MutationAnnotation(
+        span, _GENES[gene], _POLARITIES[polarity], exon, mutation_point, implied == "true"
+    )
+
+
 # Keyed by each class's ``annotator`` name, in the order ``oncospan annotate``
-# reports counts in.  A decoder raises MalformedFile, or ValueError where the
-# annotation rejects a value.
+# reports counts in.  A builder or decoder raises ValueError where the
+# annotation rejects a value, and a decoder MalformedFile where the features
+# do.
 ANNOTATION_TYPES: dict[str, AnnotationType] = {
     MutationAnnotation.annotator: AnnotationType(
         frozenset({"gene", "polarity", "implied"}),
         _mutation_features,
+        _record_pattern(
+            MutationAnnotation.annotator,
+            f"gene={_one_of(_GENES)};polarity={_one_of(_POLARITIES)};"
+            f"(?:exon={_INT};(?:exon_kind={_one_of(_EXON_KINDS)};)?"
+            f"exon_begin={_INT};exon_end={_INT};)?"
+            f"(?:point={_one_of(_POINTS)};point_begin={_INT};point_end={_INT};)?"
+            "implied=(true|false)",
+        ),
+        _mutation_build,
         _mutation_from,
         _EXON_KEYS | _POINT_KEYS | {"exon_kind"},
     ),
     TNMAnnotation.annotator: AnnotationType(
         frozenset({"prefix", "t", "n", "m"}),
         lambda a: [(key, getattr(a, key).value) for key in ("prefix", "t", "n", "m")],
+        _record_pattern(
+            TNMAnnotation.annotator,
+            f"prefix={_one_of(_PREFIXES)};t={_one_of(_TS)};"
+            f"n={_one_of(_NS)};m={_one_of(_MS)}",
+        ),
+        lambda span, covered, v: TNMAnnotation(
+            span, _PREFIXES[v[0]], _TS[v[1]], _NS[v[2]], _MS[v[3]], covered
+        ),
         lambda span, covered, f, line_no: TNMAnnotation(
             span,
             _parse_enum(_PREFIXES, f["prefix"], "prefix", line_no),
@@ -310,6 +383,8 @@ ANNOTATION_TYPES: dict[str, AnnotationType] = {
     StageAnnotation.annotator: AnnotationType(
         frozenset({"stage"}),
         lambda a: [("stage", a.stage.value)],
+        _record_pattern(StageAnnotation.annotator, f"stage={_one_of(_STAGES)}"),
+        lambda span, covered, v: StageAnnotation(span, _STAGES[v[0]], covered),
         lambda span, covered, f, line_no: StageAnnotation(
             span, _parse_enum(_STAGES, f["stage"], "stage group", line_no), covered
         ),
@@ -317,6 +392,8 @@ ANNOTATION_TYPES: dict[str, AnnotationType] = {
     PSAnnotation.annotator: AnnotationType(
         frozenset({"scale", "value"}),
         lambda a: [("scale", a.scale.value), ("value", str(a.value))],
+        _record_pattern(PSAnnotation.annotator, f"scale={_one_of(_SCALES)};value={_INT}"),
+        lambda span, covered, v: PSAnnotation(span, _SCALES[v[0]], int(v[1]), covered),
         lambda span, covered, f, line_no: PSAnnotation(
             span,
             _parse_enum(_SCALES, f["scale"], "scale", line_no),
@@ -371,12 +448,9 @@ def deserialize_result(data: bytes) -> DocumentResult:
     lines.pop()
 
     annotations: list[Annotation] = []
-    annotators: set[str] = set()
     i = 0
     while i < len(lines) and not lines[i].startswith("#"):
-        ann = _parse_record(lines[i], text, first_line + i)
-        annotations.append(ann)
-        annotators.add(ann.annotator)
+        annotations.append(_parse_record(lines[i], text, first_line + i))
         i += 1
     diagnostics: list[Diagnostic] = []
     while i < len(lines) and lines[i].startswith("#diag\t"):
@@ -387,7 +461,7 @@ def deserialize_result(data: bytes) -> DocumentResult:
     # The section must be what serialize_result writes for these records,
     # which is nothing when they hold no (TNM, stage) pair.
     section = content[check_at:]
-    expected = _check_section(annotations) if _PAIRED <= annotators else ""
+    expected = _check_section(annotations)
     if section != expected:
         _reject_check_section(section, expected, annotations, first_line + len(lines))
 
@@ -400,6 +474,25 @@ def deserialize_result(data: bytes) -> DocumentResult:
 
 
 def _parse_record(line: str, text: str, line_no: int) -> Annotation:
+    fields = line.split("\t", 3)
+    kind = ANNOTATION_TYPES.get(fields[2]) if len(fields) == 4 else None
+    match = None if kind is None else kind.pattern.fullmatch(line)
+    if match:
+        begin, end, covered, *values = match.groups()
+        try:
+            span = Span(int(begin), int(end))
+            if span.end <= len(text):
+                covered = _unescape(covered, line_no)
+                if text[span.begin : span.end] == covered:
+                    return kind.build(span, covered, values)
+        except ValueError:  # an integer int() cannot convert, or a bad value
+            pass
+    _reject_record(line, text, line_no)
+
+
+def _reject_record(line: str, text: str, line_no: int) -> NoReturn:
+    """Raise for the record *line*, which is not one the decoder accepts: at
+    its first malformed field, or else because its features are out of order."""
     fields = line.split("\t")
     if len(fields) != 5:
         raise MalformedFile("record needs 5 tab-separated fields", line_no)
@@ -416,9 +509,12 @@ def _parse_record(line: str, text: str, line_no: int) -> Annotation:
         )
     features = _parse_features(features_raw, annotator, kind, line_no)
     try:
-        return kind.decode(span, covered, features, line_no)
+        kind.decode(span, covered, features, line_no)
     except ValueError as exc:
         raise MalformedFile(str(exc), line_no) from None
+    raise MalformedFile(
+        f"features of {annotator!r} are not in canonical order", line_no
+    )
 
 
 def _parse_diag(line: str, text_len: int, line_no: int) -> Diagnostic:

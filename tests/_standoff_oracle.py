@@ -1,17 +1,19 @@
 """The line-by-line standoff decoder: one validation call per field.
 
-The executable specification of ``standoff.deserialize_result``, which reads
-enum fields by table lookup, compares the ``#check`` section with the one the
-records give as one string, and runs these diagnostics only when a lookup or
-that comparison misses.  For every input both must return equal results or
-raise the same exception class with the same line number
-(``test_standoff.py`` checks this property on serialized pipeline results
-and single-line mutations of them).  Integers are canonical ASCII decimals:
-``0`` or ``[1-9][0-9]*``.  The ``#check`` lines must be exactly the pairing
-of the records: every (TNM, stage) pair in record order, TNM-major, checked
-by ``staging.check_consistency`` and named by ``list.index``; the first
-line that differs, or the end of the file when lines are missing, is the
-error.
+The executable specification of ``standoff.deserialize_result``, which
+matches each record line with one canonical pattern, compares the ``#check``
+section with the one the records give as one string, and runs these
+diagnostics only when a match or that comparison misses.  For every input
+both must return equal results or raise the same exception class with the
+same line number (``test_standoff.py`` checks this property on serialized
+pipeline results and single-line mutations of them).  Integers are
+canonical ASCII decimals: ``0`` or ``[1-9][0-9]*``.  A record's feature keys
+come in the order ``serialize_result`` writes them; a record that breaks
+only that rule is rejected after every other check.  The ``#check`` lines
+must be exactly the pairing of the records: every (TNM, stage) pair in
+record order, TNM-major, checked by ``staging.check_consistency`` and named
+by ``list.index``; the first line that differs, or the end of the file when
+lines are missing, is the error.
 """
 
 import re
@@ -100,6 +102,18 @@ _KEYS = {
     "tnm": (frozenset({"prefix", "t", "n", "m"}), frozenset()),
     "stage": (frozenset({"stage"}), frozenset()),
     "ps": (frozenset({"scale", "value"}), frozenset()),
+}
+
+
+# annotator -> every feature key, in the order a record lists those it holds
+_ORDER = {
+    "mutation": (
+        "gene", "polarity", "exon", "exon_kind", "exon_begin", "exon_end",
+        "point", "point_begin", "point_end", "implied",
+    ),
+    "tnm": ("prefix", "t", "n", "m"),
+    "stage": ("stage",),
+    "ps": ("scale", "value"),
 }
 
 
@@ -299,9 +313,14 @@ def deserialize_result(data: bytes) -> DocumentResult:
             )
         features = _parse_features(features_raw, annotator, line_no)
         try:
-            annotations.append(_DECODERS[annotator](span, covered, features, line_no))
+            annotation = _DECODERS[annotator](span, covered, features, line_no)
         except ValueError as exc:
             raise MalformedFile(str(exc), line_no) from None
+        # Last of all, the keys must come in the order serialize_result
+        # writes them.
+        if list(features) != [key for key in _ORDER[annotator] if key in features]:
+            raise MalformedFile("features not in canonical order", line_no)
+        annotations.append(annotation)
 
     # The #check lines must be the records' pairing, line for line; a
     # missing line is reported where it would start, at the end of the file.

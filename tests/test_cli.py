@@ -245,6 +245,31 @@ def test_query_skips_entries_that_are_not_files(corpus_dir, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["docCombined"]
 
 
+def test_query_reads_a_file_longer_than_one_read(tmp_path, capsys):
+    src, out = tmp_path / "notes", tmp_path / "out"
+    src.mkdir()
+    (src / "long.txt").write_text("Estadio IV. " + "Sin cambios. " * 6000, encoding="utf-8")
+    assert _annotate(src, out) == 0
+    assert (out / "long.ann").stat().st_size > 1 << 16
+    capsys.readouterr()
+    assert cli_main(["query", "--store", str(out), "--filter", "stage=IV"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["long"]
+
+
+def test_query_read_error(corpus_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    _annotate(corpus_dir, out)
+
+    def failing_read(fd, size):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(oncospan.cli.os, "read", failing_read)
+    code = cli_main(["query", "--store", str(out), "--filter", "gene=EGFR"])
+    monkeypatch.undo()
+    assert code == 1
+    assert "Input/output error" in capsys.readouterr().err
+
+
 def test_check(corpus_dir, capsys):
     code = cli_main(["check", "--input", str(corpus_dir)])
     assert code == 0

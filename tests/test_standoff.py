@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import sys
 import typing
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import _standoff_oracle
 from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
+from test_contract import EDGE_NOTES
 from oncospan import (
     Document,
     DocumentResult,
@@ -17,19 +19,30 @@ from oncospan import (
     deserialize_result,
     serialize_result,
 )
+from oncospan import standoff
 from oncospan.assertion import Polarity
 from oncospan.corpusgen import generate_corpus
+from oncospan.document import Span
 from oncospan.errors import OncospanError
-from oncospan.mutation import ExonKind, Gene, PointVariant
-from oncospan.perfstatus import PSScale
+from oncospan.mutation import (
+    ExonKind,
+    ExonMention,
+    Gene,
+    MutationAnnotation,
+    MutationPoint,
+    PointVariant,
+)
+from oncospan.perfstatus import PSAnnotation, PSScale
 from oncospan.pipeline import Annotation
 from oncospan.staging import (
     ConsistencyReport,
     ConsistencyVerdict,
     MCategory,
     NCategory,
+    StageAnnotation,
     StageGroup,
     TCategory,
+    TNMAnnotation,
     TnmPrefix,
 )
 from oncospan.standoff import ANNOTATION_TYPES, read_standoff
@@ -81,6 +94,28 @@ def test_check_indexes_first_of_equal_annotations(default_pipeline):
     doubled = dataclasses.replace(result, annotations=(tnm, tnm, stage, stage))
     checks = [ln for ln in _lines(serialize_result(doubled)) if ln.startswith("#check\t")]
     assert checks == ["#check\t0\t2\tConsistent\tIA1"] * 4
+
+
+@pytest.mark.parametrize("tnms, stages", [(1, 2), (2, 1), (1, 1)])
+def test_check_indexes_when_a_type_has_one_record(default_pipeline, tnms, stages):
+    # A type with one record is not hashed to find its first equal one; the
+    # lines must still name what annotations.index names.
+    result = default_pipeline.process_document(Document("stg", STAGING_NOTE))
+    tnm, stage = result.annotations
+    annotations = tuple(
+        dataclasses.replace(a) for a in [stage, *[tnm] * tnms, *[stage] * (stages - 1)]
+    )
+    data = serialize_result(dataclasses.replace(result, annotations=annotations))
+    checks = [ln.split("\t")[1:3] for ln in _lines(data) if ln.startswith("#check\t")]
+    assert checks == [
+        [str(annotations.index(t)), str(annotations.index(s))]
+        for t in annotations
+        if t.annotator == "tnm"
+        for s in annotations
+        if s.annotator == "stage"
+    ]
+    for decode in (deserialize_result, _standoff_oracle.deserialize_result):
+        assert decode(data).annotations == annotations
 
 
 def test_check_indexes_name_the_first_equal_record(default_pipeline):
@@ -172,6 +207,71 @@ def test_empty_result_round_trip(default_pipeline):
     assert back == result
 
 
+@pytest.fixture
+def pattern_only(monkeypatch):
+    """Fail a test when a record line misses its type's canonical pattern."""
+
+    def reject(line, text, line_no):
+        raise AssertionError(f"line {line_no} missed its pattern: {line!r}")
+
+    monkeypatch.setattr(standoff, "_reject_record", reject)
+
+
+# Covered text that needs every escape: backslash, tab, newline, carriage return.
+_ESCAPED = "a\\b\tc\nd\re"
+
+
+def test_every_enum_value_round_trips(pattern_only):
+    span, inner = Span(0, len(_ESCAPED)), Span(1, 3)
+    annotations = [
+        MutationAnnotation(span, gene, polarity, None, None, False)
+        for gene in Gene
+        for polarity in Polarity
+    ]
+    annotations += [
+        MutationAnnotation(
+            span, Gene.EGFR, Polarity.POSITIVE, ExonMention(inner, 19, kind), None, implied
+        )
+        for kind in (*ExonKind, None)
+        for implied in (True, False)
+    ]
+    annotations += [
+        MutationAnnotation(
+            span,
+            Gene.EGFR,
+            Polarity.NEGATIVE,
+            ExonMention(inner, 21, None),
+            MutationPoint(Span(2, 4), point),
+            True,
+        )
+        for point in PointVariant
+    ]
+    categories = [list(cls) for cls in (TnmPrefix, TCategory, NCategory, MCategory)]
+    annotations += [
+        TNMAnnotation(span, *(members[i % len(members)] for members in categories), _ESCAPED)
+        for i in range(max(map(len, categories)))
+    ]
+    annotations += [StageAnnotation(span, stage, _ESCAPED) for stage in StageGroup]
+    annotations += [
+        PSAnnotation(span, scale, value, _ESCAPED)
+        for scale, top in ((PSScale.ECOG, 5), (PSScale.KARNOFSKY, 100))
+        for value in (0, top)
+    ]
+    result = DocumentResult("d", _ESCAPED, tuple(annotations))
+    data = serialize_result(result)
+    assert all(escape in data for escape in (b"\\\\", b"\\t", b"\\n", b"\\r"))
+    for decode in (deserialize_result, _standoff_oracle.deserialize_result):
+        assert decode(data) == result
+    assert serialize_result(deserialize_result(data)) == data
+
+
+def test_written_records_match_their_pattern(default_pipeline, pattern_only):
+    documents = [Document(f"edge-{i:02d}", text) for i, text in enumerate(EDGE_NOTES)]
+    for document in [*generate_corpus(200, seed=5), *documents]:
+        result = default_pipeline.process_document(document)
+        assert deserialize_result(serialize_result(result)) == result
+
+
 def _valid() -> bytes:
     return b"#doc d\n#len 4\nEGFR\n0\t4\tmutation\tEGFR\tgene=EGFR;polarity=Unknown;implied=false\n"
 
@@ -240,13 +340,20 @@ def test_missing_trailing_newline():
         "0\t4\tstage\tEGFR\tstage=IVZ",
         "0\t4\tps\tEGFR\tscale=ECOG;value=9",  # validation error wrapped
         "0\t4\tps\tEGFR\tscale=ECOG;value=x",
+        # Every feature valid, but not in the order serialize_result writes.
+        "0\t4\tmutation\tEGFR\tpolarity=Unknown;gene=EGFR;implied=false",
+        "0\t4\tps\tEGFR\tvalue=1;scale=ECOG",
+        "0\t4\tmutation\tEGFR\tgene=EGFR;polarity=Unknown;exon=19;exon_begin=0;"
+        "exon_end=4;exon_kind=Deletion;implied=false",
+        "0\t4\ttnm\tEGFR\tt=T1;prefix=None;n=N0;m=M0",
     ],
 )
 def test_record_errors(record):
     data = f"#doc d\n#len 4\nEGFR\n{record}\n".encode()
-    with pytest.raises(MalformedFile) as exc:
-        deserialize_result(data)
-    assert exc.value.line_no == 4
+    for decode in (deserialize_result, _standoff_oracle.deserialize_result):
+        with pytest.raises(MalformedFile) as exc:
+            decode(data)
+        assert exc.value.line_no == 4
 
 
 def _with_int(field: str, raw: str) -> bytes:
@@ -295,6 +402,16 @@ def test_non_canonical_integers_rejected(field, form):
     with pytest.raises(MalformedFile, match="is not an integer") as exc:
         deserialize_result(_with_int(field, raw))
     assert exc.value.line_no == (2 if field == "len" else 4)
+
+
+@pytest.mark.parametrize("field", sorted(_CANONICAL))
+def test_integer_past_int_digits_rejected(field):
+    # Canonical digits, but more of them than int() converts.
+    raw = "1" * (sys.get_int_max_str_digits() + 1)
+    for decode in (deserialize_result, _standoff_oracle.deserialize_result):
+        with pytest.raises(MalformedFile, match="is not an integer") as exc:
+            decode(_with_int(field, raw))
+        assert exc.value.line_no == (2 if field == "len" else 4)
 
 
 def test_span_mismatch():
@@ -464,10 +581,17 @@ def _line_kind(line: str) -> str:
 
 
 def _mutate(line: str, draw) -> str:
-    """*line* with one field dropped or duplicated, a tab added, an integer
-    rewritten, or a value swapped for another annotation or check value."""
-    how = draw(st.sampled_from(["drop", "duplicate", "tab", "integer", "value"]))
+    """*line* with one field dropped or duplicated, a tab added, two items of
+    its last field swapped, an integer rewritten, or a value swapped for
+    another annotation or check value."""
+    how = draw(st.sampled_from(["drop", "duplicate", "tab", "swap", "integer", "value"]))
     fields = line.split("\t")
+    if how == "swap":
+        items = fields[-1].split(";")
+        j, k = draw(st.integers(0, len(items) - 1)), draw(st.integers(0, len(items) - 1))
+        items[j], items[k] = items[k], items[j]
+        fields[-1] = ";".join(items)
+        return "\t".join(fields)
     if how in ("drop", "duplicate"):
         k = draw(st.integers(0, len(fields) - 1))
         if how == "drop":
