@@ -6,6 +6,10 @@
     oncospan check    --input <dir|file>
 
 ``--jobs`` takes any N >= 1 and annotates serially whatever its value.
+``annotate`` reads each input with ``os.read`` and rewrites an existing
+output in place, then cuts it to length.  A crash mid-write leaves the new
+bytes so far and then the old file's rest, which the strict ``.ann`` decoder
+rejects unless the mix is itself a valid file.
 
 Exit codes: 0 success, 1 input error (missing files, malformed lexicon or
 standoff data, bad flag values), 2 internal error.
@@ -13,6 +17,7 @@ standoff data, bad flag values), 2 internal error.
 
 import argparse
 import os
+import stat
 import sys
 from collections import Counter
 from pathlib import Path
@@ -84,24 +89,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_bytes(path: str) -> bytes:
+    """The whole file at *path*, read without a buffered file object."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        # 64 KiB: more than a note's file holds, under malloc's mmap threshold.
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    """Write *data* to *path*, rewriting an existing file in place.
+
+    Not opened with O_TRUNC: freeing a file's blocks and allocating them
+    again costs more than writing them, so the file is overwritten and then
+    cut to the new length.  Only a regular file is cut; a pipe or terminal,
+    such as ``/dev/stdout``, cannot be.  A new file's mode follows the umask.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        with memoryview(data) as view:  # slices of it copy nothing
+            while written < len(data):
+                written += os.write(fd, view[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _load_documents(path_str: str) -> list[Document]:
     path = Path(path_str)
     if path.is_file():
-        files = [path]
+        files = [(str(path), path.stem)]
     elif path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix == ".txt" and p.is_file())
+        # The entries whose Path suffix is ".txt", without building a Path:
+        # not ".txt" itself, nor "x.TXT", but "a.b.txt".  is_file() follows
+        # symlinks.  Names sort as the Paths of one directory do.
+        with os.scandir(path) as entries:
+            names = sorted(
+                e.name
+                for e in entries
+                if e.name.endswith(".txt") and len(e.name) > 4 and e.is_file()
+            )
+        files = [(os.path.join(path, name), name[:-4]) for name in names]
     else:
         raise _InputError(f"input path does not exist: {path}")
     documents = []
-    for file in files:
+    for file, document_id in files:
         try:
-            # Not read_text: its newline translation would turn "\r\n" and a
+            # Bytes, not text: newline translation would turn "\r\n" and a
             # lone "\r" into "\n" and shift every offset after them.
-            text = file.read_bytes().decode("utf-8")
+            text = _read_bytes(file).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise _InputError(f"{file}: not valid UTF-8 ({exc})") from None
         try:
-            documents.append(Document(file.stem, text))
+            documents.append(Document(document_id, text))
         except ValueError as exc:
             raise _InputError(f"{file}: {exc}") from None
     return documents
@@ -139,32 +186,18 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     )
     pipeline = build_pipeline(config)
     results = process_corpus(pipeline, documents)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     for result in results:
-        (out_dir / f"{result.document_id}.ann").write_bytes(serialize_result(result))
+        _write_bytes(os.path.join(args.out, f"{result.document_id}.ann"), serialize_result(result))
     counts = Counter(a.annotator for r in results for a in r.annotations)
     if args.sql is not None:
-        Path(args.sql).write_text(emit_sql(results), encoding="utf-8")
+        _write_bytes(args.sql, emit_sql(results).encode("utf-8"))
     print(f"documents processed: {len(results)}")
     for name in ANNOTATION_TYPES:
         print(f"{name} annotations: {counts[name]}")
     if args.sql is not None:
         print(f"sql export: {args.sql}")
     return 0
-
-
-def _read_bytes(path: str) -> bytes:
-    """The whole file at *path*, read without a buffered file object."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        # 64 KiB: more than a note's file holds, under malloc's mmap threshold.
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:

@@ -13,7 +13,8 @@ Record line: ``begin<TAB>end<TAB>annotator<TAB>covered_text<TAB>features``
 with features ``key=value;key=value`` in the order the encoder writes them;
 ``ANNOTATION_TYPES`` declares each annotator's keys, encoder, record pattern
 and decoders.  Covered text and diagnostic messages escape backslash, tab,
-newline and carriage return so one record is always one line.  ``#diag``
+newline and carriage return so one record is always one line, and a raw
+carriage return in them is rejected.  ``#diag``
 carries a diagnostic (begin, end, message); ``#check`` carries a consistency
 report as two record indexes, the verdict and the expected group (``-``
 when not comparable); the section is every (TNM, stage) pair, TNM-major,
@@ -201,10 +202,11 @@ _STAGES = _by_value(StageGroup)
 _SCALES = _by_value(PSScale)
 _VERDICT_NAMES = _by_value(ConsistencyVerdict)
 
-# The verdict<TAB>expected of each cell, by row id; the table keeps rows alive.
+# The verdict<TAB>expected of each cell, by row id, built once per row the
+# keys share; the table keeps rows alive.
 _ROW_TEXT = {
-    id(row): [f"{verdict.value}\t{'-' if group is None else group.value}" for verdict, group in row]
-    for row in _VERDICTS.values()
+    key: [f"{verdict.value}\t{'-' if group is None else group.value}" for verdict, group in row]
+    for key, row in {id(row): row for row in _VERDICTS.values()}.items()
 }
 
 # A canonical integer as a regex group.
@@ -218,7 +220,7 @@ def _one_of(members: dict) -> str:
 
 def _record_pattern(annotator: str, features: str) -> re.Pattern[str]:
     """The record lines of *annotator* whose feature field matches *features*."""
-    return re.compile(f"{_INT}\t{_INT}\t{annotator}\t([^\t]*)\t{features}")
+    return re.compile(f"{_INT}\t{_INT}\t{annotator}\t([^\t\r]*)\t{features}")
 
 
 def _parse_enum(members: dict, raw: str, what: str, line_no: int):
@@ -501,6 +503,8 @@ def _reject_record(line: str, text: str, line_no: int) -> NoReturn:
     if kind is None:
         raise MalformedFile(f"unknown annotator {annotator!r}", line_no)
     span = _parse_span(begin_raw, end_raw, len(text), line_no)
+    if "\r" in covered_raw:  # serialize_result escapes every one
+        raise MalformedFile("raw carriage return in covered text", line_no)
     covered = _unescape(covered_raw, line_no)
     if text[span.begin : span.end] != covered:
         raise SpanMismatch(
@@ -522,6 +526,8 @@ def _parse_diag(line: str, text_len: int, line_no: int) -> Diagnostic:
     if len(fields) != 4:
         raise MalformedFile("#diag needs 4 tab-separated fields", line_no)
     span = _parse_span(fields[1], fields[2], text_len, line_no)
+    if "\r" in fields[3]:
+        raise MalformedFile("raw carriage return in #diag message", line_no)
     return Diagnostic(span, _unescape(fields[3], line_no))
 
 

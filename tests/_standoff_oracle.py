@@ -7,7 +7,9 @@ diagnostics only when a match or that comparison misses.  For every input
 both must return equal results or raise the same exception class with the
 same line number (``test_standoff.py`` checks this property on serialized
 pipeline results and single-line mutations of them).  Integers are
-canonical ASCII decimals: ``0`` or ``[1-9][0-9]*``.  A record's feature keys
+canonical ASCII decimals: ``0`` or ``[1-9][0-9]*``.  Covered text and
+``#diag`` messages hold no raw carriage return, which the encoder always
+escapes; the check comes after the span and before the escapes.  A record's feature keys
 come in the order ``serialize_result`` writes them; a record that breaks
 only that rule is rejected after every other check.  The ``#check`` lines
 must be exactly the pairing of the records: every (TNM, stage) pair in
@@ -284,6 +286,8 @@ def deserialize_result(data: bytes) -> DocumentResult:
             if len(fields) != 4:
                 raise MalformedFile("#diag needs 4 tab-separated fields", line_no)
             span = _parse_span(fields[1], fields[2], len(text), line_no)
+            if "\r" in fields[3]:
+                raise MalformedFile("raw carriage return in #diag message", line_no)
             diagnostics.append(Diagnostic(span, _unescape(fields[3], line_no)))
             continue
         if line.startswith("#check\t"):
@@ -305,6 +309,8 @@ def deserialize_result(data: bytes) -> DocumentResult:
         if annotator not in _DECODERS:
             raise MalformedFile(f"unknown annotator {annotator!r}", line_no)
         span = _parse_span(begin_raw, end_raw, len(text), line_no)
+        if "\r" in covered_raw:
+            raise MalformedFile("raw carriage return in covered text", line_no)
         covered = _unescape(covered_raw, line_no)
         if text[span.begin : span.end] != covered:
             raise SpanMismatch(

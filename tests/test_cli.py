@@ -1,3 +1,4 @@
+import errno
 import io
 import os
 import sqlite3
@@ -11,7 +12,7 @@ from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
 import oncospan
 from oncospan import deserialize_result
 from oncospan.standoff import read_standoff
-from oncospan.cli import cli_main
+from oncospan.cli import _load_documents, cli_main
 
 
 @pytest.fixture()
@@ -140,6 +141,112 @@ def test_annotate_sql_export(corpus_dir, tmp_path, capsys):
     conn.executescript(sql_path.read_text(encoding="utf-8"))
     count = conn.execute("SELECT COUNT(*) FROM documents").fetchone()[0]
     assert count == 4
+
+
+def _outputs(out, sql):
+    return {p.name: p.read_bytes() for p in out.iterdir()}, sql.read_bytes()
+
+
+@pytest.mark.parametrize("old_sql", [b"-- longer than any export\n" * 400, b"--\n"])
+def test_annotate_rewrites_existing_outputs_in_place(corpus_dir, tmp_path, old_sql):
+    fresh, fresh_sql = tmp_path / "fresh", tmp_path / "fresh.sql"
+    assert _annotate(corpus_dir, fresh, "--sql", str(fresh_sql)) == 0
+    expected = _outputs(fresh, fresh_sql)
+    out, sql = tmp_path / "out", tmp_path / "out.sql"
+    out.mkdir()
+    # docCombined.ann longer than its new bytes, docMutation.ann shorter,
+    # and no docStaging.ann or docPerfstatus.ann at all.
+    (out / "docCombined.ann").write_bytes(b"#" * 2 * len(expected[0]["docCombined.ann"]))
+    (out / "docMutation.ann").write_bytes(b"#doc")
+    sql.write_bytes(old_sql)
+    for _ in range(2):
+        assert _annotate(corpus_dir, out, "--sql", str(sql)) == 0
+        assert _outputs(out, sql) == expected
+
+
+def test_annotate_survives_partial_writes(corpus_dir, tmp_path, monkeypatch):
+    fresh, fresh_sql = tmp_path / "fresh", tmp_path / "fresh.sql"
+    assert _annotate(corpus_dir, fresh, "--sql", str(fresh_sql)) == 0
+    real_write = os.write
+    monkeypatch.setattr(oncospan.cli.os, "write", lambda fd, data: real_write(fd, data[:7]))
+    out, sql = tmp_path / "out", tmp_path / "out.sql"
+    code = _annotate(corpus_dir, out, "--sql", str(sql))
+    monkeypatch.undo()
+    assert code == 0
+    assert _outputs(out, sql) == _outputs(fresh, fresh_sql)
+
+
+def test_annotate_create_modes_follow_umask(corpus_dir, tmp_path):
+    out, sql = tmp_path / "out", tmp_path / "out.sql"
+    old = os.umask(0o007)
+    try:
+        assert _annotate(corpus_dir, out, "--sql", str(sql)) == 0
+        with open(tmp_path / "by_open", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "by_open").stat().st_mode & 0o777 == 0o660
+    for path in [sql, *out.iterdir()]:
+        assert path.stat().st_mode & 0o777 == 0o660, path
+
+
+def test_annotate_read_only_output_exits_one(corpus_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert _annotate(corpus_dir, out) == 0
+    locked = out / "docCombined.ann"
+    before = locked.read_bytes()
+    locked.chmod(0o444)
+    real_open = os.open
+
+    def open_honouring_mode(path, flags, mode=0o777, **kwargs):
+        # Permission bits do not bind a privileged user, so refuse the write
+        # here as the kernel refuses it to anyone else.
+        if flags & (os.O_WRONLY | os.O_RDWR) and os.path.exists(path):
+            if not os.stat(path).st_mode & 0o222:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, mode, **kwargs)
+
+    monkeypatch.setattr(oncospan.cli.os, "open", open_honouring_mode)
+    code = _annotate(corpus_dir, out)
+    monkeypatch.undo()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Permission denied" in err and str(locked) in err
+    assert locked.read_bytes() == before
+
+
+def test_annotate_sql_to_stdout_pipe(corpus_dir, tmp_path):
+    sql = tmp_path / "dump.sql"
+    assert _annotate(corpus_dir, tmp_path / "o1", "--sql", str(sql)) == 0
+    # A pipe cannot be cut to length; the export streams into it.
+    proc = subprocess.run(
+        [sys.executable, "-m", "oncospan.cli", "annotate", "--input", str(corpus_dir),
+         "--out", str(tmp_path / "o2"), "--sql", "/dev/stdout"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(oncospan.__file__).parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(sql.read_bytes())
+    assert proc.stdout[len(sql.read_bytes()) :].startswith(b"documents processed: 4\n")
+
+
+def test_load_documents_selects_as_path_suffix(tmp_path):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    for name in ["b.txt", ".txt", "a.b.txt", "x.TXT", "c.txt.bak", "..txt"]:
+        (notes / name).write_text(f"EGFR mutado en {name}.", encoding="utf-8")
+    (notes / "d.txt").mkdir()
+    (tmp_path / "elsewhere.note").write_text(MUTATION_NOTE, encoding="utf-8")
+    (notes / "link.txt").symlink_to(tmp_path / "elsewhere.note")
+    (notes / "gone.txt").symlink_to(tmp_path / "missing")
+    os.mkfifo(notes / "f.txt")
+    expected = sorted(p for p in notes.iterdir() if p.suffix == ".txt" and p.is_file())
+    documents = _load_documents(str(notes))
+    assert [d.id for d in documents] == [p.stem for p in expected]
+    assert [d.id for d in documents] == [".", "a.b", "b", "link"]
+    assert [d.text for d in documents] == [p.read_text(encoding="utf-8") for p in expected]
 
 
 def test_annotate_not_utf8(tmp_path, capsys):

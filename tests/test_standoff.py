@@ -334,6 +334,8 @@ def test_missing_trailing_newline():
         "0\t4\tmutation\tEGFR\tgarbage",
         "0\t4\tmutation\tEGFR\t=x;gene=EGFR;polarity=Unknown;implied=false",
         "0\t4\tmutation\tEG\\qR\tgene=EGFR;polarity=Unknown;implied=false",  # bad escape
+        # A raw CR, named before the covered text is compared.
+        "0\t4\tmutation\tEG\rR\tgene=EGFR;polarity=Unknown;implied=false",
         "0\t4\tmutation\tEGFR\tgene=EGFR;polarity=Unknown;implied=false;exon=19",
         "0\t4\tmutation\tEGFR\tgene=EGFR;polarity=Unknown;implied=false;exon_kind=Deletion",
         "0\t4\ttnm\tEGFR\tprefix=None;t=T9;n=N0;m=M0",
@@ -354,6 +356,29 @@ def test_record_errors(record):
         with pytest.raises(MalformedFile) as exc:
             decode(data)
         assert exc.value.line_no == 4
+
+
+@pytest.mark.parametrize(
+    "data, line_no, where",
+    [
+        (
+            b"#doc d\n#len 6\nEG\rFR \n"
+            b"0\t5\tmutation\tEG\rFR\tgene=EGFR;polarity=Unknown;implied=false\n",
+            4,
+            "covered text",
+        ),
+        (_valid() + b"#diag\t0\t4\ta\rb\n", 5, "#diag message"),
+    ],
+)
+def test_raw_carriage_return_rejected(data, line_no, where):
+    # serialize_result writes a CR as "\\r", so a raw one would not come back
+    # as it was read, even where the text holds one at that place.
+    for decode in (deserialize_result, _standoff_oracle.deserialize_result):
+        with pytest.raises(MalformedFile, match=f"raw carriage return in {where}") as exc:
+            decode(data)
+        assert exc.value.line_no == line_no
+    escaped = data.replace(b"EG\rFR\tgene", b"EG\\rFR\tgene").replace(b"a\rb", b"a\\rb")
+    assert serialize_result(deserialize_result(escaped)) == escaped
 
 
 def _with_int(field: str, raw: str) -> bytes:
