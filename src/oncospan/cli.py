@@ -89,39 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_bytes(path: str) -> bytes:
-    """The whole file at *path*, read without a buffered file object."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        chunks = []
-        # 64 KiB: more than a note's file holds, under malloc's mmap threshold.
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
-
-
-def _write_bytes(path: str, data: bytes) -> None:
-    """Write *data* to *path*, rewriting an existing file in place.
-
-    Not opened with O_TRUNC: freeing a file's blocks and allocating them
-    again costs more than writing them, so the file is overwritten and then
-    cut to the new length.  Only a regular file is cut; a pipe or terminal,
-    such as ``/dev/stdout``, cannot be.  A new file's mode follows the umask.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        written = 0
-        with memoryview(data) as view:  # slices of it copy nothing
-            while written < len(data):
-                written += os.write(fd, view[written:])
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
-
-
 def _load_documents(path_str: str) -> list[Document]:
     path = Path(path_str)
     if path.is_file():
@@ -198,6 +165,39 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     if args.sql is not None:
         print(f"sql export: {args.sql}")
     return 0
+
+
+def _read_bytes(path: str) -> bytes:
+    """The whole file at *path*, read without a buffered file object."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        # 64 KiB: more than a note's file holds, under malloc's mmap threshold.
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    """Write *data* to *path*, rewriting an existing file in place.
+
+    Not opened with O_TRUNC: freeing a file's blocks and allocating them
+    again costs more than writing them, so the file is overwritten and then
+    cut to the new length.  Only a regular file is cut; a pipe or terminal,
+    such as ``/dev/stdout``, cannot be.  A new file's mode follows the umask.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        with memoryview(data) as view:  # slices of it copy nothing
+            while written < len(data):
+                written += os.write(fd, view[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
