@@ -9,11 +9,10 @@ sentence view.  Phrase cues come from the lexicon; the window widths and
 the symbol cues are fixed.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .document import SentenceView, Span, normalize_word
+from .document import SentenceView, Span, checked_tuple, normalize_word
 from .errors import ConflictingEntry, MalformedLexicon
 
 MAX_PHRASE_WORDS = 4
@@ -62,19 +61,23 @@ def _phrase_key(phrase: str) -> tuple[str, ...]:
     return words
 
 
-@dataclass(frozen=True)
-class CueLexicon:
-    positive: frozenset[tuple[str, ...]]
-    negative: frozenset[tuple[str, ...]]
+class CueLexicon(
+    checked_tuple(
+        "CueLexicon",
+        [("positive", frozenset[tuple[str, ...]]), ("negative", frozenset[tuple[str, ...]])],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        clash = self.positive & self.negative
+    def __new__(cls, positive, negative):
+        clash = positive & negative
         if clash:
             listing = ", ".join(" ".join(p) for p in sorted(clash))
             raise ConflictingEntry(f"phrases in both polarities: {listing}")
-        for phrase in self.positive | self.negative:
+        for phrase in positive | negative:
             if not 1 <= len(phrase) <= MAX_PHRASE_WORDS:
                 raise ValueError(f"phrase length out of range: {phrase!r}")
+        return tuple.__new__(cls, (positive, negative))
 
 
 def load_cue_lexicon(path: str | Path | None = None) -> CueLexicon:

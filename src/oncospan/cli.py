@@ -185,16 +185,25 @@ def _write_bytes(path: str, data: bytes) -> None:
 
     Not opened with O_TRUNC: freeing a file's blocks and allocating them
     again costs more than writing them, so the file is overwritten and then
-    cut to the new length.  Only a regular file is cut; a pipe or terminal,
-    such as ``/dev/stdout``, cannot be.  A new file's mode follows the umask.
+    cut to the new length.  Only a regular file is cut; a pipe or terminal
+    cannot be.  A file that is standard output, such as ``/dev/stdout``, is
+    written through descriptor 1 at its current offset and not cut, so that
+    what is printed before and after it keeps its place.  A new file's mode
+    follows the umask.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        info = os.fstat(fd)
+        out = fd
+        # sys.stdout is None when descriptor 1 was closed at start-up.
+        if sys.stdout is not None and os.path.samestat(info, os.fstat(1)):
+            sys.stdout.flush()
+            out = 1
         written = 0
         with memoryview(data) as view:  # slices of it copy nothing
             while written < len(data):
-                written += os.write(fd, view[written:])
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+                written += os.write(out, view[written:])
+        if out == fd and stat.S_ISREG(info.st_mode):
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)

@@ -8,9 +8,8 @@ the text as written.
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _textops
 from .errors import OutOfBounds
@@ -23,26 +22,32 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 _BAD_ID_CHAR = re.compile("[\t\n\r\ud800-\udfff]")
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    begin: int
-    end: int
-
-    def __post_init__(self):
-        if self.begin < 0 or self.end <= self.begin:
-            raise ValueError(f"invalid span [{self.begin}, {self.end})")
+def checked_tuple(name: str, fields: list[tuple[str, object]]) -> type:
+    """The ``NamedTuple`` base of a value type whose ``__new__`` checks its
+    fields: ``_make``, and so ``_replace``, build through that ``__new__``."""
+    base = NamedTuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
-@dataclass(frozen=True, slots=True)
-class Document:
-    id: str
-    text: str
+class Span(checked_tuple("Span", [("begin", int), ("end", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_document_id(self.id)
-        if _SURROGATE.search(self.text):
+    def __new__(cls, begin, end):
+        if begin < 0 or end <= begin:
+            raise ValueError(f"invalid span [{begin}, {end})")
+        return tuple.__new__(cls, (begin, end))
+
+
+class Document(checked_tuple("Document", [("id", str), ("text", str)])):
+    __slots__ = ()
+
+    def __new__(cls, id, text):
+        check_document_id(id)
+        if _SURROGATE.search(text):
             # No output format could encode it.
             raise ValueError("document text must not hold a lone surrogate")
+        return tuple.__new__(cls, (id, text))
 
 
 def check_document_id(document_id: str) -> None:
@@ -59,14 +64,12 @@ def check_document_id(document_id: str) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
+class Sentence(NamedTuple):
     span: Span
     index: int
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A non-fatal finding tied to a text location."""
 
     span: Span

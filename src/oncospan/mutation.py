@@ -9,13 +9,12 @@ these exons and points are only reported for that gene in this domain.
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar, Sequence
+from typing import NamedTuple, Sequence
 
 from ._textops import NUMBER
 from .assertion import CueLexicon, Polarity, polarity_in_view
-from .document import SentenceView, Span
+from .document import SentenceView, Span, checked_tuple
 
 
 class Gene(Enum):
@@ -36,38 +35,36 @@ class PointVariant(Enum):
     L861Q = "L861Q"
 
 
-@dataclass(frozen=True, slots=True)
-class ExonMention:
-    span: Span
-    number: int
-    kind: ExonKind | None
+class ExonMention(
+    checked_tuple("ExonMention", [("span", Span), ("number", int), ("kind", ExonKind | None)])
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 18 <= self.number <= 21:
-            raise ValueError(f"exon {self.number} outside the EGFR range 18-21")
+    def __new__(cls, span, number, kind):
+        if not 18 <= number <= 21:
+            raise ValueError(f"exon {number} outside the EGFR range 18-21")
+        return tuple.__new__(cls, (span, number, kind))
 
 
-@dataclass(frozen=True, slots=True)
-class MutationPoint:
+class MutationPoint(NamedTuple):
     span: Span
     value: PointVariant
 
 
-@dataclass(frozen=True, slots=True)
-class MutationAnnotation:
-    annotator: ClassVar[str] = "mutation"
-    span: Span
-    gene: Gene
-    polarity: Polarity
-    exon: ExonMention | None
-    point: MutationPoint | None
-    implied: bool
+class MutationAnnotation(
+    checked_tuple(
+        "MutationAnnotation",
+        [("span", Span), ("gene", Gene), ("polarity", Polarity), ("exon", ExonMention | None),
+         ("point", MutationPoint | None), ("implied", bool)],
+    )
+):
+    __slots__ = ()
+    annotator = "mutation"
 
-    def __post_init__(self):
-        if self.gene is not Gene.EGFR and (
-            self.exon is not None or self.point is not None or self.implied
-        ):
+    def __new__(cls, span, gene, polarity, exon, point, implied):
+        if gene is not Gene.EGFR and (exon is not None or point is not None or implied):
             raise ValueError("exon, point and implied apply to EGFR only")
+        return tuple.__new__(cls, (span, gene, polarity, exon, point, implied))
 
 
 _GENE_RE = re.compile(r"(?<![0-9a-z])(egfr|alk|ros[ \-]?1)(?![0-9a-z])")

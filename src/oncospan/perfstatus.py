@@ -7,11 +7,9 @@ value that is not a multiple of ten is annotated but flagged.
 """
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar
 
-from .document import Diagnostic, SentenceView, Span
+from .document import Diagnostic, SentenceView, Span, checked_tuple
 
 
 class PSScale(Enum):
@@ -19,20 +17,20 @@ class PSScale(Enum):
     KARNOFSKY = "Karnofsky"
 
 
-@dataclass(frozen=True, slots=True)
-class PSAnnotation:
-    annotator: ClassVar[str] = "ps"
-    span: Span
-    scale: PSScale
-    value: int
-    raw: str
+class PSAnnotation(
+    checked_tuple(
+        "PSAnnotation",
+        [("span", Span), ("scale", PSScale), ("value", int), ("raw", str)],
+    )
+):
+    __slots__ = ()
+    annotator = "ps"
 
-    def __post_init__(self):
-        limit = 5 if self.scale is PSScale.ECOG else 100
-        if not 0 <= self.value <= limit:
-            raise ValueError(
-                f"{self.scale.value} value {self.value} outside 0-{limit}"
-            )
+    def __new__(cls, span, scale, value, raw):
+        limit = 5 if scale is PSScale.ECOG else 100
+        if not 0 <= value <= limit:
+            raise ValueError(f"{scale.value} value {value} outside 0-{limit}")
+        return tuple.__new__(cls, (span, scale, value, raw))
 
 
 # Literals on the folded shadow, one of which every annotation and

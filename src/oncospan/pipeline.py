@@ -11,10 +11,9 @@ own anchors.  The pipeline object is immutable after build.
 """
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import _textops, mutation, perfstatus, staging
 from .assertion import CueLexicon, load_cue_lexicon
@@ -82,14 +81,12 @@ _CALLS = (
 )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     enabled_annotators: frozenset[AnnotatorKind] = ALL_ANNOTATORS
     lexicon_path: str | Path | None = None
 
 
-@dataclass(frozen=True)
-class DocumentResult:
+class DocumentResult(NamedTuple):
     document_id: str
     text: str
     annotations: tuple[Annotation, ...] = ()

@@ -7,10 +7,10 @@ or IVB.
 """
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from .assertion import Polarity
+from .document import checked_tuple
 from .errors import EmptyPredicate, InvalidFilter, InvalidStage
 from .mutation import Gene, MutationAnnotation
 from .perfstatus import PSAnnotation, PSScale
@@ -30,26 +30,27 @@ from .staging import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class QueryPredicate:
-    gene: Gene | None = None
-    polarity: Polarity | None = None
-    stage: StageGroup | None = None
-    ecog: tuple[int, int] | None = None
-    karnofsky: tuple[int, int] | None = None
-    t: TCategory | None = None
-    n: NCategory | None = None
-    m: MCategory | None = None
+class QueryPredicate(
+    checked_tuple(
+        "QueryPredicate",
+        [("gene", Gene | None), ("polarity", Polarity | None), ("stage", StageGroup | None),
+         ("ecog", tuple[int, int] | None), ("karnofsky", tuple[int, int] | None),
+         ("t", TCategory | None), ("n", NCategory | None), ("m", MCategory | None)],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if all(
-            getattr(self, f) is None
-            for f in ("gene", "polarity", "stage", "ecog", "karnofsky", "t", "n", "m")
-        ):
+    def __new__(
+        cls, gene=None, polarity=None, stage=None, ecog=None, karnofsky=None,
+        t=None, n=None, m=None,
+    ):
+        fields = (gene, polarity, stage, ecog, karnofsky, t, n, m)
+        if all(f is None for f in fields):
             raise EmptyPredicate("predicate has no filters")
-        for rng in (self.ecog, self.karnofsky):
+        for rng in (ecog, karnofsky):
             if rng is not None and rng[0] > rng[1]:
                 raise ValueError(f"empty range {rng[0]}..{rng[1]}")
+        return tuple.__new__(cls, fields)
 
 
 def matches(result: DocumentResult, predicate: QueryPredicate) -> bool:

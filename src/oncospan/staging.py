@@ -15,11 +15,10 @@ stage.  A ``ConsistencyReport`` is built only when asked for, as
 """
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import ClassVar
+from typing import NamedTuple
 
-from .document import SentenceView, Span
+from .document import SentenceView, Span, checked_tuple
 from .errors import AmbiguousCategory, InvalidStage
 
 
@@ -84,9 +83,8 @@ COARSE_STAGES = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class TNMAnnotation:
-    annotator: ClassVar[str] = "tnm"
+class TNMAnnotation(NamedTuple):
+    annotator = "tnm"
     span: Span
     prefix: TnmPrefix
     t: TCategory
@@ -95,9 +93,8 @@ class TNMAnnotation:
     raw: str
 
 
-@dataclass(frozen=True, slots=True)
-class StageAnnotation:
-    annotator: ClassVar[str] = "stage"
+class StageAnnotation(NamedTuple):
+    annotator = "stage"
     span: Span
     stage: StageGroup
     raw: str
@@ -109,18 +106,19 @@ class ConsistencyVerdict(Enum):
     NOT_COMPARABLE = "NotComparable"
 
 
-@dataclass(frozen=True, slots=True)
-class ConsistencyReport:
-    tnm: TNMAnnotation
-    stage: StageAnnotation
-    verdict: ConsistencyVerdict
-    expected: StageGroup | None
+class ConsistencyReport(
+    checked_tuple(
+        "ConsistencyReport",
+        [("tnm", TNMAnnotation), ("stage", StageAnnotation),
+         ("verdict", ConsistencyVerdict), ("expected", StageGroup | None)],
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.expected is None) != (
-            self.verdict is ConsistencyVerdict.NOT_COMPARABLE
-        ):
+    def __new__(cls, tnm, stage, verdict, expected):
+        if (expected is None) != (verdict is ConsistencyVerdict.NOT_COMPARABLE):
             raise ValueError("expected group is set exactly when comparable")
+        return tuple.__new__(cls, (tnm, stage, verdict, expected))
 
 
 _T_BY_KEY = {t.value.lower(): t for t in TCategory}

@@ -36,7 +36,6 @@ pairing is rejected.
 """
 
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .assertion import Polarity
@@ -66,8 +65,7 @@ from .staging import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class StandoffRecord:
+class StandoffRecord(NamedTuple):
     begin: int
     end: int
     annotator: str
@@ -75,8 +73,7 @@ class StandoffRecord:
     features: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class StandoffFile:
+class StandoffFile(NamedTuple):
     document_id: str
     source_text: str
     records: tuple[StandoffRecord, ...]
@@ -139,8 +136,8 @@ def _check_section(annotations: Sequence[Annotation]) -> str:
             stages.append((i, ann))
     if not stages:
         return ""
-    # Only annotations of one class compare equal, so the first equal one of
-    # a TNM is a TNM and of a stage a stage.
+    # _first_equal sees the records of one class at a time, so the first
+    # equal one of a TNM is a TNM and of a stage a stage.
     cells = [(j, _STAGE_INDEX[stage.stage]) for j, stage in _first_equal(stages)]
     # The TNMs that share a verdict row share the tails of their lines.
     tails: dict[int, list[str]] = {}

@@ -232,6 +232,49 @@ def test_annotate_sql_to_stdout_pipe(corpus_dir, tmp_path):
     assert proc.stdout[len(sql.read_bytes()) :].startswith(b"documents processed: 4\n")
 
 
+def _run_annotate(corpus_dir, out_dir, sql, shell_prefix=(), **kwargs):
+    """``annotate`` in a fresh interpreter; *kwargs* go to subprocess.run."""
+    return subprocess.run(
+        [*shell_prefix, sys.executable, "-m", "oncospan.cli", "annotate",
+         "--input", str(corpus_dir), "--out", str(out_dir), "--sql", sql],
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(oncospan.__file__).parents[1])},
+        timeout=60,
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, earlier", [("wb", b""), ("ab", b"an earlier log line\n")], ids=["truncate", "append"]
+)
+def test_annotate_sql_to_stdout_file(corpus_dir, tmp_path, capsys, mode, earlier):
+    # Standard output redirected to a regular file, as by the shell's ">"
+    # (mode "wb") and ">>" (mode "ab", which appends): the earlier content,
+    # then the export, then the summary.
+    sql = tmp_path / "dump.sql"
+    assert _annotate(corpus_dir, tmp_path / "o1", "--sql", str(sql)) == 0
+    summary = capsys.readouterr().out.replace(str(sql), "/dev/stdout").encode()
+    log = tmp_path / "log.txt"
+    log.write_bytes(earlier)
+    with open(log, mode) as stdout:
+        proc = _run_annotate(corpus_dir, tmp_path / "o2", "/dev/stdout", stdout=stdout)
+    assert proc.returncode == 0, proc.stderr
+    assert log.read_bytes() == earlier + sql.read_bytes() + summary
+
+
+def test_annotate_with_stdout_closed(corpus_dir, tmp_path):
+    # With descriptor 1 closed, the first file annotate opens takes that
+    # number; it is an output like any other, not standard output.
+    sql = tmp_path / "dump.sql"
+    assert _annotate(corpus_dir, tmp_path / "o1", "--sql", str(sql)) == 0
+    proc = _run_annotate(
+        corpus_dir, tmp_path / "o2", str(tmp_path / "o2.sql"),
+        shell_prefix=("sh", "-c", 'exec "$@" >&-', "sh"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _outputs(tmp_path / "o2", tmp_path / "o2.sql") == _outputs(tmp_path / "o1", sql)
+
+
 def test_load_documents_selects_as_path_suffix(tmp_path):
     notes = tmp_path / "notes"
     notes.mkdir()

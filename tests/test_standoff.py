@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import re
 import sys
@@ -91,7 +90,7 @@ def test_staging_note_records(default_pipeline):
 def test_check_indexes_first_of_equal_annotations(default_pipeline):
     result = default_pipeline.process_document(Document("stg", STAGING_NOTE))
     tnm, stage = result.annotations
-    doubled = dataclasses.replace(result, annotations=(tnm, tnm, stage, stage))
+    doubled = result._replace(annotations=(tnm, tnm, stage, stage))
     checks = [ln for ln in _lines(serialize_result(doubled)) if ln.startswith("#check\t")]
     assert checks == ["#check\t0\t2\tConsistent\tIA1"] * 4
 
@@ -102,10 +101,8 @@ def test_check_indexes_when_a_type_has_one_record(default_pipeline, tnms, stages
     # lines must still name what annotations.index names.
     result = default_pipeline.process_document(Document("stg", STAGING_NOTE))
     tnm, stage = result.annotations
-    annotations = tuple(
-        dataclasses.replace(a) for a in [stage, *[tnm] * tnms, *[stage] * (stages - 1)]
-    )
-    data = serialize_result(dataclasses.replace(result, annotations=annotations))
+    annotations = tuple(type(a)(*a) for a in [stage, *[tnm] * tnms, *[stage] * (stages - 1)])
+    data = serialize_result(result._replace(annotations=annotations))
     checks = [ln.split("\t")[1:3] for ln in _lines(data) if ln.startswith("#check\t")]
     assert checks == [
         [str(annotations.index(t)), str(annotations.index(s))]
@@ -124,9 +121,9 @@ def test_check_indexes_name_the_first_equal_record(default_pipeline):
     text = "pT2aN0M0, estadio IB. Luego T3 N1 M0: estadio IIIA; estadio IV."
     result = default_pipeline.process_document(Document("d", text))
     tnm1, stage1, tnm2, stage2, stage3 = result.annotations
-    copies = [dataclasses.replace(a) for a in (stage2, tnm1, stage3)]
+    copies = [type(a)(*a) for a in (stage2, tnm1, stage3)]
     annotations = (tnm1, stage1, stage2, *copies, tnm2, stage3, tnm1)
-    data = serialize_result(dataclasses.replace(result, annotations=annotations))
+    data = serialize_result(result._replace(annotations=annotations))
     checks = [ln.split("\t") for ln in _lines(data) if ln.startswith("#check\t")]
     tnms = [a for a in annotations if a.annotator == "tnm"]
     stages = [a for a in annotations if a.annotator == "stage"]
@@ -735,13 +732,13 @@ def test_section_appended_to_a_file_without_pairs_rejected(default_pipeline, tex
 
 def test_reports_built_only_when_read(default_pipeline, monkeypatch):
     built = []
-    original = ConsistencyReport.__post_init__
+    original = ConsistencyReport.__new__
 
-    def counting(self):
-        built.append(self)
-        original(self)
+    def counting(cls, *fields):
+        built.append(fields)
+        return original(cls, *fields)
 
-    monkeypatch.setattr(ConsistencyReport, "__post_init__", counting)
+    monkeypatch.setattr(ConsistencyReport, "__new__", counting)
     text = "cT2 N0 M0, estadio IB. T1 N0 M0, estadio I. ypT1b N2 M1b, estadio IV."
     result = default_pipeline.process_document(Document("d", text))
     back = deserialize_result(serialize_result(result))

@@ -1,0 +1,178 @@
+"""The contract of oncospan's immutable value types.
+
+Each is a named tuple: its fields cannot be assigned, it holds no instance
+``__dict__``, a copy rebuilt from its fields is equal and hashes the same,
+and its ``repr`` names every field.  The types whose constructor checks its
+fields run the same checks when a copy is made with ``_replace``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import oncospan
+from oncospan import (
+    ConflictingEntry,
+    ConsistencyReport,
+    ConsistencyVerdict,
+    CueLexicon,
+    Diagnostic,
+    Document,
+    DocumentResult,
+    EmptyPredicate,
+    ExonKind,
+    ExonMention,
+    Gene,
+    MCategory,
+    MutationAnnotation,
+    MutationPoint,
+    NCategory,
+    PipelineConfig,
+    PointVariant,
+    Polarity,
+    PSAnnotation,
+    PSScale,
+    QueryPredicate,
+    Sentence,
+    Span,
+    StageAnnotation,
+    StageGroup,
+    StandoffFile,
+    StandoffRecord,
+    TCategory,
+    TNMAnnotation,
+    TnmPrefix,
+)
+
+_SPAN = Span(0, 4)
+_EXON = ExonMention(Span(5, 12), 19, ExonKind.DELETION)
+_POINT = MutationPoint(Span(13, 18), PointVariant.L858R)
+_MUTATION = MutationAnnotation(_SPAN, Gene.EGFR, Polarity.POSITIVE, _EXON, _POINT, False)
+_TNM = TNMAnnotation(
+    Span(0, 8), TnmPrefix.P, TCategory.T1A, NCategory.N0, MCategory.M0, "pT1aN0M0"
+)
+_STAGE = StageAnnotation(Span(15, 18), StageGroup.IA1, "IA1")
+_RECORD = StandoffRecord(0, 4, "mutation", "EGFR", (("gene", "EGFR"),))
+
+# Each type, an instance and its field names in order.
+VALUES = [
+    (_SPAN, ["begin", "end"]),
+    (Document("d", "EGFR mutado"), ["id", "text"]),
+    (Sentence(_SPAN, 0), ["span", "index"]),
+    (Diagnostic(_SPAN, "ECOG 7 outside 0-5"), ["span", "message"]),
+    (_EXON, ["span", "number", "kind"]),
+    (_POINT, ["span", "value"]),
+    (_MUTATION, ["span", "gene", "polarity", "exon", "point", "implied"]),
+    (_TNM, ["span", "prefix", "t", "n", "m", "raw"]),
+    (_STAGE, ["span", "stage", "raw"]),
+    (
+        ConsistencyReport(_TNM, _STAGE, ConsistencyVerdict.CONSISTENT, StageGroup.IA1),
+        ["tnm", "stage", "verdict", "expected"],
+    ),
+    (PSAnnotation(Span(0, 6), PSScale.ECOG, 1, "ECOG 1"), ["span", "scale", "value", "raw"]),
+    (
+        CueLexicon(frozenset({("positivo",)}), frozenset({("no", "mutado")})),
+        ["positive", "negative"],
+    ),
+    (PipelineConfig(), ["enabled_annotators", "lexicon_path"]),
+    (
+        DocumentResult("d", "EGFR", (_MUTATION,), (Diagnostic(_SPAN, "x"),)),
+        ["document_id", "text", "annotations", "diagnostics"],
+    ),
+    (
+        QueryPredicate(gene=Gene.EGFR, ecog=(0, 1)),
+        ["gene", "polarity", "stage", "ecog", "karnofsky", "t", "n", "m"],
+    ),
+    (_RECORD, ["begin", "end", "annotator", "covered_text", "features"]),
+    (StandoffFile("d", "EGFR", (_RECORD,)), ["document_id", "source_text", "records"]),
+]
+
+
+@pytest.mark.parametrize("value, fields", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_type_contract(value, fields):
+    assert list(value._fields) == fields
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], value[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "__dict__")
+    by_keyword = type(value)(**value._asdict())
+    for copy in (type(value)(*value), value._replace(), by_keyword):
+        assert copy is not value
+        assert copy == value
+        assert hash(copy) == hash(value) == hash(tuple(value))
+    shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
+    assert repr(value) == f"{type(value).__name__}({shown})"
+
+
+def test_every_exported_value_type_is_covered():
+    exported = {t for t in vars(oncospan).values() if isinstance(t, type) and issubclass(t, tuple)}
+    assert {type(value) for value, _ in VALUES} == exported
+    assert len(VALUES) == 17
+
+
+# A field value each checking type rejects, and the error it raises.
+INVALID = [
+    (_SPAN, {"end": 0}, ValueError, "invalid span [0, 0)"),
+    (Document("d", "x"), {"id": ""}, ValueError, "document id must be non-empty"),
+    (_EXON, {"number": 17}, ValueError, "exon 17 outside the EGFR range 18-21"),
+    (_MUTATION, {"gene": Gene.ALK}, ValueError, "exon, point and implied apply to EGFR only"),
+    (
+        PSAnnotation(Span(0, 6), PSScale.ECOG, 1, "ECOG 1"),
+        {"value": 6},
+        ValueError,
+        "ECOG value 6 outside 0-5",
+    ),
+    (
+        ConsistencyReport(_TNM, _STAGE, ConsistencyVerdict.CONSISTENT, StageGroup.IA1),
+        {"expected": None},
+        ValueError,
+        "expected group is set exactly when comparable",
+    ),
+    (
+        CueLexicon(frozenset({("positivo",)}), frozenset({("no",)})),
+        {"negative": frozenset({("positivo",)})},
+        ConflictingEntry,
+        "phrases in both polarities: positivo",
+    ),
+    (QueryPredicate(gene=Gene.EGFR), {"gene": None}, EmptyPredicate, "predicate has no filters"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, change, error, message", INVALID, ids=[type(v).__name__ for v, *_ in INVALID]
+)
+def test_replace_runs_the_checks(value, change, error, message):
+    with pytest.raises(error) as exc:
+        value._replace(**change)
+    assert str(exc.value) == message
+    with pytest.raises(error):
+        type(value)._make({**value._asdict(), **change}.values())
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import oncospan.cli",
+        "import oncospan; oncospan.build_pipeline(oncospan.PipelineConfig())",
+    ],
+)
+def test_start_up_imports_no_introspection_modules(code):
+    # dataclasses brings in inspect, ast and dis; every oncospan command
+    # would pay for importing them at start-up.
+    probe = (
+        f"{code}\nimport sys\n"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(oncospan.__file__).parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
