@@ -5,6 +5,10 @@
     oncospan query    --store <dir> --filter <expr>
     oncospan check    --input <dir|file>
 
+Each command imports only the modules it runs: ``check`` loads none of
+``standoff``, ``query`` and ``sqlexport``, ``annotate`` no ``query`` and
+``query`` no ``sqlexport``.
+
 ``--jobs`` takes any N >= 1 and annotates serially whatever its value.
 ``annotate`` reads each input with ``os.read`` and rewrites an existing
 output in place, then cuts it to length.  A crash mid-write leaves the new
@@ -31,9 +35,6 @@ from .pipeline import (
     build_pipeline,
     process_corpus,
 )
-from .query import parse_filter, query_results
-from .sqlexport import emit_sql
-from .standoff import ANNOTATION_TYPES, deserialize_result, serialize_result
 
 _ANNOTATOR_BY_NAME = {kind.value.lower(): kind for kind in AnnotatorKind}
 
@@ -142,6 +143,9 @@ def _parse_annotators(raw: str | None) -> frozenset[AnnotatorKind]:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
+    from .sqlexport import emit_sql
+    from .standoff import ANNOTATION_TYPES, serialize_result
+
     if args.jobs < 1:
         raise _InputError("--jobs must be at least 1")
     documents = _load_documents(args.input)
@@ -210,6 +214,9 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from .query import parse_filter, query_results
+    from .standoff import deserialize_result
+
     store = Path(args.store)
     if not store.is_dir():
         raise _InputError(f"store directory does not exist: {store}")

@@ -30,6 +30,16 @@ def test_traced_notes_run_is_correct_and_finds_its_functions():
     summary = json.loads(run.stdout.splitlines()[-1])
     assert summary["correct"] is True, run.stderr
     assert summary["failed"] == 0
+    # The CLI imports standoff, sqlexport and query inside its command
+    # handlers; each call must still go through the traced function.
+    metrics = summary["metrics"]
+    for name in (
+        "standoff.serialize_ms",
+        "standoff.deserialize_ms",
+        "sqlexport.emit_ms",
+        "query.match_ms_per_query",
+    ):
+        assert metrics[name]["value"] > 0, name
     missing = [
         line[len(MISSING_PREFIX):].split(", ")
         for line in run.stderr.splitlines()

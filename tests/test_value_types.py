@@ -6,6 +6,8 @@ and its ``repr`` names every field.  The types whose constructor checks its
 fields run the same checks when a copy is made with ``_replace``.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -109,7 +111,13 @@ def test_value_type_contract(value, fields):
 
 
 def test_every_exported_value_type_is_covered():
-    exported = {t for t in vars(oncospan).values() if isinstance(t, type) and issubclass(t, tuple)}
+    # Through __all__, not vars(): a lazily exported name is in the module's
+    # dict only once something has bound it there.
+    exported = {
+        t
+        for t in (getattr(oncospan, name) for name in oncospan.__all__)
+        if isinstance(t, type) and issubclass(t, tuple)
+    }
     assert {type(value) for value, _ in VALUES} == exported
     assert len(VALUES) == 17
 
@@ -176,3 +184,50 @@ def test_start_up_imports_no_introspection_modules(code):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_STORAGE = {"oncospan.standoff", "oncospan.query", "oncospan.sqlexport"}
+_CLI = "from oncospan import cli\ncode = cli.cli_main({argv!r})"
+
+
+@pytest.mark.parametrize(
+    "code, not_loaded",
+    [
+        (
+            "import oncospan\noncospan.build_pipeline(oncospan.PipelineConfig())\ncode = 0",
+            _STORAGE | {"oncospan.cli", "oncospan.corpusgen"},
+        ),
+        (
+            _CLI.format(argv=["annotate", "--input", "in", "--out", "run", "--sql", "run.sql"]),
+            {"oncospan.query"},
+        ),
+        (
+            _CLI.format(argv=["query", "--store", "store", "--filter", "gene=EGFR"]),
+            {"oncospan.sqlexport"},
+        ),
+        (_CLI.format(argv=["check", "--input", "in"]), _STORAGE),
+    ],
+    ids=["build_pipeline", "annotate", "query", "check"],
+)
+def test_entry_point_loads_only_what_it_runs(code, not_loaded, tmp_path):
+    from oncospan import cli
+
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "n1.txt").write_text(
+        "EGFR mutado (deleción del exón 19). Estadio IV, pT2aN1M1b. ECOG 1.\n",
+        encoding="utf-8",
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.cli_main(["annotate", "--input", str(tmp_path / "in"),
+                             "--out", str(tmp_path / "store")]) == 0
+    probe = f"{code}\nimport sys\nprint(code, sorted({not_loaded!r} & sys.modules.keys()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(oncospan.__file__).parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
