@@ -4,10 +4,13 @@ They are the hot path of the whole package: every document is normalized,
 and each sentence holding an anchor is found by ``sentence_span_at`` and
 tokenized if an annotator reads its tokens.  ``sentence_spans`` splits a
 whole text; the lookup is checked against it.  The per-character work runs
-inside ``str.lower``, ``str.translate`` and ``re``: the fold translates
-only the runs of non-ASCII characters and lowers the rest in one call.
-Python-level loops are left for the rare characters that fold to more or
-fewer than one character and for the token before each period.
+inside ``bytes.translate``, ``str.translate``, ``str.lower`` and ``re``.  A
+text whose every character is below U+0100 (Latin-1, which holds Spanish
+notes) is folded and classified through two 256-byte tables.  Any other
+text goes through the lazy tables: the fold translates only its runs of
+non-ASCII characters and lowers the rest in one call.  Python-level loops
+are left for the rare characters that fold to more or fewer than one
+character and for the token before each period.
 ``tests/_textops_py.py`` keeps the plain loop version of the same contract,
 and the test suite checks that both agree.
 
@@ -66,6 +69,10 @@ class _FoldTable(dict):
 
 
 _FOLD = _FoldTable()
+# The fold of U+0000-U+00FF as a bytes.translate table.  Every such fold is
+# one Latin-1 character (bytes(map(ord, ...)) fails at import otherwise),
+# so a Latin-1 text keeps its length and its offsets are the identity.
+_FOLD_LATIN1 = bytes(map(ord, map(_FOLD.__getitem__, range(256))))
 # A run of non-ASCII characters; the group keeps the runs in split's output.
 _NON_ASCII_RUN = re.compile(r"([^\x00-\x7f]+)")
 
@@ -81,14 +88,19 @@ def normalize_text(text: str) -> tuple[str, Sequence[int]]:
     ``range(len(text))``, and ``normalized[b:e]`` is the fold of
     ``text[b:e]``; otherwise it is a list.
 
-    The fold of an ASCII character is its ``lower()``, and ``lower()``
-    leaves the fold of any character unchanged.  So only the runs of
-    non-ASCII characters go through the fold table, and one ``lower()`` of
-    the whole result folds the ASCII between them.  No capital sigma is
-    left for ``lower()`` to read in context.
+    A Latin-1 text is folded by one ``bytes.translate``.  In any other
+    text only the runs of non-ASCII characters go through the fold table:
+    the fold of an ASCII character is its ``lower()``, and ``lower()``
+    leaves the fold of any character unchanged, so one ``lower()`` of the
+    whole result folds the ASCII between them.  No capital sigma is left
+    for ``lower()`` to read in context.
     """
-    if text.isascii():
-        return text.lower(), range(len(text))
+    try:
+        raw = text.encode("latin-1")
+    except UnicodeEncodeError:
+        pass
+    else:
+        return raw.translate(_FOLD_LATIN1).decode("latin-1"), range(len(text))
     parts = _NON_ASCII_RUN.split(text)
     runs = parts[1::2]
     parts[1::2] = [run.translate(_FOLD) for run in runs]
@@ -130,6 +142,8 @@ class _ClassTable(dict):
 
 
 _CLASS = _ClassTable()
+# The class of U+0000-U+00FF as a bytes.translate table.
+_CLASS_LATIN1 = "".join(map(_CLASS.__getitem__, range(256))).encode("ascii")
 # Token kind codes.
 WORD, NUMBER, SYMBOL = 0, 1, 2
 # Kind code by lastindex: group 1 number, 2 word, 3 symbol.
@@ -142,12 +156,18 @@ def token_spans(text: str) -> list[tuple[int, int, int]]:
 
     Kind codes: 0 word, 1 number, 2 symbol.  Maximal alphanumeric runs form
     words (numbers when every character is a decimal digit); every other
-    non-whitespace character is its own symbol token.
+    non-whitespace character is its own symbol token.  A Latin-1 text is
+    classified by one ``bytes.translate``, any other through the lazy class
+    table.
     """
+    try:
+        classes = text.encode("latin-1").translate(_CLASS_LATIN1).decode("latin-1")
+    except UnicodeEncodeError:
+        classes = text.translate(_CLASS)
     kinds = _KIND_BY_GROUP
     return [
         (m.start(), m.end(), kinds[m.lastindex])
-        for m in _TOKEN_RE.finditer(text.translate(_CLASS))
+        for m in _TOKEN_RE.finditer(classes)
     ]
 
 

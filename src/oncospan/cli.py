@@ -6,8 +6,8 @@
     oncospan check    --input <dir|file>
 
 Each command imports only the modules it runs: ``check`` loads none of
-``standoff``, ``query`` and ``sqlexport``, ``annotate`` no ``query`` and
-``query`` no ``sqlexport``.
+``standoff``, ``query`` and ``sqlexport``, ``annotate`` no ``query`` (and
+``sqlexport`` only with ``--sql``), and ``query`` no ``sqlexport``.
 
 ``--jobs`` takes any N >= 1 and annotates serially whatever its value.
 ``annotate`` reads each input with ``os.read`` and rewrites an existing
@@ -143,7 +143,6 @@ def _parse_annotators(raw: str | None) -> frozenset[AnnotatorKind]:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
-    from .sqlexport import emit_sql
     from .standoff import ANNOTATION_TYPES, serialize_result
 
     if args.jobs < 1:
@@ -162,6 +161,8 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
         _write_bytes(os.path.join(args.out, f"{result.document_id}.ann"), serialize_result(result))
     counts = Counter(a.annotator for r in results for a in r.annotations)
     if args.sql is not None:
+        from .sqlexport import emit_sql
+
         _write_bytes(args.sql, emit_sql(results).encode("utf-8"))
     print(f"documents processed: {len(results)}")
     for name in ANNOTATION_TYPES:

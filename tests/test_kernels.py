@@ -35,7 +35,34 @@ _clinical = st.lists(
     max_size=200,
 ).map("".join)
 _wild = st.text(max_size=120)
-_texts = st.one_of(_clinical, _wild)
+# The _clinical alphabet plus what decides a period locally: abbreviations,
+# single letters, a decimal point, runs of terminators, and blank and
+# near-blank lines.
+_CLINICAL_UNITS = (
+    list(
+        "abcdefghijklmnopqrstuvwxyz"
+        "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        "áéíóúüñÁÉÍÓÚÜÑ"
+        "0123456789"
+        " \t\n\r.,;:()/%+-_!?"
+        "\u0301한²٣"
+    )
+    + ["\n\x0b\n", "Dr.", "J.", "1.5", "..", "?!", "\n \t\n", "\r", "\x0b"]
+)
+# Text below U+0100, which the kernels fold and classify through their byte
+# tables: the units above that are Latin-1, and the Latin-1 characters whose
+# fold or class is not a plain letter's: ordinal indicators, the micro sign,
+# sharp s, y with diaeresis, superscript digits (words, not numbers), a
+# vulgar fraction, spacing accents, the no-break space, next line and the
+# information separators (all whitespace), and symbols that stay symbols.
+_LATIN1_UNITS = [u for u in _CLINICAL_UNITS if max(u) < "\u0100"] + list(
+    "ªºµßÿ¹³¼´¨¸\xa0\x85\x1c\x1f×÷ÆÐÞ¿¡«»°"
+)
+_latin1 = st.one_of(
+    st.lists(st.sampled_from(_LATIN1_UNITS), max_size=80).map("".join),
+    st.text(st.characters(max_codepoint=0xFF), max_size=120),
+)
+_texts = st.one_of(_clinical, _wild, _latin1)
 
 
 @given(_texts)
@@ -99,23 +126,11 @@ def test_sentences_within_bounds_and_ordered(text):
         previous_end = end
 
 
-# The _clinical alphabet plus what decides a period locally: abbreviations,
-# single letters, a decimal point, runs of terminators, and blank and
-# near-blank lines.
-_CLINICAL_UNITS = (
-    list(
-        "abcdefghijklmnopqrstuvwxyz"
-        "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        "áéíóúüñÁÉÍÓÚÜÑ"
-        "0123456789"
-        " \t\n\r.,;:()/%+-_!?"
-        "\u0301한²٣"
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_CLINICAL_UNITS), max_size=80).map("".join), _latin1
     )
-    + ["\n\x0b\n", "Dr.", "J.", "1.5", "..", "?!", "\n \t\n", "\r", "\x0b"]
 )
-
-
-@given(st.lists(st.sampled_from(_CLINICAL_UNITS), max_size=80).map("".join))
 @settings(max_examples=300, deadline=None)
 @example("")
 @example("Dr. J. Ruiz. 1.5 mg.. ECOG 1?! KPS\n \t\nEGFR\r\x0b.")
@@ -244,6 +259,17 @@ def test_lower_leaves_every_fold_unchanged(monkeypatch):
 _LONG = " ".join(doc.text for doc in generate_corpus(20, seed=7))
 
 
+@pytest.mark.parametrize("where", [0, len(_LONG) // 2, len(_LONG)])
+def test_long_text_with_one_regular_non_latin1_character(where):
+    # An en dash takes the text off the byte tables; it folds to itself, so
+    # the offsets stay the identity.
+    text = _LONG[:where] + "\u2013" + _LONG[where:]
+    norm, offsets = _textops.normalize_text(text)
+    assert offsets == range(len(text)) and isinstance(offsets, range)
+    assert (norm, list(offsets)) == _textops_py.normalize_text(text)
+    assert _textops.token_spans(text) == _textops_py.token_spans(text, 0, len(text))
+
+
 @pytest.mark.parametrize("irregular", ["한", "\u0301", "é\u0301한ñ", "\U0001d15e"])
 @pytest.mark.parametrize("where", [0, len(_LONG) // 2, len(_LONG)])
 def test_offsets_of_long_text_with_one_irregular_character(irregular, where):
@@ -255,7 +281,8 @@ def test_offsets_of_long_text_with_one_irregular_character(irregular, where):
 
 def test_fold_table_read_once_per_non_ascii_character(monkeypatch):
     # The offsets of a text holding an irregular character are built without
-    # reading the fold table again, and never for its ASCII characters.
+    # reading the fold table again, and never for its ASCII characters.  A
+    # Latin-1 text goes through the byte table and reads it not at all.
     lookups = []
 
     class CountingTable(_textops._FoldTable):
@@ -269,4 +296,28 @@ def test_fold_table_read_once_per_non_ascii_character(monkeypatch):
         lookups.clear()
         norm, offsets = _textops.normalize_text(text)
         assert (norm, list(offsets)) == _textops_py.normalize_text(text)
-        assert 0 < len(lookups) <= sum(not ch.isascii() for ch in text)
+        if text is _LONG:
+            assert lookups == []
+        else:
+            assert 0 < len(lookups) <= sum(not ch.isascii() for ch in text)
+
+
+def _reference_class(ch):
+    if ch.isdecimal():
+        return "d"
+    if _textops_py._is_token_char(ch):
+        return "w"
+    return " " if ch.isspace() else "s"
+
+
+def test_byte_tables_equal_the_reference():
+    # A Latin-1 text is folded and classified through 256-byte tables: each
+    # entry must be the loop version's fold and token class of its code
+    # point, and the class the lazy table gives any other text.
+    chars = list(map(chr, range(256)))
+    assert list(_textops._FOLD_LATIN1.decode("latin-1")) == list(
+        map(_textops_py._norm_char, chars)
+    )
+    classes = list(_textops._CLASS_LATIN1.decode("ascii"))
+    assert classes == list(map(_reference_class, chars))
+    assert classes == [_textops._CLASS[ord(ch)] for ch in chars]

@@ -202,12 +202,16 @@ _CLI = "from oncospan import cli\ncode = cli.cli_main({argv!r})"
             {"oncospan.query"},
         ),
         (
+            _CLI.format(argv=["annotate", "--input", "in", "--out", "run"]),
+            {"oncospan.query", "oncospan.sqlexport"},
+        ),
+        (
             _CLI.format(argv=["query", "--store", "store", "--filter", "gene=EGFR"]),
             {"oncospan.sqlexport"},
         ),
         (_CLI.format(argv=["check", "--input", "in"]), _STORAGE),
     ],
-    ids=["build_pipeline", "annotate", "query", "check"],
+    ids=["build_pipeline", "annotate", "annotate_without_sql", "query", "check"],
 )
 def test_entry_point_loads_only_what_it_runs(code, not_loaded, tmp_path):
     from oncospan import cli
