@@ -265,7 +265,7 @@ def test_long_text_with_one_regular_non_latin1_character(where):
     # the offsets stay the identity.
     text = _LONG[:where] + "\u2013" + _LONG[where:]
     norm, offsets = _textops.normalize_text(text)
-    assert offsets == range(len(text)) and isinstance(offsets, range)
+    assert isinstance(offsets, range)
     assert (norm, list(offsets)) == _textops_py.normalize_text(text)
     assert _textops.token_spans(text) == _textops_py.token_spans(text, 0, len(text))
 
