@@ -59,8 +59,6 @@ class _FoldTable(dict):
             for c in unicodedata.normalize("NFD", ch.lower())
             if unicodedata.category(c) != "Mn"
         )
-        # Threads share the tables: a thread that finds this entry must
-        # also find the character in _IRREGULAR, so record it first.
         if len(folded) != 1:
             _IRREGULAR[ch] = len(folded)
         if code < _CACHED_BELOW:

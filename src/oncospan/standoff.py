@@ -10,9 +10,11 @@ Layout, all UTF-8:
     <#check lines>
 
 Record line: ``begin<TAB>end<TAB>annotator<TAB>covered_text<TAB>features``
-with features ``key=value;key=value`` in the order the encoder writes them;
-``ANNOTATION_TYPES`` declares each annotator's keys, encoder, record pattern
-and decoders.  Covered text and diagnostic messages escape backslash, tab,
+with features ``key=value;key=value``.  ``ANNOTATION_TYPES`` is the one place
+a record type is defined: it declares each annotator's features in the order
+a record lists them, and the encoder behind ``features_of``, the record
+pattern, the builder and the error namer are all derived from that
+declaration.  Covered text and diagnostic messages escape backslash, tab,
 newline and carriage return so one record is always one line, and a raw
 carriage return in them is rejected.  ``#diag``
 carries a diagnostic (begin, end, message); ``#check`` carries a consistency
@@ -29,26 +31,24 @@ accepts a record with one ``fullmatch`` of its type's pattern, which admits
 exactly the line the encoder writes, then checks the span, the covered text
 and the values the annotation itself rejects; a line the pattern misses is
 read field by field only to name its error, and one with nothing else wrong
-has its features out of canonical order.  It compares the ``#check``
-section with the one the records give as one string, reading it line by
-line only to report a mismatch; so a well-formed section that is not that
-pairing is rejected.
+has its features out of canonical order.  The patterns are compiled on the
+first decode, so a process that only writes records never builds them.  It
+compares the ``#check`` section with the one the records give as one string,
+reading it line by line only to report a mismatch; so a well-formed section
+that is not that pairing is rejected.
 """
 
 import re
+import typing
+from functools import cache
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .assertion import Polarity
 from .document import Diagnostic, Span, check_document_id
 from .errors import MalformedFile, SpanMismatch
-from .mutation import (
-    ExonKind,
-    ExonMention,
-    Gene,
-    MutationAnnotation,
-    MutationPoint,
-    PointVariant,
-)
+from .mutation import ExonKind, Gene, MutationAnnotation, PointVariant
 from .perfstatus import PSAnnotation, PSScale
 from .pipeline import Annotation, DocumentResult
 from .staging import (
@@ -79,19 +79,109 @@ class StandoffFile(NamedTuple):
     records: tuple[StandoffRecord, ...]
 
 
-class AnnotationType(NamedTuple):
-    """The record format of one annotation type; see ``ANNOTATION_TYPES``."""
+class Feature(NamedTuple):
+    """One feature of a record type; see ``ANNOTATION_TYPES``."""
 
-    required: frozenset[str]
-    encode: Callable[[Annotation], list[tuple[str, str]]]
-    # The record line encode gives, features in its order: groups begin,
-    # end and covered text, then the feature values, which build reads.
-    pattern: re.Pattern[str]
-    build: Callable[[Span, str, list[str | None]], Annotation]
-    # The field-by-field reading that names what is wrong with a line the
-    # pattern misses.
-    decode: Callable[[Span, str, dict[str, str], int], Annotation]
-    optional: frozenset[str] = frozenset()
+    key: str
+    # An Enum class (a record holds the member's value), int (a canonical
+    # decimal) or bool (true or false).
+    domain: type
+    # The attribute path of the value on the annotation.  A dotted path
+    # reads inside an object the annotation may lack, such as a mutation's
+    # exon: the features under it form its group, which a record holds
+    # whole or not at all.
+    path: str
+    # Left out, within its group, when the value is None.
+    optional: bool = False
+
+    @property
+    def group(self) -> str | None:
+        head, dot, _ = self.path.partition(".")
+        return head if dot else None
+
+
+class AnnotationType(NamedTuple):
+    """One record type: the annotation class and its features, in the order
+    a record lists them.  The class's ``span`` field is the record's span and
+    its ``raw`` field, if any, the covered text."""
+
+    cls: type
+    features: tuple[Feature, ...]
+
+
+# Keyed by each class's ``annotator`` name, in the order ``oncospan annotate``
+# reports counts in.  The last feature of each type is in no group.
+ANNOTATION_TYPES: dict[str, AnnotationType] = {
+    MutationAnnotation.annotator: AnnotationType(
+        MutationAnnotation,
+        (
+            Feature("gene", Gene, "gene"),
+            Feature("polarity", Polarity, "polarity"),
+            Feature("exon", int, "exon.number"),
+            Feature("exon_kind", ExonKind, "exon.kind", optional=True),
+            Feature("exon_begin", int, "exon.span.begin"),
+            Feature("exon_end", int, "exon.span.end"),
+            Feature("point", PointVariant, "point.value"),
+            Feature("point_begin", int, "point.span.begin"),
+            Feature("point_end", int, "point.span.end"),
+            Feature("implied", bool, "implied"),
+        ),
+    ),
+    TNMAnnotation.annotator: AnnotationType(
+        TNMAnnotation,
+        (
+            Feature("prefix", TnmPrefix, "prefix"),
+            Feature("t", TCategory, "t"),
+            Feature("n", NCategory, "n"),
+            Feature("m", MCategory, "m"),
+        ),
+    ),
+    StageAnnotation.annotator: AnnotationType(
+        StageAnnotation, (Feature("stage", StageGroup, "stage"),)
+    ),
+    PSAnnotation.annotator: AnnotationType(
+        PSAnnotation, (Feature("scale", PSScale, "scale"), Feature("value", int, "value"))
+    ),
+}
+
+
+def _values(domain: type) -> dict | None:
+    """The value each string a file may hold for *domain* stands for, or None
+    for int, whose strings are the canonical decimals."""
+    if domain is bool:
+        return {"true": True, "false": False}
+    return None if domain is int else {member.value: member for member in domain}
+
+
+# The encoder and the builder of a type are compiled from Python source made
+# from its declaration, so that a record costs what hand-written code would.
+# The source holds only the declaration's keys, paths and class names.
+def _encoder(features: tuple[Feature, ...]) -> Callable[[Annotation], list[tuple[str, str]]]:
+    """``features_of`` for the annotations of one type: ``(key, text)`` for
+    each feature the annotation holds, in declaration order."""
+    parts = []
+    for group, run in groupby(features, attrgetter("group")):
+        items = []
+        for f in run:
+            value = f"a.{f.path}"
+            text = (
+                f"str({value})" if f.domain is int
+                else f'"true" if {value} else "false"' if f.domain is bool
+                else f"{value}.value"
+            )
+            item = f"({f.key!r}, {text})"
+            items.append(f"*(() if {value} is None else [{item}])" if f.optional else item)
+        part = ", ".join(items)
+        parts.append(part if group is None else f"*(() if a.{group} is None else [{part}])")
+    return eval(f"lambda a: [{', '.join(parts)}]", {})
+
+
+_ENCODERS = {name: _encoder(kind.features) for name, kind in ANNOTATION_TYPES.items()}
+
+
+def features_of(ann: Annotation) -> list[tuple[str, str]]:
+    """Feature pairs of *ann* as its standoff record and SQL rows hold them."""
+    return _ENCODERS[ann.annotator](ann)
 
 
 def _escape(value: str) -> str:
@@ -104,15 +194,15 @@ def _escape(value: str) -> str:
 
 
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
-# A backslash and the character after it, if any.
-_ESCAPE_RE = re.compile(r"\\(.?)", re.DOTALL)
 
 
 def _unescape(value: str, line_no: int) -> str:
     if "\\" not in value:
         return value
     try:
-        return _ESCAPE_RE.sub(lambda match: _UNESCAPE[match[1]], value)
+        # A backslash and the character after it, if any; re compiles the
+        # pattern on its first use and caches it.
+        return re.sub(r"(?s)\\(.?)", lambda match: _UNESCAPE[match[1]], value)
     except KeyError:
         raise MalformedFile("bad escape sequence", line_no) from None
 
@@ -182,22 +272,8 @@ def _parse_int(raw: str, what: str, line_no: int) -> int:
     raise MalformedFile(f"{what} is not an integer: {raw!r}", line_no)
 
 
-def _by_value(enum_cls) -> dict:
-    """Each member of *enum_cls* keyed by its value, the string a file holds."""
-    return {member.value: member for member in enum_cls}
-
-
-_GENES = _by_value(Gene)
-_POLARITIES = _by_value(Polarity)
-_EXON_KINDS = _by_value(ExonKind)
-_POINTS = _by_value(PointVariant)
-_PREFIXES = _by_value(TnmPrefix)
-_TS = _by_value(TCategory)
-_NS = _by_value(NCategory)
-_MS = _by_value(MCategory)
-_STAGES = _by_value(StageGroup)
-_SCALES = _by_value(PSScale)
-_VERDICT_NAMES = _by_value(ConsistencyVerdict)
+_STAGES = _values(StageGroup)
+_VERDICT_NAMES = _values(ConsistencyVerdict)
 
 # The verdict<TAB>expected of each cell, by row id, built once per row the
 # keys share; the table keeps rows alive.
@@ -210,14 +286,74 @@ _ROW_TEXT = {
 _INT = "(0|[1-9][0-9]*)"
 
 
-def _one_of(members: dict) -> str:
-    """A regex group matching exactly the keys of *members*."""
-    return "(" + "|".join(map(re.escape, members)) + ")"
+def _pattern(annotator: str, features: tuple[Feature, ...]) -> re.Pattern[str]:
+    """The record lines of *annotator* that hold *features* as the encoder
+    writes them: groups begin, end and covered text, then one per feature."""
+    parts = []
+    for group, run in groupby(features, attrgetter("group")):
+        items = ""
+        for f in run:
+            values = _values(f.domain)
+            value = _INT if values is None else "(" + "|".join(map(re.escape, values)) + ")"
+            item = f"{f.key}={value};"
+            items += f"(?:{item})?" if f.optional else item
+        parts.append(items if group is None else f"(?:{items})?")
+    # The last feature is in no group, so the line ends at its separator.
+    return re.compile(f"{_INT}\t{_INT}\t{annotator}\t([^\t\r]*)\t{''.join(parts)[:-1]}")
 
 
-def _record_pattern(annotator: str, features: str) -> re.Pattern[str]:
-    """The record lines of *annotator* whose feature field matches *features*."""
-    return re.compile(f"{_INT}\t{_INT}\t{annotator}\t([^\t\r]*)\t{features}")
+def _field_class(cls: type, name: str) -> type:
+    """The class of field *name* of *cls*, which may also hold None."""
+    hint = typing.get_type_hints(cls)[name]
+    return next(c for c in typing.get_args(hint) or (hint,) if c is not type(None))
+
+
+def _builder(kind: AnnotationType) -> Callable[[Span, str, Sequence[str | None]], Annotation]:
+    """The annotation from a record's span, covered text and the pattern's
+    feature groups ``v`` (None for an absent feature), in declaration order.
+    It raises ValueError where the annotation rejects a value."""
+    index = {f.path: i for i, f in enumerate(kind.features)}
+    namespace = {
+        f"t{i}": _values(f.domain) for i, f in enumerate(kind.features) if f.domain is not int
+    }
+
+    def construct(cls: type, prefix: str) -> str:
+        args = []
+        for name in cls._fields:
+            path = prefix + name
+            i = index.get(path)
+            if i is not None:
+                f = kind.features[i]
+                args.append(
+                    f"int(v[{i}])" if f.domain is int
+                    else f"t{i}.get(v[{i}])" if f.optional else f"t{i}[v[{i}]]"
+                )
+            elif path in ("span", "raw"):
+                args.append("span" if path == "span" else "covered")
+            else:
+                nested = construct(_field_class(cls, name), f"{path}.")
+                if not prefix:  # a group, absent with its first required feature
+                    first = next(
+                        i for i, f in enumerate(kind.features)
+                        if f.group == name and not f.optional
+                    )
+                    nested = f"None if v[{first}] is None else {nested}"
+                args.append(nested)
+        namespace[cls.__name__] = cls
+        return f"{cls.__name__}({', '.join(args)})"
+
+    return eval(f"lambda span, covered, v: {construct(kind.cls, '')}", namespace)
+
+
+@cache
+def _readers() -> dict[str, tuple[re.Pattern[str], Callable]]:
+    """Each annotator's record pattern and builder, made on first decode:
+    a process that only writes records, as ``oncospan annotate`` does, never
+    compiles them."""
+    return {
+        name: (_pattern(name, kind.features), _builder(kind))
+        for name, kind in ANNOTATION_TYPES.items()
+    }
 
 
 def _parse_enum(members: dict, raw: str, what: str, line_no: int):
@@ -233,179 +369,6 @@ def _parse_span(begin: str, end: str, text_len: int, line_no: int) -> Span:
     if e <= b or e > text_len:
         raise MalformedFile(f"span [{b}, {e}) out of bounds", line_no)
     return Span(b, e)
-
-
-def _parse_features(
-    raw: str, annotator: str, kind: AnnotationType, line_no: int
-) -> dict[str, str]:
-    features: dict[str, str] = {}
-    for item in raw.split(";"):
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            raise MalformedFile(f"bad feature item {item!r}", line_no)
-        if key in features:
-            raise MalformedFile(f"duplicate feature key {key!r}", line_no)
-        if key not in kind.required and key not in kind.optional:
-            raise MalformedFile(
-                f"unknown feature key {key!r} for annotator {annotator!r}", line_no
-            )
-        features[key] = value
-    missing = kind.required - features.keys()
-    if missing:
-        raise MalformedFile(
-            f"missing feature keys: {', '.join(sorted(missing))}", line_no
-        )
-    return features
-
-
-_EXON_KEYS = frozenset({"exon", "exon_begin", "exon_end"})
-_POINT_KEYS = frozenset({"point", "point_begin", "point_end"})
-
-
-def _mutation_features(ann: MutationAnnotation) -> list[tuple[str, str]]:
-    pairs = [("gene", ann.gene.value), ("polarity", ann.polarity.value)]
-    if ann.exon is not None:
-        pairs.append(("exon", str(ann.exon.number)))
-        if ann.exon.kind is not None:
-            pairs.append(("exon_kind", ann.exon.kind.value))
-        pairs.append(("exon_begin", str(ann.exon.span.begin)))
-        pairs.append(("exon_end", str(ann.exon.span.end)))
-    if ann.point is not None:
-        pairs.append(("point", ann.point.value.value))
-        pairs.append(("point_begin", str(ann.point.span.begin)))
-        pairs.append(("point_end", str(ann.point.span.end)))
-    pairs.append(("implied", "true" if ann.implied else "false"))
-    return pairs
-
-
-def _mutation_from(
-    span: Span, covered: str, features: dict[str, str], line_no: int
-) -> MutationAnnotation:
-    gene = _parse_enum(_GENES, features["gene"], "gene", line_no)
-    polarity = _parse_enum(_POLARITIES, features["polarity"], "polarity", line_no)
-    implied_raw = features["implied"]
-    if implied_raw not in ("true", "false"):
-        raise MalformedFile(f"implied must be true/false, got {implied_raw!r}", line_no)
-    exon = None
-    if _EXON_KEYS & features.keys():
-        if _EXON_KEYS - features.keys():
-            raise MalformedFile("incomplete exon feature group", line_no)
-        kind = None
-        if "exon_kind" in features:
-            kind = _parse_enum(_EXON_KINDS, features["exon_kind"], "exon kind", line_no)
-        exon = ExonMention(
-            Span(
-                _parse_int(features["exon_begin"], "exon_begin", line_no),
-                _parse_int(features["exon_end"], "exon_end", line_no),
-            ),
-            _parse_int(features["exon"], "exon", line_no),
-            kind,
-        )
-    elif "exon_kind" in features:
-        raise MalformedFile("exon_kind without exon", line_no)
-    point = None
-    if _POINT_KEYS & features.keys():
-        if _POINT_KEYS - features.keys():
-            raise MalformedFile("incomplete point feature group", line_no)
-        point = MutationPoint(
-            Span(
-                _parse_int(features["point_begin"], "point_begin", line_no),
-                _parse_int(features["point_end"], "point_end", line_no),
-            ),
-            _parse_enum(_POINTS, features["point"], "mutation point", line_no),
-        )
-    return MutationAnnotation(
-        span, gene, polarity, exon, point, implied_raw == "true"
-    )
-
-
-def _mutation_build(
-    span: Span, covered: str, values: list[str | None]
-) -> MutationAnnotation:
-    gene, polarity, number, kind, exon_begin, exon_end = values[:6]
-    point, point_begin, point_end, implied = values[6:]
-    exon = None
-    if number is not None:
-        exon = ExonMention(
-            Span(int(exon_begin), int(exon_end)), int(number), _EXON_KINDS.get(kind)
-        )
-    mutation_point = None
-    if point is not None:
-        mutation_point = MutationPoint(
-            Span(int(point_begin), int(point_end)), _POINTS[point]
-        )
-    return MutationAnnotation(
-        span, _GENES[gene], _POLARITIES[polarity], exon, mutation_point, implied == "true"
-    )
-
-
-# Keyed by each class's ``annotator`` name, in the order ``oncospan annotate``
-# reports counts in.  A builder or decoder raises ValueError where the
-# annotation rejects a value, and a decoder MalformedFile where the features
-# do.
-ANNOTATION_TYPES: dict[str, AnnotationType] = {
-    MutationAnnotation.annotator: AnnotationType(
-        frozenset({"gene", "polarity", "implied"}),
-        _mutation_features,
-        _record_pattern(
-            MutationAnnotation.annotator,
-            f"gene={_one_of(_GENES)};polarity={_one_of(_POLARITIES)};"
-            f"(?:exon={_INT};(?:exon_kind={_one_of(_EXON_KINDS)};)?"
-            f"exon_begin={_INT};exon_end={_INT};)?"
-            f"(?:point={_one_of(_POINTS)};point_begin={_INT};point_end={_INT};)?"
-            "implied=(true|false)",
-        ),
-        _mutation_build,
-        _mutation_from,
-        _EXON_KEYS | _POINT_KEYS | {"exon_kind"},
-    ),
-    TNMAnnotation.annotator: AnnotationType(
-        frozenset({"prefix", "t", "n", "m"}),
-        lambda a: [(key, getattr(a, key).value) for key in ("prefix", "t", "n", "m")],
-        _record_pattern(
-            TNMAnnotation.annotator,
-            f"prefix={_one_of(_PREFIXES)};t={_one_of(_TS)};"
-            f"n={_one_of(_NS)};m={_one_of(_MS)}",
-        ),
-        lambda span, covered, v: TNMAnnotation(
-            span, _PREFIXES[v[0]], _TS[v[1]], _NS[v[2]], _MS[v[3]], covered
-        ),
-        lambda span, covered, f, line_no: TNMAnnotation(
-            span,
-            _parse_enum(_PREFIXES, f["prefix"], "prefix", line_no),
-            _parse_enum(_TS, f["t"], "T category", line_no),
-            _parse_enum(_NS, f["n"], "N category", line_no),
-            _parse_enum(_MS, f["m"], "M category", line_no),
-            covered,
-        ),
-    ),
-    StageAnnotation.annotator: AnnotationType(
-        frozenset({"stage"}),
-        lambda a: [("stage", a.stage.value)],
-        _record_pattern(StageAnnotation.annotator, f"stage={_one_of(_STAGES)}"),
-        lambda span, covered, v: StageAnnotation(span, _STAGES[v[0]], covered),
-        lambda span, covered, f, line_no: StageAnnotation(
-            span, _parse_enum(_STAGES, f["stage"], "stage group", line_no), covered
-        ),
-    ),
-    PSAnnotation.annotator: AnnotationType(
-        frozenset({"scale", "value"}),
-        lambda a: [("scale", a.scale.value), ("value", str(a.value))],
-        _record_pattern(PSAnnotation.annotator, f"scale={_one_of(_SCALES)};value={_INT}"),
-        lambda span, covered, v: PSAnnotation(span, _SCALES[v[0]], int(v[1]), covered),
-        lambda span, covered, f, line_no: PSAnnotation(
-            span,
-            _parse_enum(_SCALES, f["scale"], "scale", line_no),
-            _parse_int(f["value"], "value", line_no),
-            covered,
-        ),
-    ),
-}
-
-
-def features_of(ann: Annotation) -> list[tuple[str, str]]:
-    """Feature pairs of *ann* as its standoff record and SQL rows hold them."""
-    return ANNOTATION_TYPES[ann.annotator].encode(ann)
 
 
 def deserialize_result(data: bytes) -> DocumentResult:
@@ -447,9 +410,10 @@ def deserialize_result(data: bytes) -> DocumentResult:
     lines.pop()
 
     annotations: list[Annotation] = []
+    readers = _readers()
     i = 0
     while i < len(lines) and not lines[i].startswith("#"):
-        annotations.append(_parse_record(lines[i], text, first_line + i))
+        annotations.append(_parse_record(lines[i], text, first_line + i, readers))
         i += 1
     diagnostics: list[Diagnostic] = []
     while i < len(lines) and lines[i].startswith("#diag\t"):
@@ -472,10 +436,10 @@ def deserialize_result(data: bytes) -> DocumentResult:
     )
 
 
-def _parse_record(line: str, text: str, line_no: int) -> Annotation:
+def _parse_record(line: str, text: str, line_no: int, readers: dict) -> Annotation:
     fields = line.split("\t", 3)
-    kind = ANNOTATION_TYPES.get(fields[2]) if len(fields) == 4 else None
-    match = None if kind is None else kind.pattern.fullmatch(line)
+    reader = readers.get(fields[2]) if len(fields) == 4 else None
+    match = None if reader is None else reader[0].fullmatch(line)
     if match:
         begin, end, covered, *values = match.groups()
         try:
@@ -483,7 +447,7 @@ def _parse_record(line: str, text: str, line_no: int) -> Annotation:
             if span.end <= len(text):
                 covered = _unescape(covered, line_no)
                 if text[span.begin : span.end] == covered:
-                    return kind.build(span, covered, values)
+                    return reader[1](span, covered, values)
         except ValueError:  # an integer int() cannot convert, or a bad value
             pass
     _reject_record(line, text, line_no)
@@ -508,9 +472,34 @@ def _reject_record(line: str, text: str, line_no: int) -> NoReturn:
             f"line {line_no}: covered text {covered!r} does not match "
             f"text[{span.begin}:{span.end}]"
         )
-    features = _parse_features(features_raw, annotator, kind, line_no)
+    items: dict[str, str] = {}
+    keys = {f.key for f in kind.features}
+    for item in features_raw.split(";"):
+        key, sep, value = item.partition("=")
+        if not sep or not key:
+            raise MalformedFile(f"bad feature item {item!r}", line_no)
+        if key in items:
+            raise MalformedFile(f"duplicate feature key {key!r}", line_no)
+        if key not in keys:
+            raise MalformedFile(
+                f"unknown feature key {key!r} for annotator {annotator!r}", line_no
+            )
+        items[key] = value
+    # The declared features in order: each is present unless it is optional
+    # or its group is absent, and its value is in its domain.
+    for group, run in groupby(kind.features, attrgetter("group")):
+        run = list(run)
+        missing = [f.key for f in run if not f.optional and f.key not in items]
+        if missing and (group is None or any(f.key in items for f in run)):
+            raise MalformedFile(f"missing feature key {missing[0]!r}", line_no)
+        for f in run:
+            raw = items.get(f.key)
+            if raw is not None and f.domain is int:
+                _parse_int(raw, f.key, line_no)
+            elif raw is not None and raw not in _values(f.domain):
+                raise MalformedFile(f"unknown {f.key} value {raw!r}", line_no)
     try:
-        kind.decode(span, covered, features, line_no)
+        _readers()[annotator][1](span, covered, [items.get(f.key) for f in kind.features])
     except ValueError as exc:
         raise MalformedFile(str(exc), line_no) from None
     raise MalformedFile(

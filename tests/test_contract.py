@@ -8,9 +8,14 @@ compare the ``.ann`` files of an ``oncospan annotate`` run before and after.
 """
 
 import hashlib
+import os
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
+import oncospan
 from oncospan import (
     Document,
     PipelineConfig,
@@ -85,6 +90,48 @@ def test_query_answers(ann_files):
 def test_read_standoff_records(ann_files):
     files = "".join(f"{read_standoff(data)!r}\n" for data in ann_files)
     assert _sha256(files.encode("utf-8")) == RECORDS_SHA256
+
+
+# The .ann and SQL digests of the seeded corpus, and of its .ann files
+# decoded and written again, with the standard library alone.
+_DIGESTS = """
+import hashlib, sys
+from oncospan import PipelineConfig, build_pipeline, process_corpus
+from oncospan import deserialize_result, emit_sql, serialize_result
+from oncospan.corpusgen import generate_corpus
+results = process_corpus(build_pipeline(PipelineConfig()), generate_corpus(300, seed=7))
+files = [serialize_result(r) for r in results]
+print(*sys.version_info[:2])
+print(hashlib.sha256(b"".join(files)).hexdigest())
+print(hashlib.sha256(emit_sql(results).encode("utf-8")).hexdigest())
+print(hashlib.sha256(b"".join(serialize_result(deserialize_result(f)) for f in files)).hexdigest())
+"""
+
+
+def test_other_pythons_write_the_same_bytes():
+    # pyproject.toml admits Python 3.10 and later: check the oldest and the
+    # newest python3.1x on PATH.
+    minors = [m for m in range(10, 20) if shutil.which(f"python3.{m}")]
+    if 10 not in minors:
+        pytest.skip("no python3.10 on PATH")
+    for minor in sorted({10, minors[-1]}):
+        proc = subprocess.run(
+            [f"python3.{minor}", "-c", _DIGESTS],
+            capture_output=True,
+            text=True,
+            # A pyenv shim runs a version only once it is selected, and 3.N
+            # selects the newest installed 3.N; other Pythons ignore it.
+            env={
+                **os.environ,
+                "PYENV_VERSION": f"3.{minor}",
+                "PYTHONPATH": str(Path(oncospan.__file__).parents[1]),
+            },
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == [
+            f"3 {minor}", ANN_SHA256, SQL_SHA256, ANN_SHA256, ""
+        ]
 
 
 # The seeded corpus holds no diagnostic and no Unknown polarity, and all of

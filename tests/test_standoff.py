@@ -663,6 +663,33 @@ def test_decoder_equals_line_by_line_oracle(default_pipeline, parts, data):
         assert serialize_result(expected) == mutated
 
 
+# The bytes that separate or escape fields, digits, and a non-ASCII
+# character (two bytes in UTF-8, so one of them alone is not UTF-8).
+_MUTANT_BYTES = [b"\r", b"\t", b"\n", b"\\", b";", b"=", *(b"%d" % d for d in range(10))]
+_MUTANT_BYTES += ["é".encode(), "é".encode()[:1]]
+
+
+@given(
+    st.lists(st.sampled_from(_ORACLE_NOTES), min_size=1, max_size=2),
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.sampled_from(_MUTANT_BYTES),
+    st.data(),
+)
+@settings(deadline=None, max_examples=300)
+def test_byte_mutants_decode_as_the_oracle_does(default_pipeline, parts, how, new, data):
+    # One byte inserted, deleted or replaced anywhere in a written file: the
+    # decoder raises what the oracle raises, at the same line, or returns
+    # what it returns, which then writes back exactly the mutant.
+    serialized = _serialized(default_pipeline, "\n\n".join(parts))
+    at = data.draw(st.integers(0, len(serialized) - (how != "insert")))
+    end = at if how == "insert" else at + 1
+    mutant = serialized[:at] + (b"" if how == "delete" else new) + serialized[end:]
+    expected = _decoded(_standoff_oracle.deserialize_result, mutant)
+    assert _decoded(deserialize_result, mutant) == expected
+    if isinstance(expected, DocumentResult):
+        assert serialize_result(expected) == mutant
+
+
 # Notes with several (TNM, stage) pairs, and one with none.
 _PAIRED_NOTES = [
     STAGING_NOTE,

@@ -190,30 +190,42 @@ _STORAGE = {"oncospan.standoff", "oncospan.query", "oncospan.sqlexport"}
 _CLI = "from oncospan import cli\ncode = cli.cli_main({argv!r})"
 
 
+# Whether the .ann decoder's record patterns are built: None where
+# ``standoff`` is not loaded, 0 where they are not, 1 where they are.
+_PATTERNS = (
+    "standoff = sys.modules.get('oncospan.standoff')\n"
+    "patterns = standoff and standoff._readers.cache_info().currsize"
+)
+
+
 @pytest.mark.parametrize(
-    "code, not_loaded",
+    "code, not_loaded, patterns",
     [
         (
             "import oncospan\noncospan.build_pipeline(oncospan.PipelineConfig())\ncode = 0",
             _STORAGE | {"oncospan.cli", "oncospan.corpusgen"},
+            None,
         ),
         (
             _CLI.format(argv=["annotate", "--input", "in", "--out", "run", "--sql", "run.sql"]),
             {"oncospan.query"},
+            0,
         ),
         (
             _CLI.format(argv=["annotate", "--input", "in", "--out", "run"]),
             {"oncospan.query", "oncospan.sqlexport"},
+            0,
         ),
         (
             _CLI.format(argv=["query", "--store", "store", "--filter", "gene=EGFR"]),
             {"oncospan.sqlexport"},
+            1,
         ),
-        (_CLI.format(argv=["check", "--input", "in"]), _STORAGE),
+        (_CLI.format(argv=["check", "--input", "in"]), _STORAGE, None),
     ],
     ids=["build_pipeline", "annotate", "annotate_without_sql", "query", "check"],
 )
-def test_entry_point_loads_only_what_it_runs(code, not_loaded, tmp_path):
+def test_entry_point_loads_only_what_it_runs(code, not_loaded, patterns, tmp_path):
     from oncospan import cli
 
     (tmp_path / "in").mkdir()
@@ -224,7 +236,10 @@ def test_entry_point_loads_only_what_it_runs(code, not_loaded, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.cli_main(["annotate", "--input", str(tmp_path / "in"),
                              "--out", str(tmp_path / "store")]) == 0
-    probe = f"{code}\nimport sys\nprint(code, sorted({not_loaded!r} & sys.modules.keys()))"
+    probe = (
+        f"{code}\nimport sys\n{_PATTERNS}\n"
+        f"print(code, sorted({not_loaded!r} & sys.modules.keys()), patterns)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -234,4 +249,4 @@ def test_entry_point_loads_only_what_it_runs(code, not_loaded, tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == f"0 [] {patterns}"
