@@ -288,7 +288,8 @@ _INT = "(0|[1-9][0-9]*)"
 
 def _pattern(annotator: str, features: tuple[Feature, ...]) -> re.Pattern[str]:
     """The record lines of *annotator* that hold *features* as the encoder
-    writes them: groups begin, end and covered text, then one per feature."""
+    writes them; it captures begin, end and covered text, then one value
+    per feature."""
     parts = []
     for group, run in groupby(features, attrgetter("group")):
         items = ""
@@ -309,9 +310,10 @@ def _field_class(cls: type, name: str) -> type:
 
 
 def _builder(kind: AnnotationType) -> Callable[[Span, str, Sequence[str | None]], Annotation]:
-    """The annotation from a record's span, covered text and the pattern's
-    feature groups ``v`` (None for an absent feature), in declaration order.
-    It raises ValueError where the annotation rejects a value."""
+    """The annotation from a record's span, covered text and the feature
+    values ``v`` the pattern captured (None for an absent feature), in
+    declaration order.  It raises ValueError where the annotation rejects a
+    value."""
     index = {f.path: i for i, f in enumerate(kind.features)}
     namespace = {
         f"t{i}": _values(f.domain) for i, f in enumerate(kind.features) if f.domain is not int
