@@ -5,11 +5,14 @@ mention, after case/accent folding.  Negative evidence always beats
 positive evidence, and a positive cue preceded by "no" inside the window
 counts as negative ("no se detecta mutación" must not fire as positive).
 ``polarity_in_view`` applies the rule to the folded token surfaces of a
-sentence view.  Phrase cues come from the lexicon; the window widths and
-the symbol cues are fixed.
+sentence view, looking each window token up in an index from a first word
+to the lexicon's phrases that start with it (as NegEx indexes its
+triggers).  Phrase cues come from the lexicon; the window widths and the
+symbol cues are fixed.
 """
 
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 from .document import SentenceView, Span, checked_tuple, normalize_word
@@ -116,6 +119,16 @@ def _around(rng: tuple[int, int], n: int, width: int) -> tuple[range, range]:
     return range(max(0, first - width), first), range(last + 1, min(n, last + 1 + width))
 
 
+@lru_cache(maxsize=16)
+def _cue_index(lexicon: CueLexicon) -> dict[str, list[tuple[list[str], bool]]]:
+    """Each phrase of *lexicon* under its first word: (other words, negative)."""
+    index: dict[str, list[tuple[list[str], bool]]] = {}
+    for negative, phrases in ((True, lexicon.negative), (False, lexicon.positive)):
+        for phrase in phrases:
+            index.setdefault(phrase[0], []).append((list(phrase[1:]), negative))
+    return index
+
+
 def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> Polarity:
     """Polarity of the mention at *target* inside *view*'s sentence."""
     rng = view.token_range(target)
@@ -123,25 +136,27 @@ def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> P
         return Polarity.UNKNOWN
     norm = view.norm_surfaces
     n = len(norm)
+    index = _cue_index(lexicon)
     negative = False
-    positive = False
     # Phrase cues, each side of the target separately; a phrase must fit
-    # entirely inside the window on its side.
+    # entirely inside the window on its side.  The sides come in text
+    # order, so the last positive start found is the latest.
     sides = _around(rng, n, WINDOW)
-    positive_starts: list[int] = []
+    positive_start = -1
     for side in sides:
         for i in side:
-            for length in range(1, min(side.stop - i, MAX_PHRASE_WORDS) + 1):
-                key = tuple(norm[i : i + length])
-                if key in lexicon.negative:
-                    negative = True
-                if key in lexicon.positive:
-                    positive = True
-                    positive_starts.append(i)
+            for rest, is_negative in index.get(norm[i], ()):
+                stop = i + 1 + len(rest)
+                if stop <= side.stop and norm[i + 1 : stop] == rest:
+                    if is_negative:
+                        negative = True
+                    else:
+                        positive_start = i
+    positive = positive_start >= 0
     # A positive cue with "no" earlier in the window flips to negative.
-    if positive_starts and not negative:
+    if positive and not negative:
         earliest_no = next((k for side in sides for k in side if norm[k] == "no"), n)
-        negative = max(positive_starts) > earliest_no
+        negative = positive_start > earliest_no
     # Symbol cues immediately adjacent to the target.
     for side in _around(rng, n, SYMBOL_ADJACENCY):
         for i in side:

@@ -105,6 +105,9 @@ def gene_mentions_in_view(view: SentenceView) -> list[tuple[Gene, Span]]:
 
 
 def exon_mentions_in_view(view: SentenceView) -> list[ExonMention]:
+    # Every token surface is a part of the shadow.
+    if _EXON_KEYWORD not in view.norm:
+        return []
     out = []
     tokens = view.tokens
     surfaces = view.norm_surfaces

@@ -33,18 +33,20 @@ class PSAnnotation(
         return tuple.__new__(cls, (span, scale, value, raw))
 
 
-# Literals on the folded shadow, one of which every annotation and
-# diagnostic of the scale contains (see mutation.ANCHOR).
-ECOG_ANCHOR = ("ecog",)
-KARNOFSKY_ANCHOR = ("karnofsky", "kps")
+_PS_SEP_CHARS = r" :\-_()."
+_PS_SEP = "[" + _PS_SEP_CHARS + "]*"
+# Patterns on the folded shadow that every annotation and diagnostic of the
+# scale starts with: the keyword, then a separator, a digit or (ECOG only)
+# the "p" of "ps".  "Ecografía" matches neither.
+ECOG_ANCHOR = "ecog[" + _PS_SEP_CHARS + "p0-9]"
+KARNOFSKY_ANCHOR = "k(?:arnofsky|ps)[" + _PS_SEP_CHARS + "0-9]"
 
-_PS_SEP = r"[ :\-_().]*"
 _ECOG_RE = re.compile(
-    r"(?<![0-9a-z])(?:" + "|".join(ECOG_ANCHOR) + r")(?:" + _PS_SEP + r"ps)?" +
-    _PS_SEP + r"([0-9]+)(?![0-9a-z])\)?"
+    r"(?<![0-9a-z])ecog(?:" + _PS_SEP + r"ps)?" + _PS_SEP +
+    r"([0-9]+)(?![0-9a-z])\)?"
 )
 _KARNOFSKY_RE = re.compile(
-    r"(?<![0-9a-z])(?:" + "|".join(KARNOFSKY_ANCHOR) + r")" + _PS_SEP +
+    r"(?<![0-9a-z])(?:karnofsky|kps)" + _PS_SEP +
     r"([0-9]+)(?![0-9a-z])(?: ?%)?\)?"
 )
 

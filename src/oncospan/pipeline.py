@@ -1,13 +1,14 @@
 """Annotator composition: one configured engine, one result per document.
 
 Normalization runs once per document.  Each annotator module declares
-anchors: literals on the folded shadow, one of which every one of its
-annotations contains (TNM declares a pattern instead).  ``_CALLS`` lists
-each annotator once: the kinds that enable it, its anchors and its place
-in the run order.  The note is never split as a whole: only the sentences
-holding an anchor of an enabled annotator are looked up, each gets one
-view, and each annotator runs only on the sentences that hold one of its
-own anchors.  The pipeline object is immutable after build.
+anchors on the folded shadow, literals or a literal-prefixed pattern (TNM,
+ECOG, Karnofsky), and every one of its annotations holds a match of one.
+``_CALLS`` lists each annotator once: the kinds that enable it, its
+anchors and its place in the run order.  The note is never split as a
+whole: only the sentences holding an anchor of an enabled annotator are
+looked up, each gets one view, and each annotator runs only on the
+sentences that hold one of its own anchors.  The pipeline object is
+immutable after build.
 """
 
 import re
@@ -46,9 +47,10 @@ _GENE_BY_KIND = {
 
 # One row per annotator, in the order the annotators run on a sentence (and
 # so the order of their diagnostics): the kinds that enable it, its anchors
-# (literals, or for TNM a compiled pattern) and its call.  Each call looks
-# its annotator up at call time, so a wrapper set on a module attribute
-# sees every call.
+# and its call.  Anchors are literals or a compiled literal-prefixed
+# pattern, and every annotation of the row holds a match of one.  Each call
+# looks its annotator up at call time, so a wrapper set on a module
+# attribute sees every call.
 _CALLS = (
     (
         tuple(_GENE_BY_KIND),
@@ -70,12 +72,12 @@ _CALLS = (
     ),
     (
         (AnnotatorKind.ECOG,),
-        perfstatus.ECOG_ANCHOR,
+        re.compile(perfstatus.ECOG_ANCHOR),
         lambda view, pipeline: perfstatus.ecog_in_view(view),
     ),
     (
         (AnnotatorKind.KARNOFSKY,),
-        perfstatus.KARNOFSKY_ANCHOR,
+        re.compile(perfstatus.KARNOFSKY_ANCHOR),
         lambda view, pipeline: perfstatus.karnofsky_in_view(view),
     ),
 )
@@ -141,8 +143,9 @@ def _anchor_hits(
     """Sorted ``(index in the text, row in _CALLS)`` of each anchor start
     on the shadow *norm*; *offsets* maps the shadow back to the text."""
     # Each literal is found at every start, overlapping or not.  Matches of
-    # a pattern do not overlap, which hides no start: a TNM match holds one
-    # "t", so no other match can start inside it.
+    # a pattern do not overlap, which hides no start: none can start inside
+    # another, as a TNM match holds one "t", an ECOG match one "e", and the
+    # second "k" of "karnofsky" is followed by "y".
     hits: list[tuple[int, int]] = []
     find = norm.find
     for row in pipeline._calls:

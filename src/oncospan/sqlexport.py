@@ -45,28 +45,33 @@ def _quote(value: str) -> str:
 
 def emit_sql(results: Sequence[DocumentResult]) -> str:
     parts = [_DDL, "\n"]
-    annotation_id = 0
-    for result in results:
+    ids = [_quote(result.document_id) for result in results]
+    for doc_id, result in zip(ids, results):
         parts.append(
             "INSERT INTO documents (id, text) VALUES "
-            f"({_quote(result.document_id)}, {_quote(result.text)});\n"
+            f"({doc_id}, {_quote(result.text)});\n"
         )
-    for result in results:
+    # Each distinct feature pair is quoted once.
+    quoted: dict[tuple[str, str], str] = {}
+    annotation_id = 0
+    for doc_id, result in zip(ids, results):
         for ann in result.annotations:
             annotation_id += 1
             covered = result.text[ann.span.begin : ann.span.end]
             parts.append(
                 "INSERT INTO annotations (id, document_id, begin_off, end_off, "
                 "annotator, covered_text) VALUES "
-                f"({annotation_id}, {_quote(result.document_id)}, "
+                f"({annotation_id}, {doc_id}, "
                 f"{ann.span.begin}, {ann.span.end}, "
                 f"{_quote(ann.annotator)}, {_quote(covered)});\n"
             )
-            for key, value in features_of(ann):
+            for pair in features_of(ann):
+                values = quoted.get(pair)
+                if values is None:
+                    values = quoted[pair] = f"{_quote(pair[0])}, {_quote(pair[1])}"
                 parts.append(
                     'INSERT INTO annotation_features (annotation_id, "key", '
-                    f'"value") VALUES ({annotation_id}, {_quote(key)}, '
-                    f"{_quote(value)});\n"
+                    f'"value") VALUES ({annotation_id}, {values});\n'
                 )
     return "".join(parts)
 

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import _polarity_oracle
 
 from oncospan import (
     ConflictingEntry,
@@ -15,10 +17,13 @@ from oncospan import (
 )
 from oncospan import _textops
 from oncospan.assertion import (
+    MAX_PHRASE_WORDS,
     SYMBOL_ADJACENCY,
     SYMBOL_NEGATIVE,
     SYMBOL_POSITIVE,
     WINDOW,
+    CueLexicon,
+    _phrase_key,
     polarity_in_view,
 )
 from oncospan.document import SentenceView
@@ -217,3 +222,85 @@ def test_in_folded_view_equals_standalone_view(text):
                 alone, target, _DEFAULT
             ), (text, target)
 
+
+
+def _lexicon(negative, positive):
+    return CueLexicon(
+        positive=frozenset(map(_phrase_key, positive)),
+        negative=frozenset(map(_phrase_key, negative)),
+    )
+
+
+# Lexicons whose phrases share a first word, run to four words, or leave
+# out "no", so that only the flip rule can turn a positive cue negative.
+_FIXED_LEXICONS = [
+    _DEFAULT,
+    _lexicon(["no", "no se detecta", "no mutado"], ["se detecta", "mutado"]),
+    _lexicon(
+        ["no se ha detectado", "ausencia de mutación"],
+        ["se ha detectado mutación", "se detecta", "detectado"],
+    ),
+    _lexicon(["negativo", "no se detecta"], ["mutado", "se detecta", "presencia de"]),
+]
+_CUE_WORDS = [
+    "no", "se", "ha", "detecta", "detectado", "Detectado", "mutado", "mutación",
+    "positivo", "negativo", "ausencia", "presencia", "de", "traslocado",
+    "descartado", "confirmado",
+]
+
+
+def _loaded(entries):
+    # What load_cue_lexicon makes of a file of these entries (minus the
+    # lines it would refuse as conflicting): the built-in cues plus each
+    # phrase, folded.
+    positive, negative = set(_DEFAULT.positive), set(_DEFAULT.negative)
+    for is_positive, phrase in entries:
+        key = _phrase_key(phrase)
+        same, other = (positive, negative) if is_positive else (negative, positive)
+        if key not in other:
+            same.add(key)
+    return CueLexicon(positive=frozenset(positive), negative=frozenset(negative))
+
+
+_user_phrases = st.lists(
+    st.sampled_from(_CUE_WORDS), min_size=1, max_size=MAX_PHRASE_WORDS
+).map(" ".join)
+_lexicons = st.one_of(
+    st.sampled_from(_FIXED_LEXICONS),
+    st.lists(st.tuples(st.booleans(), _user_phrases), max_size=6).map(_loaded),
+)
+
+
+@st.composite
+def _windows(draw):
+    # The lexicon, then the words on each side of the target: whole phrases
+    # of the lexicon and single words, up to six of them, so that phrases
+    # often run past the window edge or into the target.
+    lexicon = draw(_lexicons)
+    phrases = sorted(" ".join(p) for p in lexicon.positive | lexicon.negative)
+    units = st.lists(
+        st.one_of(
+            st.sampled_from(phrases),
+            st.sampled_from(_CUE_WORDS + ["+", "-", "x", "biopsia", ","]),
+        ),
+        max_size=6,
+    )
+    target = draw(st.sampled_from(["EGFR", "exón 19", "ROS-1"]))
+    return lexicon, draw(units), target, draw(units)
+
+
+@given(_windows())
+@settings(max_examples=300, deadline=None)
+# A positive phrase whose last word is just past the window.
+@example(
+    (_FIXED_LEXICONS[3], [], "EGFR", ["x"] * (WINDOW - 1) + ["se detecta"]),
+)
+def test_cue_index_equals_tuple_windows(window):
+    lexicon, before, target, after = window
+    head = "".join(unit + " " for unit in before)
+    text = head + target + "".join(" " + unit for unit in after)
+    view = SentenceView(text)
+    span = Span(len(head), len(head) + len(target))
+    assert polarity_in_view(view, span, lexicon) is _polarity_oracle.polarity_in_view(
+        view, span, lexicon
+    ), text

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import _ungated
 from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
-from oncospan import _textops, assertion, document, mutation, perfstatus, staging
+from oncospan import _textops, assertion, corpusgen, document, mutation, perfstatus, staging
 from oncospan import (
     ALL_ANNOTATORS,
     AnnotatorKind,
@@ -271,6 +271,14 @@ _gate_units = st.one_of(
             "exo", "t5n0", "t1m0", "l858", "g719", "n0", "m1",
         ]
     ),
+    # Near misses of the ECOG and Karnofsky anchor patterns, and keywords
+    # glued to the separator, "ps" or value after them.
+    st.sampled_from(
+        [
+            "Ecograf\u00eda", "ecogr", "ECOGPS 1", "ECOG.2", "ecog(1)", "KPSx",
+            "kps:80", "Karnofskyano",
+        ]
+    ),
     # Literals glued together, some overlapping: one alternation's finditer
     # skips the second start of "egfros", "l858ros" and "stagestadio".
     st.sampled_from(
@@ -333,18 +341,33 @@ def test_gate_equals_every_sentence(text, kinds):
     assert result.consistency == tuple(reports)
 
 
+# The annotator pattern of each pattern-anchored row, and the group of its
+# match where the anchor starts: a TNM expression's T, after its prefix.
+_ROW_PATTERNS = {
+    AnnotatorKind.TNM: (staging._TNM_RE, 2),
+    AnnotatorKind.ECOG: (perfstatus._ECOG_RE, 0),
+    AnnotatorKind.KARNOFSKY: (perfstatus._KARNOFSKY_RE, 0),
+}
+
+
 @given(_gate_texts)
 @settings(deadline=None, max_examples=300)
 @example("egfros stagestadio l858ros exonexon rosalk")
+@example("ECOG-PS 1, ECOG:2, ecog(3), KPS80 y Karnofsky: 90%; pT1aN0M0 T2-N1-M0.")
 def test_find_loops_cover_finditer(default_pipeline, text):
     # Every start that one alternation of a row's literals finds is among
-    # the hits; the find loops may add the starts that it skips.
+    # the hits; the find loops may add the starts that it skips.  Every
+    # match of a pattern row's annotator starts its anchor at a hit.
     norm, offsets = _textops.normalize_text(text)
     hits = set(_anchor_hits(default_pipeline, norm, offsets))
-    for row, (_, anchors, _) in enumerate(_CALLS):
+    for row, (kinds, anchors, _) in enumerate(_CALLS):
         if isinstance(anchors, tuple):
             for m in re.finditer("|".join(anchors), norm):
                 assert (offsets[m.start()], row) in hits
+        else:
+            pattern, group = _ROW_PATTERNS[kinds[0]]
+            for m in pattern.finditer(norm):
+                assert (offsets[m.start(group)], row) in hits
 
 
 def test_gate_skips_sentences_without_anchors(default_pipeline, monkeypatch):
@@ -360,6 +383,34 @@ def test_gate_skips_sentences_without_anchors(default_pipeline, monkeypatch):
     result = default_pipeline.process_document(Document("d", text))
     assert built == ["ECOG 1.", "EGFR mutado."]
     assert len(result.annotations) == 2
+
+
+def test_lookups_over_the_seeded_corpus(default_pipeline, monkeypatch):
+    # One sentence lookup and one view per sentence that holds an anchor: a
+    # leaky anchor shows here as a count before it shows as time.
+    looked_up = []
+    built = []
+    sentence_span_at = _textops.sentence_span_at
+    original = SentenceView.__init__
+
+    def looking_up(text, at, *args):
+        looked_up.append(at)
+        return sentence_span_at(text, at, *args)
+
+    def counting(self, text, *args, **kwargs):
+        built.append(text)
+        original(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(_textops, "sentence_span_at", looking_up)
+    monkeypatch.setattr(SentenceView, "__init__", counting)
+    for doc in corpusgen.generate_corpus(100, seed=7):
+        default_pipeline.process_document(doc)
+    assert (len(looked_up), len(built)) == (256, 256)
+    built.clear()
+    text = "Ecograf\u00eda abdominal sin hallazgos significativos."
+    result = default_pipeline.process_document(Document("d", text))
+    assert built == []
+    assert result.annotations == result.diagnostics == ()
 
 
 def test_each_annotator_reads_only_its_sentences(default_pipeline, monkeypatch):

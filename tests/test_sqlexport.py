@@ -1,7 +1,8 @@
 import sqlite3
 
 from conftest import MUTATION_NOTE, STAGING_NOTE, PERFSTATUS_NOTE
-from oncospan import Document, emit_sql, process_corpus
+from oncospan import Document, corpusgen, emit_sql, process_corpus, sqlexport
+from oncospan.standoff import features_of
 
 
 def _replay(sql: str) -> sqlite3.Connection:
@@ -128,3 +129,23 @@ def test_nul_in_text_replays_exactly(default_pipeline):
     assert conn.execute("SELECT text FROM documents").fetchall() == [(text,)]
     covered = conn.execute("SELECT covered_text FROM annotations").fetchall()
     assert covered == [("EGFR",)]
+
+
+def test_each_id_and_feature_pair_quoted_once(default_pipeline, monkeypatch):
+    # Text and covered text are quoted where they occur; a document id once
+    # per document and a feature pair once per export, however often their
+    # rows repeat them.
+    results = _results(default_pipeline, corpusgen.generate_corpus(40, seed=7))
+    expected = emit_sql(results)
+    quoted = []
+    quote = sqlexport._quote
+
+    def counting(value):
+        quoted.append(value)
+        return quote(value)
+
+    monkeypatch.setattr(sqlexport, "_quote", counting)
+    assert emit_sql(results) == expected
+    annotations = [ann for result in results for ann in result.annotations]
+    pairs = {pair for ann in annotations for pair in features_of(ann)}
+    assert len(quoted) == 2 * len(results) + 2 * len(annotations) + 2 * len(pairs)
