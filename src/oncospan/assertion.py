@@ -11,11 +11,10 @@ triggers).  Phrase cues come from the lexicon; the window widths and the
 symbol cues are fixed.
 """
 
-from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
-from .document import SentenceView, Span, checked_tuple, normalize_word
+from .document import IdentityEnum, SentenceView, Span, checked_tuple, normalize_word
 from .errors import ConflictingEntry, MalformedLexicon
 
 MAX_PHRASE_WORDS = 4
@@ -28,7 +27,7 @@ SYMBOL_POSITIVE = frozenset({"+"})
 SYMBOL_NEGATIVE = frozenset({"-"})
 
 
-class Polarity(Enum):
+class Polarity(IdentityEnum):
     POSITIVE = "Positive"
     NEGATIVE = "Negative"
     UNKNOWN = "Unknown"
@@ -153,7 +152,9 @@ def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> P
                     else:
                         positive_start = i
     positive = positive_start >= 0
-    # A positive cue with "no" earlier in the window flips to negative.
+    # A positive cue with "no" earlier in the window flips to negative.  Only
+    # a hand-built CueLexicon without "no" reaches this: load_cue_lexicon
+    # always merges in the negative cue "no", which alone makes it negative.
     if positive and not negative:
         earliest_no = next((k for side in sides for k in side if norm[k] == "no"), n)
         negative = positive_start > earliest_no

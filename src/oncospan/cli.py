@@ -10,8 +10,9 @@ Each command imports only the modules it runs: ``check`` loads none of
 ``sqlexport`` only with ``--sql``), and ``query`` no ``sqlexport``.
 
 ``--jobs`` takes any N >= 1 and annotates serially whatever its value.
-``annotate`` reads each input with ``os.read`` and rewrites an existing
-output in place, then cuts it to length.  A crash mid-write leaves the new
+Each input and ``.ann`` file is read with ``os.read``, those of a directory
+opened relative to one descriptor of it.  ``annotate`` rewrites an existing
+output in place, then cuts it to length; a crash mid-write leaves the new
 bytes so far and then the old file's rest, which the strict ``.ann`` decoder
 rejects unless the mix is itself a valid file.
 
@@ -93,33 +94,34 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_documents(path_str: str) -> list[Document]:
     path = Path(path_str)
     if path.is_file():
-        files = [(str(path), path.stem)]
-    elif path.is_dir():
+        return [_read_document(str(path), path.stem)]
+    if not path.is_dir():
+        raise _InputError(f"input path does not exist: {path}")
+    dir_fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
+    try:
         # The entries whose Path suffix is ".txt", without building a Path:
         # not ".txt" itself, nor "x.TXT", but "a.b.txt".  is_file() follows
         # symlinks.  Names sort as the Paths of one directory do.
-        with os.scandir(path) as entries:
+        with os.scandir(dir_fd) as entries:
             names = sorted(
-                e.name
-                for e in entries
+                e.name for e in entries
                 if e.name.endswith(".txt") and len(e.name) > 4 and e.is_file()
             )
-        files = [(os.path.join(path, name), name[:-4]) for name in names]
-    else:
-        raise _InputError(f"input path does not exist: {path}")
-    documents = []
-    for file, document_id in files:
-        try:
-            # Bytes, not text: newline translation would turn "\r\n" and a
-            # lone "\r" into "\n" and shift every offset after them.
-            text = _read_bytes(file).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _InputError(f"{file}: not valid UTF-8 ({exc})") from None
-        try:
-            documents.append(Document(document_id, text))
-        except ValueError as exc:
-            raise _InputError(f"{file}: {exc}") from None
-    return documents
+        return [_read_document(name, name[:-4], dir_fd, path) for name in names]
+    finally:
+        os.close(dir_fd)
+
+
+def _read_document(name: str, document_id: str, dir_fd=None, directory="") -> Document:
+    """The document in the file *name*, in *directory* open as *dir_fd* if one
+    is given; an error names the file's path."""
+    try:
+        # Bytes, not text: newline translation would turn "\r\n" and a
+        # lone "\r" into "\n" and shift every offset after them.
+        return Document(document_id, _read_bytes(name, dir_fd).decode("utf-8"))
+    except (ValueError, OSError) as exc:
+        why = f"not valid UTF-8 ({exc})" if isinstance(exc, UnicodeDecodeError) else exc
+        raise _InputError(f"{os.path.join(directory, name)}: {why}") from None
 
 
 def _parse_annotators(raw: str | None) -> frozenset[AnnotatorKind]:
@@ -172,9 +174,10 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_bytes(path: str) -> bytes:
-    """The whole file at *path*, read without a buffered file object."""
-    fd = os.open(path, os.O_RDONLY)
+def _read_bytes(path: str, dir_fd: int | None = None) -> bytes:
+    """The whole file at *path*, relative to the directory open as *dir_fd*
+    if one is given, read without a buffered file object."""
+    fd = os.open(path, os.O_RDONLY, dir_fd=dir_fd)
     try:
         chunks = []
         # 64 KiB: more than a note's file holds, under malloc's mmap threshold.
@@ -222,18 +225,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if not store.is_dir():
         raise _InputError(f"store directory does not exist: {store}")
     predicate = parse_filter(args.filter)
-    # Names sort as the Paths of one directory do, at a fraction of the cost.
-    # Entries that are not regular files are skipped, as annotate skips them
-    # among its .txt inputs.
-    with os.scandir(store) as entries:
-        names = sorted(e.name for e in entries if e.name.endswith(".ann") and e.is_file())
-    results = []
-    for name in names:
-        file = os.path.join(store, name)
-        try:
-            results.append(deserialize_result(_read_bytes(file)))
-        except OncospanError as exc:
-            raise _InputError(f"{file}: {exc}") from None
+    dir_fd = os.open(store, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        # Names sort as the Paths of one directory do, at a fraction of the
+        # cost.  Entries that are not regular files are skipped, as annotate
+        # skips them among its .txt inputs.
+        with os.scandir(dir_fd) as entries:
+            names = sorted(e.name for e in entries if e.name.endswith(".ann") and e.is_file())
+        results = []
+        for name in names:
+            try:
+                results.append(deserialize_result(_read_bytes(name, dir_fd)))
+            except (OncospanError, OSError) as exc:
+                raise _InputError(f"{os.path.join(store, name)}: {exc}") from None
+    finally:
+        os.close(dir_fd)
     for document_id in query_results(results, predicate):
         print(document_id)
     return 0

@@ -8,6 +8,7 @@ the text as written.
 
 import re
 from bisect import bisect_left, bisect_right
+from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -28,6 +29,11 @@ def checked_tuple(name: str, fields: list[tuple[str, object]]) -> type:
     base = NamedTuple(name, fields)
     base._make = classmethod(lambda cls, values: cls(*values))
     return base
+
+
+class IdentityEnum(Enum):
+    """An enum whose members hash by identity, as they compare, in C."""
+    __hash__ = object.__hash__
 
 
 class Span(checked_tuple("Span", [("begin", int), ("end", int)])):

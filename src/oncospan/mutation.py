@@ -9,26 +9,25 @@ these exons and points are only reported for that gene in this domain.
 
 import re
 import unicodedata
-from enum import Enum
 from typing import NamedTuple, Sequence
 
 from ._textops import NUMBER
 from .assertion import CueLexicon, Polarity, polarity_in_view
-from .document import SentenceView, Span, checked_tuple
+from .document import IdentityEnum, SentenceView, Span, checked_tuple
 
 
-class Gene(Enum):
+class Gene(IdentityEnum):
     EGFR = "EGFR"
     ALK = "ALK"
     ROS1 = "ROS1"
 
 
-class ExonKind(Enum):
+class ExonKind(IdentityEnum):
     DELETION = "Deletion"
     INSERTION = "Insertion"
 
 
-class PointVariant(Enum):
+class PointVariant(IdentityEnum):
     G719X = "G719X"
     T790M = "T790M"
     L858R = "L858R"
@@ -73,12 +72,13 @@ _POINT_RE = re.compile(r"(?<![0-9a-z])(g719x|t790m|l858r|l861q)(?![0-9a-z])")
 _EXON_KEYWORD = "exon"
 _EXON_LOOKAHEAD = 2  # tokens after the keyword that may hold the number
 
-# Literals on the folded shadow, one of which every mutation annotation
-# contains: a gene name, a point variant or the exon keyword.  The pipeline
-# analyses only the sentences that hold one of the enabled annotators'
-# anchors.
+# Anchors on the folded shadow, one of which every mutation annotation
+# contains: a gene name (ROS1 as _GENE_RE matches it, since the literal "ros"
+# starts inside "otros"), a point variant or the exon keyword.  The pipeline
+# analyses only the sentences that hold an enabled annotator's anchor.
 ANCHOR = (
-    "egfr", "alk", "ros", *(p.value.lower() for p in PointVariant), _EXON_KEYWORD
+    "egfr", "alk", re.compile(r"ros[ \-]?1"), *(p.value.lower() for p in PointVariant),
+    _EXON_KEYWORD,
 )
 
 _KIND_CUES = {

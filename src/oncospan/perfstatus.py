@@ -7,12 +7,11 @@ value that is not a multiple of ten is annotated but flagged.
 """
 
 import re
-from enum import Enum
 
-from .document import Diagnostic, SentenceView, Span, checked_tuple
+from .document import Diagnostic, IdentityEnum, SentenceView, Span, checked_tuple
 
 
-class PSScale(Enum):
+class PSScale(IdentityEnum):
     ECOG = "ECOG"
     KARNOFSKY = "Karnofsky"
 

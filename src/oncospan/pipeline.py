@@ -1,8 +1,8 @@
 """Annotator composition: one configured engine, one result per document.
 
 Normalization runs once per document.  Each annotator module declares
-anchors on the folded shadow, literals or a literal-prefixed pattern (TNM,
-ECOG, Karnofsky), and every one of its annotations holds a match of one.
+anchors on the folded shadow, literals or literal-prefixed patterns (ROS1,
+TNM, ECOG, Karnofsky), and every one of its annotations holds a match of one.
 ``_CALLS`` lists each annotator once: the kinds that enable it, its
 anchors and its place in the run order.  The note is never split as a
 whole: only the sentences holding an anchor of an enabled annotator are
@@ -12,13 +12,12 @@ immutable after build.
 """
 
 import re
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
 from . import _textops, mutation, perfstatus, staging
 from .assertion import CueLexicon, load_cue_lexicon
-from .document import ABBREVIATION_STOPLIST, Diagnostic, Document, SentenceView, Span
+from .document import ABBREVIATION_STOPLIST, Diagnostic, Document, IdentityEnum, SentenceView, Span
 from .errors import ConfigError, DuplicateDocumentId
 from .mutation import Gene, MutationAnnotation
 from .perfstatus import PSAnnotation
@@ -27,7 +26,7 @@ from .staging import ConsistencyReport, StageAnnotation, TNMAnnotation
 Annotation = Union[MutationAnnotation, TNMAnnotation, StageAnnotation, PSAnnotation]
 
 
-class AnnotatorKind(Enum):
+class AnnotatorKind(IdentityEnum):
     EGFR = "EGFR"
     ALK = "ALK"
     ROS1 = "ROS1"
@@ -47,7 +46,7 @@ _GENE_BY_KIND = {
 
 # One row per annotator, in the order the annotators run on a sentence (and
 # so the order of their diagnostics): the kinds that enable it, its anchors
-# and its call.  Anchors are literals or a compiled literal-prefixed
+# and its call.  Each anchor is a literal or a compiled literal-prefixed
 # pattern, and every annotation of the row holds a match of one.  Each call
 # looks its annotator up at call time, so a wrapper set on a module
 # attribute sees every call.
@@ -62,7 +61,7 @@ _CALLS = (
     ),
     (
         (AnnotatorKind.TNM,),
-        re.compile(staging.TNM_ANCHOR),
+        (re.compile(staging.TNM_ANCHOR),),
         lambda view, pipeline: (staging.tnm_in_view(view), ()),
     ),
     (
@@ -72,12 +71,12 @@ _CALLS = (
     ),
     (
         (AnnotatorKind.ECOG,),
-        re.compile(perfstatus.ECOG_ANCHOR),
+        (re.compile(perfstatus.ECOG_ANCHOR),),
         lambda view, pipeline: perfstatus.ecog_in_view(view),
     ),
     (
         (AnnotatorKind.KARNOFSKY,),
-        re.compile(perfstatus.KARNOFSKY_ANCHOR),
+        (re.compile(perfstatus.KARNOFSKY_ANCHOR),),
         lambda view, pipeline: perfstatus.karnofsky_in_view(view),
     ),
 )
@@ -144,20 +143,19 @@ def _anchor_hits(
     on the shadow *norm*; *offsets* maps the shadow back to the text."""
     # Each literal is found at every start, overlapping or not.  Matches of
     # a pattern do not overlap, which hides no start: none can start inside
-    # another, as a TNM match holds one "t", an ECOG match one "e", and the
-    # second "k" of "karnofsky" is followed by "y".
+    # another, as a TNM match holds one "t", an ECOG match one "e", a ROS1
+    # match one "r", and the second "k" of "karnofsky" is followed by "y".
     hits: list[tuple[int, int]] = []
     find = norm.find
     for row in pipeline._calls:
-        anchors = _CALLS[row][1]
-        if isinstance(anchors, re.Pattern):
-            hits += [(offsets[m.start()], row) for m in anchors.finditer(norm)]
-            continue
-        for literal in anchors:
-            at = find(literal)
+        for anchor in _CALLS[row][1]:
+            if isinstance(anchor, re.Pattern):
+                hits += [(offsets[m.start()], row) for m in anchor.finditer(norm)]
+                continue
+            at = find(anchor)
             while at >= 0:
                 hits.append((offsets[at], row))
-                at = find(literal, at + 1)
+                at = find(anchor, at + 1)
     hits.sort()
     return hits
 

@@ -15,14 +15,13 @@ stage.  A ``ConsistencyReport`` is built only when asked for, as
 """
 
 import re
-from enum import Enum
 from typing import NamedTuple
 
-from .document import SentenceView, Span, checked_tuple
+from .document import IdentityEnum, SentenceView, Span, checked_tuple
 from .errors import AmbiguousCategory, InvalidStage
 
 
-class TnmPrefix(Enum):
+class TnmPrefix(IdentityEnum):
     NONE = "None"
     C = "C"
     P = "P"
@@ -32,7 +31,7 @@ class TnmPrefix(Enum):
     A = "A"
 
 
-class TCategory(Enum):
+class TCategory(IdentityEnum):
     T1 = "T1"
     T1A = "T1a"
     T1B = "T1b"
@@ -44,14 +43,14 @@ class TCategory(Enum):
     T4 = "T4"
 
 
-class NCategory(Enum):
+class NCategory(IdentityEnum):
     N0 = "N0"
     N1 = "N1"
     N2 = "N2"
     N3 = "N3"
 
 
-class MCategory(Enum):
+class MCategory(IdentityEnum):
     M0 = "M0"
     M1 = "M1"
     M1A = "M1a"
@@ -59,7 +58,7 @@ class MCategory(Enum):
     M1C = "M1c"
 
 
-class StageGroup(Enum):
+class StageGroup(IdentityEnum):
     I = "I"
     IA = "IA"
     IA1 = "IA1"
@@ -100,7 +99,7 @@ class StageAnnotation(NamedTuple):
     raw: str
 
 
-class ConsistencyVerdict(Enum):
+class ConsistencyVerdict(IdentityEnum):
     CONSISTENT = "Consistent"
     INCONSISTENT = "Inconsistent"
     NOT_COMPARABLE = "NotComparable"

@@ -13,8 +13,8 @@ Record line: ``begin<TAB>end<TAB>annotator<TAB>covered_text<TAB>features``
 with features ``key=value;key=value``.  ``ANNOTATION_TYPES`` is the one place
 a record type is defined: it declares each annotator's features in the order
 a record lists them, and the encoder behind ``features_of``, the record
-pattern, the builder and the error namer are all derived from that
-declaration.  Covered text and diagnostic messages escape backslash, tab,
+pattern, the builder, the reader that joins those two and the error namer
+are all derived from that declaration.  Covered text and diagnostic messages escape backslash, tab,
 newline and carriage return so one record is always one line, and a raw
 carriage return in them is rejected.  ``#diag``
 carries a diagnostic (begin, end, message); ``#check`` carries a consistency
@@ -26,14 +26,14 @@ type with more than one record.  Every integer is a canonical ASCII
 decimal, ``0`` or ``[1-9][0-9]*``, and the id follows
 ``document.check_document_id``.  Deserialization is the exact inverse of
 serialization and is strict: anything unexpected raises MalformedFile with a
-line number, and a covered-text disagreement raises SpanMismatch.  It
-accepts a record with one ``fullmatch`` of its type's pattern, which admits
-exactly the line the encoder writes, then checks the span, the covered text
-and the values the annotation itself rejects; a line the pattern misses is
-read field by field only to name its error, and one with nothing else wrong
-has its features out of canonical order.  The patterns are compiled on the
-first decode, so a process that only writes records never builds them.  It
-compares the ``#check`` section with the one the records give as one string,
+line number, and a covered-text disagreement raises SpanMismatch.  A
+record line goes to its type's reader: one ``fullmatch`` of the pattern,
+which admits exactly the line the encoder writes, then the span, the
+covered text and the values the annotation itself rejects.  The error namer
+runs only on a line the reader refuses, reading it field by field, and one
+with nothing else wrong has its features out of canonical order.  The
+readers are made on the first decode, so a process that only writes
+records never builds them.  It compares the ``#check`` section with the one the records give as one string,
 reading it line by line only to report a mismatch; so a well-formed section
 that is not that pairing is rejected.
 """
@@ -348,21 +348,34 @@ def _builder(kind: AnnotationType) -> Callable[[Span, str, Sequence[str | None]]
 
 
 @cache
-def _readers() -> dict[str, tuple[re.Pattern[str], Callable]]:
-    """Each annotator's record pattern and builder, made on first decode:
-    a process that only writes records, as ``oncospan annotate`` does, never
-    compiles them."""
-    return {
-        name: (_pattern(name, kind.features), _builder(kind))
-        for name, kind in ANNOTATION_TYPES.items()
-    }
+def _readers() -> dict[str, tuple[Callable, Callable]]:
+    """Each annotator's reader and builder, made on first decode: a process
+    that only writes records, as ``oncospan annotate`` does, makes none."""
+    return {name: _reader(name, kind) for name, kind in ANNOTATION_TYPES.items()}
 
 
-def _parse_enum(members: dict, raw: str, what: str, line_no: int):
-    member = members.get(raw)
-    if member is None:
-        raise MalformedFile(f"unknown {what} {raw!r}", line_no)
-    return member
+def _reader(annotator: str, kind: AnnotationType) -> tuple[Callable, Callable]:
+    """The reader of *annotator*'s record lines and the builder it joins to
+    the pattern.  The reader returns the annotation of a line, given the
+    source text, or None for a line the decoder does not accept."""
+    fullmatch, build = _pattern(annotator, kind.features).fullmatch, _builder(kind)
+
+    def read(line: str, text: str) -> Annotation | None:
+        match = fullmatch(line)
+        if match is None:
+            return None
+        begin, end, covered, *values = match.groups()
+        try:
+            b, e = int(begin), int(end)
+            if b < e <= len(text):
+                if "\\" in covered:
+                    covered = _unescape(covered, None)
+                if text[b:e] == covered:
+                    return build(Span(b, e), covered, values)
+        except (ValueError, MalformedFile):  # a huge integer, a bad value or escape
+            return None
+
+    return read, build
 
 
 def _parse_span(begin: str, end: str, text_len: int, line_no: int) -> Span:
@@ -401,9 +414,9 @@ def deserialize_result(data: bytes) -> DocumentResult:
     if text_end == len(content) or content[text_end] != "\n":
         raise MalformedFile("source text must end with a newline delimiter", 3)
 
-    first_line = 4 + text.count("\n")
+    # Line numbers, 4 + text.count("\n") on, are counted only where needed.
     if not content.endswith("\n"):
-        last = first_line + content.count("\n", text_end + 1)
+        last = 4 + text.count("\n") + content.count("\n", text_end + 1)
         raise MalformedFile("file must end with a newline", last)
     # Records, #diag lines, then the #check section: from the first line that
     # starts with "#check\t", as no record or #diag line does, to the end.
@@ -413,10 +426,18 @@ def deserialize_result(data: bytes) -> DocumentResult:
 
     annotations: list[Annotation] = []
     readers = _readers()
-    i = 0
-    while i < len(lines) and not lines[i].startswith("#"):
-        annotations.append(_parse_record(lines[i], text, first_line + i, readers))
-        i += 1
+    for line in lines:
+        if line.startswith("#"):
+            break
+        fields = line.split("\t", 3)
+        reader = readers.get(fields[2]) if len(fields) == 4 else None
+        annotation = reader and reader[0](line, text)
+        if annotation is None:
+            # Looked up at call time, so that a test can patch it.
+            _reject_record(line, text, 4 + text.count("\n") + len(annotations))
+        annotations.append(annotation)
+    i = len(annotations)
+    first_line = 4 + text.count("\n") if i < len(lines) else None
     diagnostics: list[Diagnostic] = []
     while i < len(lines) and lines[i].startswith("#diag\t"):
         diagnostics.append(_parse_diag(lines[i], len(text), first_line + i))
@@ -428,31 +449,9 @@ def deserialize_result(data: bytes) -> DocumentResult:
     section = content[check_at:]
     expected = _check_section(annotations)
     if section != expected:
-        _reject_check_section(section, expected, annotations, first_line + len(lines))
+        _reject_check_section(section, expected, annotations, 4 + text.count("\n") + len(lines))
 
-    return DocumentResult(
-        document_id=document_id,
-        text=text,
-        annotations=tuple(annotations),
-        diagnostics=tuple(diagnostics),
-    )
-
-
-def _parse_record(line: str, text: str, line_no: int, readers: dict) -> Annotation:
-    fields = line.split("\t", 3)
-    reader = readers.get(fields[2]) if len(fields) == 4 else None
-    match = None if reader is None else reader[0].fullmatch(line)
-    if match:
-        begin, end, covered, *values = match.groups()
-        try:
-            span = Span(int(begin), int(end))
-            if span.end <= len(text):
-                covered = _unescape(covered, line_no)
-                if text[span.begin : span.end] == covered:
-                    return reader[1](span, covered, values)
-        except ValueError:  # an integer int() cannot convert, or a bad value
-            pass
-    _reject_record(line, text, line_no)
+    return DocumentResult(document_id, text, tuple(annotations), tuple(diagnostics))
 
 
 def _reject_record(line: str, text: str, line_no: int) -> NoReturn:
@@ -535,9 +534,11 @@ def _parse_check(line: str, annotations: list[Annotation], line_no: int) -> None
         index = _parse_int(raw, f"{cls.annotator} record index", line_no)
         if index >= len(annotations) or not isinstance(annotations[index], cls):
             raise MalformedFile(f"index {index} is not a {cls.annotator} record", line_no)
-    verdict = _parse_enum(_VERDICT_NAMES, fields[3], "verdict", line_no)
-    if fields[4] != "-":
-        _parse_enum(_STAGES, fields[4], "stage group", line_no)
+    verdict = _VERDICT_NAMES.get(fields[3])
+    if verdict is None:
+        raise MalformedFile(f"unknown verdict {fields[3]!r}", line_no)
+    if fields[4] != "-" and fields[4] not in _STAGES:
+        raise MalformedFile(f"unknown stage group {fields[4]!r}", line_no)
     if (fields[4] == "-") != (verdict is ConsistencyVerdict.NOT_COMPARABLE):
         raise MalformedFile("expected group is set exactly when comparable", line_no)
 

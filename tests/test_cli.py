@@ -300,7 +300,26 @@ def test_annotate_not_utf8(tmp_path, capsys):
         ["annotate", "--input", str(src), "--out", str(tmp_path / "o")]
     )
     assert code == 1
-    assert "UTF-8" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and str(src / "bad.txt") in err
+
+
+def test_annotate_read_error_names_the_path(corpus_dir, tmp_path, capsys, monkeypatch):
+    # A directory's inputs are opened by name relative to one descriptor of
+    # it; the error still names the input's full path.
+    real_open = os.open
+
+    def failing_open(path, flags, *args, dir_fd=None, **kwargs):
+        if path == "docStaging.txt":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, flags, *args, dir_fd=dir_fd, **kwargs)
+
+    monkeypatch.setattr(oncospan.cli.os, "open", failing_open)
+    code = _annotate(corpus_dir, tmp_path / "out")
+    monkeypatch.undo()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Permission denied" in err and str(corpus_dir / "docStaging.txt") in err
 
 
 def test_annotate_file_name_not_utf8(tmp_path):
@@ -418,6 +437,27 @@ def test_query_read_error(corpus_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     assert code == 1
     assert "Input/output error" in capsys.readouterr().err
+
+
+def test_query_open_error_names_the_path(corpus_dir, tmp_path, capsys, monkeypatch):
+    # The store's files are opened by name relative to one descriptor of it;
+    # the error still names the file's full path.
+    out = tmp_path / "out"
+    _annotate(corpus_dir, out)
+    capsys.readouterr()
+    real_open = os.open
+
+    def failing_open(path, flags, *args, dir_fd=None, **kwargs):
+        if path == "docStaging.ann":
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        return real_open(path, flags, *args, dir_fd=dir_fd, **kwargs)
+
+    monkeypatch.setattr(oncospan.cli.os, "open", failing_open)
+    code = cli_main(["query", "--store", str(out), "--filter", "gene=EGFR"])
+    monkeypatch.undo()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err and str(out / "docStaging.ann") in err
 
 
 def test_check(corpus_dir, capsys):

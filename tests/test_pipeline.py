@@ -259,7 +259,7 @@ def _pipe_of(kinds: frozenset[AnnotatorKind]):
 _gate_units = st.one_of(
     st.sampled_from(
         [
-            "EGFR", "egfr", "ALK", "ROS1", "Ros-1", "ros 1", "G719X", "T790M",
+            "EGFR", "egfr", "ALK", "ROS1", "Ros-1", "ROS 1", "ros 1", "G719X", "T790M",
             "L858R", "L861Q", "ex\u00f3n", "exon", "pT1aN0M0", "T2b-N1-M1c",
             "t1.n0", "T3 N2", "estadio", "Estadio", "stage", "ECOG", "ECOG-PS",
             "Karnofsky", "KPS",
@@ -268,7 +268,7 @@ _gate_units = st.one_of(
     st.sampled_from(
         [
             "egf", "al", "ro", "kp", "ecg", "eco", "karnofsk", "estadi", "stag",
-            "exo", "t5n0", "t1m0", "l858", "g719", "n0", "m1",
+            "exo", "t5n0", "t1m0", "l858", "g719", "n0", "m1", "otros", "numerosos",
         ]
     ),
     # Near misses of the ECOG and Karnofsky anchor patterns, and keywords
@@ -341,9 +341,10 @@ def test_gate_equals_every_sentence(text, kinds):
     assert result.consistency == tuple(reports)
 
 
-# The annotator pattern of each pattern-anchored row, and the group of its
-# match where the anchor starts: a TNM expression's T, after its prefix.
+# The annotator pattern of each row with a pattern anchor, and the group of
+# its match where the anchor starts: a TNM expression's T, after its prefix.
 _ROW_PATTERNS = {
+    AnnotatorKind.EGFR: (mutation._GENE_RE, 0),
     AnnotatorKind.TNM: (staging._TNM_RE, 2),
     AnnotatorKind.ECOG: (perfstatus._ECOG_RE, 0),
     AnnotatorKind.KARNOFSKY: (perfstatus._KARNOFSKY_RE, 0),
@@ -354,17 +355,20 @@ _ROW_PATTERNS = {
 @settings(deadline=None, max_examples=300)
 @example("egfros stagestadio l858ros exonexon rosalk")
 @example("ECOG-PS 1, ECOG:2, ecog(3), KPS80 y Karnofsky: 90%; pT1aN0M0 T2-N1-M0.")
+@example("Ros-1, ROS 1 y ros1rosalk; otros numerosos EGFRos-1 l858ros1.")
 def test_find_loops_cover_finditer(default_pipeline, text):
     # Every start that one alternation of a row's literals finds is among
     # the hits; the find loops may add the starts that it skips.  Every
-    # match of a pattern row's annotator starts its anchor at a hit.
+    # match of the annotator of a row with a pattern anchor starts an
+    # anchor at a hit.
     norm, offsets = _textops.normalize_text(text)
     hits = set(_anchor_hits(default_pipeline, norm, offsets))
     for row, (kinds, anchors, _) in enumerate(_CALLS):
-        if isinstance(anchors, tuple):
-            for m in re.finditer("|".join(anchors), norm):
+        literals = [anchor for anchor in anchors if isinstance(anchor, str)]
+        if literals:
+            for m in re.finditer("|".join(literals), norm):
                 assert (offsets[m.start()], row) in hits
-        else:
+        if len(literals) < len(anchors):
             pattern, group = _ROW_PATTERNS[kinds[0]]
             for m in pattern.finditer(norm):
                 assert (offsets[m.start(group)], row) in hits
@@ -406,11 +410,14 @@ def test_lookups_over_the_seeded_corpus(default_pipeline, monkeypatch):
     for doc in corpusgen.generate_corpus(100, seed=7):
         default_pipeline.process_document(doc)
     assert (len(looked_up), len(built)) == (256, 256)
-    built.clear()
-    text = "Ecograf\u00eda abdominal sin hallazgos significativos."
-    result = default_pipeline.process_document(Document("d", text))
-    assert built == []
-    assert result.annotations == result.diagnostics == ()
+    for text in [
+        "Ecograf\u00eda abdominal sin hallazgos significativos.",
+        "Sin otros hallazgos. Numerosos controles previos.",
+    ]:
+        built.clear()
+        result = default_pipeline.process_document(Document("d", text))
+        assert built == []
+        assert result.annotations == result.diagnostics == ()
 
 
 def test_each_annotator_reads_only_its_sentences(default_pipeline, monkeypatch):

@@ -7,6 +7,7 @@ fields run the same checks when a copy is made with ``_replace``.
 """
 
 import contextlib
+import importlib
 import io
 import os
 import subprocess
@@ -250,3 +251,23 @@ def test_entry_point_loads_only_what_it_runs(code, not_loaded, patterns, tmp_pat
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 [] {patterns}"
+
+
+def test_every_enum_hashes_by_identity():
+    # Members compare by identity, so they hash by it too, in C: a new enum
+    # on Enum itself would bring back the Python-level Enum.__hash__ on
+    # every set and dict probe.
+    import enum
+    import pkgutil
+
+    enums = {
+        value
+        for info in pkgutil.iter_modules(oncospan.__path__)
+        for value in vars(importlib.import_module(f"oncospan.{info.name}")).values()
+        if isinstance(value, enum.EnumMeta) and value.__module__.startswith("oncospan.")
+    }
+    assert sum(len(cls) > 0 for cls in enums) >= 12
+    for cls in enums:
+        for member in cls:
+            assert type(member).__hash__ is object.__hash__, member
+            assert hash(member) == object.__hash__(member)
