@@ -4,13 +4,14 @@ They are the hot path of the whole package: every document is normalized,
 and each sentence holding an anchor is found by ``sentence_span_at`` and
 tokenized if an annotator reads its tokens.  ``sentence_spans`` splits a
 whole text; the lookup is checked against it.  The per-character work runs
-inside ``bytes.translate``, ``str.translate``, ``str.lower`` and ``re``.  A
-text whose every character is below U+0100 (Latin-1, which holds Spanish
-notes) is folded and classified through two 256-byte tables.  Any other
-text goes through the lazy tables: the fold translates only its runs of
-non-ASCII characters and lowers the rest in one call.  Python-level loops
-are left for the rare characters that fold to more or fewer than one
-character and for the token before each period.
+inside ``bytes.translate``, ``str.translate`` and ``re``.  A text whose
+every character is below U+0100 (Latin-1, which holds Spanish notes) is
+folded and classified through two 256-byte tables.  In any other text the
+fold sends its Latin-1 stretches through the byte table and its runs above
+U+00FF through the lazy table, so each character goes through exactly one
+table; the tokenizer classifies it through the lazy class table.
+Python-level loops are left for the rare characters that fold to more or
+fewer than one character and for the token before each period.
 ``tests/_textops_py.py`` keeps the plain loop version of the same contract,
 and the test suite checks that both agree.
 
@@ -40,8 +41,8 @@ def set_backend(name: str) -> None:
 
 
 # Characters whose fold is not one character, with its length (combining
-# marks vanish, Hangul syllables become jamo).  All of them are non-ASCII,
-# so normalize_text looks for them in the non-ASCII runs only.
+# marks vanish, Hangul syllables become jamo).  None of them is Latin-1 (see
+# _FOLD_LATIN1), so normalize_text looks for them in the runs above U+00FF.
 _IRREGULAR: dict[str, int] = {}
 
 # The tables keep entries for the Basic Multilingual Plane only, so they stay
@@ -71,8 +72,13 @@ _FOLD = _FoldTable()
 # one Latin-1 character (bytes(map(ord, ...)) fails at import otherwise),
 # so a Latin-1 text keeps its length and its offsets are the identity.
 _FOLD_LATIN1 = bytes(map(ord, map(_FOLD.__getitem__, range(256))))
-# A run of non-ASCII characters; the group keeps the runs in split's output.
-_NON_ASCII_RUN = re.compile(r"([^\x00-\x7f]+)")
+# A run of characters above U+00FF; the group keeps the runs in split's output.
+_ABOVE_LATIN1_RUN = re.compile(r"([^\x00-\xff]+)")
+
+
+def _fold_latin1(text: str) -> str:
+    """The fold of a Latin-1 *text*; UnicodeEncodeError for any other."""
+    return text.encode("latin-1").translate(_FOLD_LATIN1).decode("latin-1")
 
 
 def normalize_text(text: str) -> tuple[str, Sequence[int]]:
@@ -86,29 +92,25 @@ def normalize_text(text: str) -> tuple[str, Sequence[int]]:
     ``range(len(text))``, and ``normalized[b:e]`` is the fold of
     ``text[b:e]``; otherwise it is a list.
 
-    A Latin-1 text is folded by one ``bytes.translate``.  In any other
-    text only the runs of non-ASCII characters go through the fold table:
-    the fold of an ASCII character is its ``lower()``, and ``lower()``
-    leaves the fold of any character unchanged, so one ``lower()`` of the
-    whole result folds the ASCII between them.  No capital sigma is left
-    for ``lower()`` to read in context.
+    A Latin-1 text is folded by one ``bytes.translate``.  Any other text is
+    split into runs above U+00FF, folded through the lazy table, and the
+    Latin-1 stretches between them, folded through the byte table.
     """
     try:
-        raw = text.encode("latin-1")
+        return _fold_latin1(text), range(len(text))
     except UnicodeEncodeError:
         pass
-    else:
-        return raw.translate(_FOLD_LATIN1).decode("latin-1"), range(len(text))
-    parts = _NON_ASCII_RUN.split(text)
+    parts = _ABOVE_LATIN1_RUN.split(text)
     runs = parts[1::2]
+    parts[0::2] = map(_fold_latin1, parts[0::2])
     parts[1::2] = [run.translate(_FOLD) for run in runs]
-    normalized = "".join(parts).lower()
+    normalized = "".join(parts)
     if _IRREGULAR.keys().isdisjoint("".join(runs)):
         return normalized, range(len(text))
     # Only a run holding an irregular character is walked one by one.
     offsets: list[int] = []
     start = 0
-    for run in _NON_ASCII_RUN.finditer(text):
+    for run in _ABOVE_LATIN1_RUN.finditer(text):
         if not _IRREGULAR.keys().isdisjoint(run[0]):
             offsets += range(start, run.start())
             for i, ch in enumerate(run[0], run.start()):
@@ -174,38 +176,39 @@ _NON_SPACE = re.compile(r"\S")
 # and carriage returns up to the next newline or the end of the text).
 _BOUNDARY = re.compile(r"[.!?]|\n[ \t\r]*(?:\n|\Z)")
 _TERMINATOR_RUN = re.compile(r"[.!?]+")
+# Tokens before a period that never end a sentence; single letters ("J.")
+# are always treated as abbreviations.
+ABBREVIATION_STOPLIST = frozenset({"dr", "dra", "sr", "sra", "vs", "fig", "pag"})
 
 
-def sentence_spans(
-    text: str, abbreviations: frozenset[str] = frozenset()
-) -> list[tuple[int, int]]:
+def sentence_spans(text: str) -> list[tuple[int, int]]:
     """Split *text* into sentence spans.
 
     A sentence ends at a maximal run of ``.``, ``!``, ``?`` (the run is part
     of the span) or at a blank line (not part of the span).  A period is not
     a terminator when it sits between two digits, or when the token before
     it is an abbreviation: either a single letter or a member of
-    *abbreviations* (compared after accent/case folding).  Spans start at
-    the first non-whitespace character and never cover trailing whitespace.
+    ``ABBREVIATION_STOPLIST`` (compared after accent/case folding).  Spans
+    start at the first non-whitespace character and never cover trailing
+    whitespace.
     """
     spans: list[tuple[int, int]] = []
     pos = 0
     while (first := _NON_SPACE.search(text, pos)) is not None:
         start = first.start()
-        end, pos = _sentence_end(text, start, abbreviations)
+        end, pos = _sentence_end(text, start)
         spans.append((start, end))
     return spans
 
 
-# The last terminator or newline before the end of the searched range.
-_LAST_BREAK = re.compile(r"(?s:.*)[.!?\n]")
+# The last terminator, or newline closing a blank line, in the searched
+# range: _BOUNDARY's rule read backwards.
+_LAST_BREAK = re.compile(r"(?s:.*)(?:[.!?]|\n[ \t\r]*\n)")
 
 
-def sentence_span_at(
-    text: str, at: int, floor: int = 0, abbreviations: frozenset[str] = frozenset()
-) -> tuple[int, int]:
-    """The span ``sentence_spans(text, abbreviations)`` gives the sentence
-    holding ``text[at]``, found without splitting the rest of *text*.
+def sentence_span_at(text: str, at: int, floor: int = 0) -> tuple[int, int]:
+    """The span ``sentence_spans(text)`` gives the sentence holding
+    ``text[at]``, found without splitting the rest of *text*.
 
     ``text[at]`` must be neither whitespace nor a terminator.  *floor* is 0
     or the end of a sentence before that one; the scan back stops there.
@@ -214,32 +217,23 @@ def sentence_span_at(
     nearest terminator before it closes a maximal run: the run ends a
     sentence if that terminator is ``!`` or ``?``, or a period that
     ``_period_terminates`` (which holds for any period after a terminator,
-    so for every run of two or more).  A newline ends one if it closes a
-    blank line.  So the sentence starts at the first non-whitespace
-    character after the nearest such boundary, and ends where the forward
-    scan of ``sentence_spans`` ends it.
+    so for every run of two or more).  A blank line always ends one.  So
+    the sentence starts at the first non-whitespace character after the
+    nearest such boundary, and ends where the forward scan of
+    ``sentence_spans`` ends it.
     """
     stop, start = at, floor
     while (last := _LAST_BREAK.match(text, floor, stop)) is not None:
         p = last.end() - 1
-        if text[p] == "\n":
-            q = p
-            while q > floor and text[q - 1] in " \t\r":
-                q -= 1
-            if q > floor and text[q - 1] == "\n":
-                start = p + 1
-                break
-        elif text[p] != "." or _period_terminates(text, p, abbreviations):
+        if text[p] != "." or _period_terminates(text, p):
             start = p + 1
             break
         stop = p
     start = _NON_SPACE.search(text, start).start()
-    return start, _sentence_end(text, start, abbreviations)[0]
+    return start, _sentence_end(text, start)[0]
 
 
-def _sentence_end(
-    text: str, start: int, abbreviations: frozenset[str]
-) -> tuple[int, int]:
+def _sentence_end(text: str, start: int) -> tuple[int, int]:
     """End of the sentence starting at *start*, and where the next one may."""
     scan = start
     while True:
@@ -249,14 +243,14 @@ def _sentence_end(
         at = boundary.start()
         if text[at] == "\n":
             return start + len(text[start:at].rstrip()), boundary.end()
-        if text[at] == "." and not _period_terminates(text, at, abbreviations):
+        if text[at] == "." and not _period_terminates(text, at):
             scan = at + 1
             continue
         end = _TERMINATOR_RUN.match(text, at).end()
         return end, end
 
 
-def _period_terminates(text: str, i: int, abbreviations: frozenset[str]) -> bool:
+def _period_terminates(text: str, i: int) -> bool:
     n = len(text)
     if 0 < i < n - 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
         return False
@@ -273,6 +267,6 @@ def _period_terminates(text: str, i: int, abbreviations: frozenset[str]) -> bool
     token = text[k : j + 1].translate(_FOLD)
     if len(token) == 1 and token.isalpha():
         return False
-    if token in abbreviations:
+    if token in ABBREVIATION_STOPLIST:
         return False
     return True

@@ -14,7 +14,8 @@ Each input and ``.ann`` file is read with ``os.read``, those of a directory
 opened relative to one descriptor of it.  ``annotate`` rewrites an existing
 output in place, then cuts it to length; a crash mid-write leaves the new
 bytes so far and then the old file's rest, which the strict ``.ann`` decoder
-rejects unless the mix is itself a valid file.
+rejects unless the mix is itself a valid file.  ``query`` accepts only
+the files ``annotate`` names, ``<#doc id>.ann``, so each id prints once.
 
 Exit codes: 0 success, 1 input error (missing files, malformed lexicon or
 standoff data, bad flag values), 2 internal error.
@@ -235,9 +236,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
         results = []
         for name in names:
             try:
-                results.append(deserialize_result(_read_bytes(name, dir_fd)))
+                result = deserialize_result(_read_bytes(name, dir_fd))
             except (OncospanError, OSError) as exc:
                 raise _InputError(f"{os.path.join(store, name)}: {exc}") from None
+            # Named as annotate names it, so that each id prints once, in order.
+            if name != result.document_id + ".ann":
+                where = os.path.join(store, name)
+                raise _InputError(f"{where}: not named after its #doc id {result.document_id!r}")
+            results.append(result)
     finally:
         os.close(dir_fd)
     for document_id in query_results(results, predicate):

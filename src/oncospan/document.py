@@ -15,9 +15,8 @@ from typing import NamedTuple, Sequence
 from . import _textops
 from .errors import OutOfBounds
 
-# Tokens before a period that never end a sentence; single letters ("J.")
-# are always treated as abbreviations.
-ABBREVIATION_STOPLIST = frozenset({"dr", "dra", "sr", "sra", "vs", "fig", "pag"})
+# The abbreviations the sentence kernels never end a sentence after.
+ABBREVIATION_STOPLIST = _textops.ABBREVIATION_STOPLIST
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _BAD_ID_CHAR = re.compile("[\t\n\r\ud800-\udfff]")
@@ -94,7 +93,7 @@ def covered_text(document: Document, span: Span) -> str:
 def split_sentences(text: str) -> list[Sentence]:
     return [
         Sentence(Span(b, e), i)
-        for i, (b, e) in enumerate(_textops.sentence_spans(text, ABBREVIATION_STOPLIST))
+        for i, (b, e) in enumerate(_textops.sentence_spans(text))
     ]
 
 

@@ -154,25 +154,19 @@ def mutation_points_in_view(view: SentenceView) -> list[MutationPoint]:
     return out
 
 
-def _token_distance(view: SentenceView, a: Span, b: Span) -> int:
-    ra = view.token_range(a)
-    rb = view.token_range(b)
-    if ra is None or rb is None:
-        return abs(a.begin - b.begin)
-    if rb[0] > ra[1]:
-        return rb[0] - ra[1]
-    if ra[0] > rb[1]:
-        return ra[0] - rb[1]
-    return 0
-
-
-def _nearest(view: SentenceView, anchor: Span, items: Sequence, key=lambda x: x.span):
+def _nearest(view: SentenceView, anchor: Span, items: Sequence):
+    """The item nearest *anchor* in tokens, the earliest of a tie.  Each
+    span holds a token, since every character whose fold is in [0-9a-z] is
+    a token character."""
     if not items:
         return None
-    return min(
-        items,
-        key=lambda item: (_token_distance(view, anchor, key(item)), key(item).begin),
-    )
+    first, last = view.token_range(anchor)
+
+    def key(item):
+        lo, hi = view.token_range(item.span)
+        return max(0, lo - last, first - hi), item.span.begin
+
+    return min(items, key=key)
 
 
 def annotate_view(

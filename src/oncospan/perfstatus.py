@@ -26,12 +26,14 @@ class PSAnnotation(
     annotator = "ps"
 
     def __new__(cls, span, scale, value, raw):
-        limit = 5 if scale is PSScale.ECOG else 100
+        limit = _LIMIT[scale]
         if not 0 <= value <= limit:
             raise ValueError(f"{scale.value} value {value} outside 0-{limit}")
         return tuple.__new__(cls, (span, scale, value, raw))
 
 
+# The largest value of each scale; every value from 0 up to it is valid.
+_LIMIT = {PSScale.ECOG: 5, PSScale.KARNOFSKY: 100}
 _PS_SEP_CHARS = r" :\-_()."
 _PS_SEP = "[" + _PS_SEP_CHARS + "]*"
 # Patterns on the folded shadow that every annotation and diagnostic of the
@@ -51,13 +53,13 @@ _KARNOFSKY_RE = re.compile(
 
 
 def ecog_in_view(view: SentenceView) -> tuple[list[PSAnnotation], list[Diagnostic]]:
-    return _scan(view, _ECOG_RE, PSScale.ECOG, 5)
+    return _scan(view, _ECOG_RE, PSScale.ECOG)
 
 
 def karnofsky_in_view(
     view: SentenceView,
 ) -> tuple[list[PSAnnotation], list[Diagnostic]]:
-    annotations, diagnostics = _scan(view, _KARNOFSKY_RE, PSScale.KARNOFSKY, 100)
+    annotations, diagnostics = _scan(view, _KARNOFSKY_RE, PSScale.KARNOFSKY)
     for ann in annotations:
         if ann.value % 10 != 0:
             diagnostics.append(
@@ -70,8 +72,9 @@ def karnofsky_in_view(
 
 
 def _scan(
-    view: SentenceView, pattern: re.Pattern, scale: PSScale, limit: int
+    view: SentenceView, pattern: re.Pattern, scale: PSScale
 ) -> tuple[list[PSAnnotation], list[Diagnostic]]:
+    limit = _LIMIT[scale]
     annotations = []
     diagnostics = []
     for m in pattern.finditer(view.norm):

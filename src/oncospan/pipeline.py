@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence, Union
 
 from . import _textops, mutation, perfstatus, staging
 from .assertion import CueLexicon, load_cue_lexicon
-from .document import ABBREVIATION_STOPLIST, Diagnostic, Document, IdentityEnum, SentenceView, Span
+from .document import Diagnostic, Document, IdentityEnum, SentenceView, Span
 from .errors import ConfigError, DuplicateDocumentId
 from .mutation import Gene, MutationAnnotation
 from .perfstatus import PSAnnotation
@@ -171,7 +171,7 @@ def process_document(pipeline: Pipeline, document: Document) -> DocumentResult:
     end = 0
     for at, row in _anchor_hits(pipeline, *folded):
         if at >= end:
-            begin, end = _textops.sentence_span_at(text, at, end, ABBREVIATION_STOPLIST)
+            begin, end = _textops.sentence_span_at(text, at, end)
             rows: set[int] = set()
             live.append((Span(begin, end), rows))
         rows.add(row)

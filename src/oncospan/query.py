@@ -7,6 +7,7 @@ or IVB.
 """
 
 import re
+from functools import partial
 from typing import Sequence
 
 from .assertion import Polarity
@@ -128,6 +129,33 @@ def _parse_range(value: str) -> tuple[int, int]:
     return (lo, hi)
 
 
+def _parse_stage(value: str) -> StageGroup:
+    try:
+        return normalize_stage(value)
+    except InvalidStage as exc:
+        raise InvalidFilter(str(exc)) from None
+
+
+def _lookup(table: dict, what: str, value: str):
+    member = table.get(value.lower())
+    if member is None:
+        raise InvalidFilter(f"unknown {what} {value!r}")
+    return member
+
+
+# Each filter key, with the reader of its value.
+_FILTER_READERS = {
+    "gene": partial(_lookup, _GENE_BY_NAME, "gene"),
+    "polarity": partial(_lookup, _POLARITY_BY_NAME, "polarity"),
+    "stage": _parse_stage,
+    "ecog": _parse_range,
+    "karnofsky": _parse_range,
+    "t": partial(_lookup, _T_BY_KEY, "T category"),
+    "n": partial(_lookup, _N_BY_KEY, "N category"),
+    "m": partial(_lookup, _M_BY_KEY, "M category"),
+}
+
+
 def parse_filter(expression: str) -> QueryPredicate:
     """Parse a CLI filter: comma-separated key=value pairs.
 
@@ -147,39 +175,11 @@ def parse_filter(expression: str) -> QueryPredicate:
             raise InvalidFilter(f"expected key=value, got {item!r}")
         if key in fields:
             raise InvalidFilter(f"duplicate key {key!r}")
-        if key == "gene":
-            gene = _GENE_BY_NAME.get(value.lower())
-            if gene is None:
-                raise InvalidFilter(f"unknown gene {value!r}")
-            fields[key] = gene
-        elif key == "polarity":
-            polarity = _POLARITY_BY_NAME.get(value.lower())
-            if polarity is None:
-                raise InvalidFilter(f"unknown polarity {value!r}")
-            fields[key] = polarity
-        elif key == "stage":
-            try:
-                fields[key] = normalize_stage(value)
-            except InvalidStage as exc:
-                raise InvalidFilter(str(exc)) from None
-        elif key in ("ecog", "karnofsky"):
-            fields[key] = _parse_range(value)
-        elif key == "t":
-            fields[key] = _lookup(_T_BY_KEY, value, "T category")
-        elif key == "n":
-            fields[key] = _lookup(_N_BY_KEY, value, "N category")
-        elif key == "m":
-            fields[key] = _lookup(_M_BY_KEY, value, "M category")
-        else:
+        read = _FILTER_READERS.get(key)
+        if read is None:
             raise InvalidFilter(f"unknown filter key {key!r}")
+        fields[key] = read(value)
     return QueryPredicate(**fields)  # type: ignore[arg-type]
-
-
-def _lookup(table: dict, value: str, what: str):
-    member = table.get(value.lower())
-    if member is None:
-        raise InvalidFilter(f"unknown {what} {value!r}")
-    return member
 
 
 __all__ = ["QueryPredicate", "matches", "query_results", "parse_filter"]

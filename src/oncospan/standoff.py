@@ -366,13 +366,14 @@ def _reader(annotator: str, kind: AnnotationType) -> tuple[Callable, Callable]:
             return None
         begin, end, covered, *values = match.groups()
         try:
+            # Span() refuses an empty or reversed span.
             b, e = int(begin), int(end)
-            if b < e <= len(text):
+            if e <= len(text):
                 if "\\" in covered:
                     covered = _unescape(covered, None)
                 if text[b:e] == covered:
                     return build(Span(b, e), covered, values)
-        except (ValueError, MalformedFile):  # a huge integer, a bad value or escape
+        except (ValueError, MalformedFile):  # a huge integer, a bad span, value or escape
             return None
 
     return read, build

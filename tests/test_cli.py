@@ -414,6 +414,24 @@ def test_query_skips_entries_that_are_not_files(corpus_dir, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["docCombined"]
 
 
+@pytest.mark.parametrize("rename", [False, True])
+def test_query_rejects_a_file_not_named_after_its_id(corpus_dir, tmp_path, capsys, rename):
+    # A copied file would print its id twice, a renamed one out of order.
+    out = tmp_path / "out"
+    _annotate(corpus_dir, out)
+    misnamed = out / "z-copy.ann"
+    if rename:
+        (out / "docMutation.ann").rename(misnamed)
+    else:
+        misnamed.write_bytes((out / "docMutation.ann").read_bytes())
+    capsys.readouterr()
+    code = cli_main(["query", "--store", str(out), "--filter", "gene=EGFR"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(misnamed) in captured.err and "'docMutation'" in captured.err
+
+
 def test_query_reads_a_file_longer_than_one_read(tmp_path, capsys):
     src, out = tmp_path / "notes", tmp_path / "out"
     src.mkdir()

@@ -92,11 +92,25 @@ def test_read_standoff_records(ann_files):
     assert _sha256(files.encode("utf-8")) == RECORDS_SHA256
 
 
-# The .ann and SQL digests of the seeded corpus, and of its .ann files
-# decoded and written again, with the standard library alone.
+# Notes that leave the fold's byte table: an en dash, a Greek beta, and a
+# Hangul syllable, which folds to three jamo and so moves every offset.
+_NON_LATIN1_NOTES = (
+    "Paciente \u2013 EGFR mutado en ex\u00f3n 19. ECOG 1.",
+    "Mutaci\u00f3n \u03b2: EGFR L858R positiva. Estadio IVA, T2aN1M1b.",
+    "\ud55c EGFR negativo, ALK \u2013. Karnofsky 80%. pT1cN0M0, estadio IA3.",
+)
+
+
+def _non_latin1_documents():
+    return [Document(f"u{i}", text) for i, text in enumerate(_NON_LATIN1_NOTES)]
+
+
+# The .ann and SQL digests of the seeded corpus, of its .ann files decoded
+# and written again, and the .ann digest of the notes above, with the
+# standard library alone.
 _DIGESTS = """
 import hashlib, sys
-from oncospan import PipelineConfig, build_pipeline, process_corpus
+from oncospan import Document, PipelineConfig, build_pipeline, process_corpus
 from oncospan import deserialize_result, emit_sql, serialize_result
 from oncospan.corpusgen import generate_corpus
 results = process_corpus(build_pipeline(PipelineConfig()), generate_corpus(300, seed=7))
@@ -105,7 +119,10 @@ print(*sys.version_info[:2])
 print(hashlib.sha256(b"".join(files)).hexdigest())
 print(hashlib.sha256(emit_sql(results).encode("utf-8")).hexdigest())
 print(hashlib.sha256(b"".join(serialize_result(deserialize_result(f)) for f in files)).hexdigest())
-"""
+notes = [Document(f"u{i}", text) for i, text in enumerate(%s)]
+results = process_corpus(build_pipeline(PipelineConfig()), notes)
+print(hashlib.sha256(b"".join(serialize_result(r) for r in results)).hexdigest())
+""" % ascii(_NON_LATIN1_NOTES)
 
 
 def test_other_pythons_write_the_same_bytes():
@@ -114,6 +131,8 @@ def test_other_pythons_write_the_same_bytes():
     minors = [m for m in range(10, 20) if shutil.which(f"python3.{m}")]
     if 10 not in minors:
         pytest.skip("no python3.10 on PATH")
+    results = process_corpus(build_pipeline(PipelineConfig()), _non_latin1_documents())
+    non_latin1_sha256 = _sha256(b"".join(serialize_result(r) for r in results))
     for minor in sorted({10, minors[-1]}):
         proc = subprocess.run(
             [f"python3.{minor}", "-c", _DIGESTS],
@@ -130,7 +149,7 @@ def test_other_pythons_write_the_same_bytes():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n") == [
-            f"3 {minor}", ANN_SHA256, SQL_SHA256, ANN_SHA256, ""
+            f"3 {minor}", ANN_SHA256, SQL_SHA256, ANN_SHA256, non_latin1_sha256, ""
         ]
 
 

@@ -1,5 +1,6 @@
 """The text kernels must agree with the loop version, byte for byte."""
 
+import itertools
 import re
 
 import pytest
@@ -75,7 +76,7 @@ def test_normalize_agrees(text):
 @given(_texts)
 @settings(max_examples=300, deadline=None)
 def test_sentence_spans_agree(text):
-    assert _textops.sentence_spans(text, ABBREVIATION_STOPLIST) == (
+    assert _textops.sentence_spans(text) == (
         _textops_py.sentence_spans(text, ABBREVIATION_STOPLIST)
     )
 
@@ -117,7 +118,7 @@ def test_normalize_expansion_maps_to_source():
 @given(_texts)
 @settings(max_examples=200, deadline=None)
 def test_sentences_within_bounds_and_ordered(text):
-    spans = _textops.sentence_spans(text, ABBREVIATION_STOPLIST)
+    spans = _textops.sentence_spans(text)
     previous_end = 0
     for begin, end in spans:
         assert 0 <= begin < end <= len(text)
@@ -135,18 +136,34 @@ def test_sentences_within_bounds_and_ordered(text):
 @example("")
 @example("Dr. J. Ruiz. 1.5 mg.. ECOG 1?! KPS\n \t\nEGFR\r\x0b.")
 def test_sentence_span_at_equals_split(text):
+    _assert_lookups_equal_split(text)
+
+
+def _assert_lookups_equal_split(text):
     # Each position that can start an anchor finds the sentence holding it,
     # whether the scan back runs to the start or to the previous sentence.
     previous_end = 0
-    for begin, end in _textops.sentence_spans(text, ABBREVIATION_STOPLIST):
+    for begin, end in _textops.sentence_spans(text):
         for at in range(begin, end):
             if text[at].isspace() or text[at] in ".!?":
                 continue
             for floor in (0, previous_end):
-                assert _textops.sentence_span_at(
-                    text, at, floor, ABBREVIATION_STOPLIST
-                ) == (begin, end)
+                found = _textops.sentence_span_at(text, at, floor)
+                assert found == (begin, end), (text, at, floor)
         previous_end = end
+
+
+# What decides a sentence boundary: each terminator, a newline alone, a
+# blank line holding a space, spaces and carriage returns, a letter (an
+# abbreviation on its own), a digit (a decimal point), and an abbreviation
+# from the stoplist.
+_LOOKUP_PIECES = (".", "!", "?", "\n", "\n \n", " ", "\r", "a", "1", "dr.")
+
+
+def test_sentence_span_at_equals_split_on_every_short_text():
+    for size in range(5):
+        for pieces in itertools.product(_LOOKUP_PIECES, repeat=size):
+            _assert_lookups_equal_split("".join(pieces))
 
 
 @given(_texts)
@@ -209,7 +226,7 @@ def test_astral_characters_leave_the_tables_unchanged(monkeypatch):
     assert (norm, list(offsets)) == _textops_py.normalize_text(text)
     assert {"\U0001d15e", "\U0001d167"} <= _textops._IRREGULAR.keys()
     assert _textops.token_spans(text) == _textops_py.token_spans(text, 0, len(text))
-    assert _textops.sentence_spans(text, ABBREVIATION_STOPLIST) == (
+    assert _textops.sentence_spans(text) == (
         _textops_py.sentence_spans(text, ABBREVIATION_STOPLIST)
     )
     # Meeting the irregular characters again compiles no pattern.
@@ -233,25 +250,6 @@ def test_first_fold_of_new_irregular_characters_compiles_at_most_once(monkeypatc
     norm, offsets = _textops.normalize_text(text)
     assert len(compiled) <= 1
     assert (norm, list(offsets)) == _textops_py.normalize_text(text)
-
-
-def test_lower_leaves_every_fold_unchanged(monkeypatch):
-    # normalize_text translates only the non-ASCII runs and then lowers the
-    # whole text, so an ASCII character must fold to its lower(), and
-    # lower() must leave the fold of every character as it is.  (The loop
-    # version's cache of 63,000 folds is dropped afterwards.)
-    monkeypatch.setattr(_textops_py, "_CHAR_CACHE", {})
-    assert [_textops_py._norm_char(chr(c)) for c in range(0x80)] == [
-        chr(c).lower() for c in range(0x80)
-    ]
-    changed = []
-    for code in range(0x10000):
-        if 0xD800 <= code <= 0xDFFF:
-            continue
-        folded = _textops_py._norm_char(chr(code))
-        if folded.lower() != folded:
-            changed.append(hex(code))
-    assert changed == []
 
 
 # About 20 kB of accented notes, into which one character whose fold is not
@@ -280,9 +278,9 @@ def test_offsets_of_long_text_with_one_irregular_character(irregular, where):
 
 
 def test_fold_table_read_once_per_non_ascii_character(monkeypatch):
-    # The offsets of a text holding an irregular character are built without
-    # reading the fold table again, and never for its ASCII characters.  A
-    # Latin-1 text goes through the byte table and reads it not at all.
+    # The fold table is read at most once per character above U+00FF, also
+    # when the offsets of a text holding an irregular character are built;
+    # Latin-1 characters go through the byte table and never read it.
     lookups = []
 
     class CountingTable(_textops._FoldTable):
@@ -299,7 +297,7 @@ def test_fold_table_read_once_per_non_ascii_character(monkeypatch):
         if text is _LONG:
             assert lookups == []
         else:
-            assert 0 < len(lookups) <= sum(not ch.isascii() for ch in text)
+            assert 0 < len(lookups) <= sum(ch > "\xff" for ch in text)
 
 
 def _reference_class(ch):
@@ -321,3 +319,28 @@ def test_byte_tables_equal_the_reference():
     classes = list(_textops._CLASS_LATIN1.decode("ascii"))
     assert classes == list(map(_reference_class, chars))
     assert classes == [_textops._CLASS[ord(ch)] for ch in chars]
+
+
+class _Uncached(dict):
+    """A fold cache that keeps nothing, for a walk over every code point."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_every_character_folding_to_an_ascii_letter_or_digit_is_a_token_character(
+    monkeypatch,
+):
+    # A gene, exon or point span holds a character whose fold is in
+    # [0-9a-z], so it always overlaps a token: mutation._nearest needs no
+    # rule for a span without one.
+    monkeypatch.setattr(_textops_py, "_CHAR_CACHE", _Uncached())
+    ascii_alnum = re.compile("[0-9a-z]")
+    outside = [
+        hex(code)
+        for code in range(0x110000)
+        if not 0xD800 <= code <= 0xDFFF
+        and _reference_class(chr(code)) not in "dw"
+        and ascii_alnum.search(_textops_py._norm_char(chr(code)))
+    ]
+    assert outside == []

@@ -140,6 +140,21 @@ def test_egfr_attaches_nearest_exon():
     assert got[0].exon.number == 19
 
 
+def test_nearest_reads_each_token_range_once(monkeypatch):
+    # 20 EGFR mentions, each with 20 exons to choose from: one range for the
+    # polarity window and one for each mention and each exon it weighs.
+    text = "EGFR exón 19 " * 20
+    calls = []
+    token_range = SentenceView.token_range
+    monkeypatch.setattr(
+        SentenceView, "token_range",
+        lambda view, span: calls.append(span) or token_range(view, span),
+    )
+    got = annotate_view(SentenceView(text), load_cue_lexicon())
+    assert [a.exon.number for a in got] == [19] * 20
+    assert len(calls) == 20 + 20 * (1 + 20)
+
+
 def test_egfr_attaches_point():
     got = annotate("EGFR mutado, L858R")
     assert len(got) == 1

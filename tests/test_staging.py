@@ -21,7 +21,7 @@ from oncospan import (
     parse_tnm,
     tnm_to_stage_group,
 )
-from oncospan.staging import StageAnnotation, TNMAnnotation, stage_covers
+from oncospan.staging import COARSE_STAGES, StageAnnotation, TNMAnnotation, stage_covers
 from oncospan.document import Span
 
 PREFIX_SURFACES = {
@@ -294,6 +294,14 @@ def test_stage_covers_is_component_aware():
     assert not stage_covers(StageGroup.II, StageGroup.III)
     assert not stage_covers(StageGroup.IVA, StageGroup.IVB)
     assert not stage_covers(StageGroup.IA1, StageGroup.IA)
+
+
+def test_no_coarse_stage_has_a_digit():
+    # stage_covers compares the numeral and the letter only; a coarse stage
+    # with a digit would need the digit compared too.
+    assert COARSE_STAGES and not any(
+        ch.isdigit() for stage in COARSE_STAGES for ch in stage.value
+    )
 
 
 @given(st.sampled_from(list(TCategory)), st.sampled_from(list(NCategory)))
