@@ -140,8 +140,6 @@ def _parse_annotators(raw: str | None) -> frozenset[AnnotatorKind]:
                 + ", ".join(k.value for k in AnnotatorKind)
             )
         kinds.add(kind)
-    if not kinds:
-        raise _InputError("no annotators selected")
     return frozenset(kinds)
 
 

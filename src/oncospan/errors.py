@@ -9,14 +9,18 @@ class OutOfBounds(OncospanError):
     """A span does not lie inside the text it is applied to."""
 
 
-class MalformedLexicon(OncospanError):
-    """A cue lexicon file line could not be parsed."""
+class _LineError(OncospanError):
+    """An error at a line of an input file, named in the message when known."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+class MalformedLexicon(_LineError):
+    """A cue lexicon file line could not be parsed."""
 
 
 class ConflictingEntry(OncospanError):
@@ -39,14 +43,8 @@ class DuplicateDocumentId(OncospanError):
     """Two documents in one corpus share an id."""
 
 
-class MalformedFile(OncospanError):
+class MalformedFile(_LineError):
     """A standoff file could not be parsed."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 class SpanMismatch(OncospanError):

@@ -34,14 +34,18 @@ class PointVariant(IdentityEnum):
     L861Q = "L861Q"
 
 
+# The EGFR exons a mention may name.
+_EXONS = range(18, 22)
+
+
 class ExonMention(
     checked_tuple("ExonMention", [("span", Span), ("number", int), ("kind", ExonKind | None)])
 ):
     __slots__ = ()
 
     def __new__(cls, span, number, kind):
-        if not 18 <= number <= 21:
-            raise ValueError(f"exon {number} outside the EGFR range 18-21")
+        if number not in _EXONS:
+            raise ValueError(f"exon {number} outside the EGFR range {_EXONS[0]}-{_EXONS[-1]}")
         return tuple.__new__(cls, (span, number, kind))
 
 
@@ -128,7 +132,7 @@ def exon_mentions_in_view(view: SentenceView) -> list[ExonMention]:
         if any(unicodedata.decimal(c) for c in surface[:-2]):
             continue
         number = int(surface[-2:])
-        if not 18 <= number <= 21:
+        if number not in _EXONS:
             continue
         # del/ins may sit up to two tokens before the keyword or after the
         # number, nearest first.
@@ -189,32 +193,15 @@ def annotate_view(
         out.append(MutationAnnotation(span, gene, polarity, exon, point, False))
     sentence_names_egfr = any(g is Gene.EGFR for g, _ in mentions)
     if Gene.EGFR in genes and not sentence_names_egfr and (exons or points):
-        taken: set[MutationPoint] = set()
-        for exon in exons:
-            point = _nearest(view, exon.span, points)
-            if point is not None:
-                taken.add(point)
+        # Each exon with its nearest point, then each point no exon took.
+        pairs = [(exon, _nearest(view, exon.span, points)) for exon in exons]
+        taken = {point for _, point in pairs}
+        pairs += [(None, point) for point in points if point not in taken]
+        for exon, point in pairs:
+            span = (exon or point).span
             out.append(
                 MutationAnnotation(
-                    exon.span,
-                    Gene.EGFR,
-                    _implied_polarity(view, exon.span, lexicon),
-                    exon,
-                    point,
-                    True,
-                )
-            )
-        for point in points:
-            if point in taken:
-                continue
-            out.append(
-                MutationAnnotation(
-                    point.span,
-                    Gene.EGFR,
-                    _implied_polarity(view, point.span, lexicon),
-                    None,
-                    point,
-                    True,
+                    span, Gene.EGFR, _implied_polarity(view, span, lexicon), exon, point, True
                 )
             )
     out.sort(key=lambda a: (a.span.begin, a.span.end))

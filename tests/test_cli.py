@@ -87,6 +87,13 @@ def test_annotate_bad_annotator(corpus_dir, tmp_path, capsys):
     assert "unknown annotator" in capsys.readouterr().err
 
 
+def test_annotate_no_annotator(corpus_dir, tmp_path, capsys):
+    code = _annotate(corpus_dir, tmp_path / "o", "--annotators", ",")
+    assert code == 1
+    assert "no annotators" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_annotate_annotator_subset(corpus_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert _annotate(corpus_dir, out, "--annotators", "ecog,karnofsky") == 0

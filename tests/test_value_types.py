@@ -188,6 +188,9 @@ def test_start_up_imports_no_introspection_modules(code):
 
 
 _STORAGE = {"oncospan.standoff", "oncospan.query", "oncospan.sqlexport"}
+_SUBMODULES = {
+    f"oncospan.{path.stem}" for path in Path(oncospan.__file__).parent.glob("*.py")
+} - {"oncospan.__init__"}
 _CLI = "from oncospan import cli\ncode = cli.cli_main({argv!r})"
 
 
@@ -202,6 +205,7 @@ _PATTERNS = (
 @pytest.mark.parametrize(
     "code, not_loaded, patterns",
     [
+        ("import oncospan\ncode = 0", _SUBMODULES, None),
         (
             "import oncospan\noncospan.build_pipeline(oncospan.PipelineConfig())\ncode = 0",
             _STORAGE | {"oncospan.cli", "oncospan.corpusgen"},
@@ -224,7 +228,7 @@ _PATTERNS = (
         ),
         (_CLI.format(argv=["check", "--input", "in"]), _STORAGE, None),
     ],
-    ids=["build_pipeline", "annotate", "annotate_without_sql", "query", "check"],
+    ids=["bare_import", "build_pipeline", "annotate", "annotate_without_sql", "query", "check"],
 )
 def test_entry_point_loads_only_what_it_runs(code, not_loaded, patterns, tmp_path):
     from oncospan import cli
