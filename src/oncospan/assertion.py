@@ -14,7 +14,8 @@ symbol cues are fixed.
 from functools import lru_cache
 from pathlib import Path
 
-from .document import IdentityEnum, SentenceView, Span, checked_tuple, normalize_word
+from ._typesystem import Polarity, Span, checked_tuple
+from .document import SentenceView, normalize_word
 from .errors import ConflictingEntry, MalformedLexicon
 
 MAX_PHRASE_WORDS = 4
@@ -25,13 +26,6 @@ WINDOW = 5
 SYMBOL_ADJACENCY = 1
 SYMBOL_POSITIVE = frozenset({"+"})
 SYMBOL_NEGATIVE = frozenset({"-"})
-
-
-class Polarity(IdentityEnum):
-    POSITIVE = "Positive"
-    NEGATIVE = "Negative"
-    UNKNOWN = "Unknown"
-
 
 DEFAULT_NEGATIVE = (
     "no",

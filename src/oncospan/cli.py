@@ -5,9 +5,12 @@
     oncospan query    --store <dir> --filter <expr>
     oncospan check    --input <dir|file>
 
-Each command imports only the modules it runs: ``check`` loads none of
-``standoff``, ``query`` and ``sqlexport``, ``annotate`` no ``query`` (and
-``sqlexport`` only with ``--sql``), and ``query`` no ``sqlexport``.
+Each command imports only the modules it runs; at start-up this module
+loads only ``errors`` and ``_typesystem``.  ``annotate`` and ``check`` load
+the pipeline, ``check`` none of ``standoff``, ``query`` and ``sqlexport``,
+and ``annotate`` no ``query`` (and ``sqlexport`` only with ``--sql``).
+``query`` loads ``query`` and ``standoff`` and no other module: no
+annotator, ``pipeline``, ``document``, ``_textops`` or ``sqlexport``.
 
 ``--jobs`` takes any N >= 1 and annotates serially whatever its value.
 Each input and ``.ann`` file is read with ``os.read``, those of a directory
@@ -29,14 +32,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
-from .document import Document
+from ._typesystem import AnnotatorKind
 from .errors import OncospanError
-from .pipeline import (
-    AnnotatorKind,
-    PipelineConfig,
-    build_pipeline,
-    process_corpus,
-)
 
 _ANNOTATOR_BY_NAME = {kind.value.lower(): kind for kind in AnnotatorKind}
 
@@ -92,10 +89,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_documents(path_str: str) -> list[Document]:
+def _load_documents(path_str: str) -> list:
+    from .document import Document
+
+    def read(name: str, document_id: str, dir_fd=None, directory="") -> Document:
+        """The document in the file *name*, in *directory* open as *dir_fd* if
+        one is given; an error names the file's path."""
+        try:
+            # Bytes, not text: newline translation would turn "\r\n" and a
+            # lone "\r" into "\n" and shift every offset after them.
+            return Document(document_id, _read_bytes(name, dir_fd).decode("utf-8"))
+        except (ValueError, OSError) as exc:
+            why = f"not valid UTF-8 ({exc})" if isinstance(exc, UnicodeDecodeError) else exc
+            raise _InputError(f"{os.path.join(directory, name)}: {why}") from None
+
     path = Path(path_str)
     if path.is_file():
-        return [_read_document(str(path), path.stem)]
+        return [read(str(path), path.stem)]
     if not path.is_dir():
         raise _InputError(f"input path does not exist: {path}")
     dir_fd = os.open(path, os.O_RDONLY | os.O_DIRECTORY)
@@ -108,21 +118,9 @@ def _load_documents(path_str: str) -> list[Document]:
                 e.name for e in entries
                 if e.name.endswith(".txt") and len(e.name) > 4 and e.is_file()
             )
-        return [_read_document(name, name[:-4], dir_fd, path) for name in names]
+        return [read(name, name[:-4], dir_fd, path) for name in names]
     finally:
         os.close(dir_fd)
-
-
-def _read_document(name: str, document_id: str, dir_fd=None, directory="") -> Document:
-    """The document in the file *name*, in *directory* open as *dir_fd* if one
-    is given; an error names the file's path."""
-    try:
-        # Bytes, not text: newline translation would turn "\r\n" and a
-        # lone "\r" into "\n" and shift every offset after them.
-        return Document(document_id, _read_bytes(name, dir_fd).decode("utf-8"))
-    except (ValueError, OSError) as exc:
-        why = f"not valid UTF-8 ({exc})" if isinstance(exc, UnicodeDecodeError) else exc
-        raise _InputError(f"{os.path.join(directory, name)}: {why}") from None
 
 
 def _parse_annotators(raw: str | None) -> frozenset[AnnotatorKind]:
@@ -144,6 +142,7 @@ def _parse_annotators(raw: str | None) -> frozenset[AnnotatorKind]:
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
+    from .pipeline import PipelineConfig, build_pipeline, process_corpus
     from .standoff import ANNOTATION_TYPES, serialize_result
 
     if args.jobs < 1:
@@ -250,6 +249,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .pipeline import PipelineConfig, build_pipeline, process_corpus
+
     documents = _load_documents(args.input)
     config = PipelineConfig(
         enabled_annotators=frozenset({AnnotatorKind.TNM, AnnotatorKind.STAGE})

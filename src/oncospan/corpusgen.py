@@ -153,6 +153,3 @@ def generate_corpus(
     return [
         generate_document(rng, f"doc{i:04d}", min_size) for i in range(count)
     ]
-
-
-__all__ = ["generate_corpus", "generate_document"]

@@ -1,47 +1,25 @@
-"""Document model: spans, sentences, sentence views.
+"""Document model: documents, sentences, sentence views.
 
 All offsets are Unicode code-point indexes into the original document text,
 begin inclusive, end exclusive.  Normalization (case and accent folding)
 happens on shadow copies used for matching; spans always point back into
-the text as written.
+the text as written.  ``Span`` and ``Diagnostic`` are declared in
+``_typesystem`` and bound here too.
 """
 
 import re
 from bisect import bisect_left, bisect_right
-from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import _textops
+from ._typesystem import Diagnostic, Span, check_document_id, checked_tuple
 from .errors import OutOfBounds
 
 # The abbreviations the sentence kernels never end a sentence after.
 ABBREVIATION_STOPLIST = _textops.ABBREVIATION_STOPLIST
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
-_BAD_ID_CHAR = re.compile("[\t\n\r\ud800-\udfff]")
-
-
-def checked_tuple(name: str, fields: list[tuple[str, object]]) -> type:
-    """The ``NamedTuple`` base of a value type whose ``__new__`` checks its
-    fields: ``_make``, and so ``_replace``, build through that ``__new__``."""
-    base = NamedTuple(name, fields)
-    base._make = classmethod(lambda cls, values: cls(*values))
-    return base
-
-
-class IdentityEnum(Enum):
-    """An enum whose members hash by identity, as they compare, in C."""
-    __hash__ = object.__hash__
-
-
-class Span(checked_tuple("Span", [("begin", int), ("end", int)])):
-    __slots__ = ()
-
-    def __new__(cls, begin, end):
-        if begin < 0 or end <= begin:
-            raise ValueError(f"invalid span [{begin}, {end})")
-        return tuple.__new__(cls, (begin, end))
 
 
 class Document(checked_tuple("Document", [("id", str), ("text", str)])):
@@ -55,30 +33,9 @@ class Document(checked_tuple("Document", [("id", str), ("text", str)])):
         return tuple.__new__(cls, (id, text))
 
 
-def check_document_id(document_id: str) -> None:
-    """Raise ValueError unless *document_id* can name a document.
-
-    The id heads a standoff file on a line of its own, so it is non-empty
-    and holds no tab, newline, carriage return or lone surrogate.
-    """
-    if not document_id:
-        raise ValueError("document id must be non-empty")
-    if _BAD_ID_CHAR.search(document_id):
-        raise ValueError(
-            "document id must not hold a tab, newline, carriage return or lone surrogate"
-        )
-
-
 class Sentence(NamedTuple):
     span: Span
     index: int
-
-
-class Diagnostic(NamedTuple):
-    """A non-fatal finding tied to a text location."""
-
-    span: Span
-    message: str
 
 
 def covered_text(document: Document, span: Span) -> str:

@@ -9,66 +9,15 @@ these exons and points are only reported for that gene in this domain.
 
 import re
 import unicodedata
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ._textops import NUMBER
-from .assertion import CueLexicon, Polarity, polarity_in_view
-from .document import IdentityEnum, SentenceView, Span, checked_tuple
-
-
-class Gene(IdentityEnum):
-    EGFR = "EGFR"
-    ALK = "ALK"
-    ROS1 = "ROS1"
-
-
-class ExonKind(IdentityEnum):
-    DELETION = "Deletion"
-    INSERTION = "Insertion"
-
-
-class PointVariant(IdentityEnum):
-    G719X = "G719X"
-    T790M = "T790M"
-    L858R = "L858R"
-    L861Q = "L861Q"
-
-
-# The EGFR exons a mention may name.
-_EXONS = range(18, 22)
-
-
-class ExonMention(
-    checked_tuple("ExonMention", [("span", Span), ("number", int), ("kind", ExonKind | None)])
-):
-    __slots__ = ()
-
-    def __new__(cls, span, number, kind):
-        if number not in _EXONS:
-            raise ValueError(f"exon {number} outside the EGFR range {_EXONS[0]}-{_EXONS[-1]}")
-        return tuple.__new__(cls, (span, number, kind))
-
-
-class MutationPoint(NamedTuple):
-    span: Span
-    value: PointVariant
-
-
-class MutationAnnotation(
-    checked_tuple(
-        "MutationAnnotation",
-        [("span", Span), ("gene", Gene), ("polarity", Polarity), ("exon", ExonMention | None),
-         ("point", MutationPoint | None), ("implied", bool)],
-    )
-):
-    __slots__ = ()
-    annotator = "mutation"
-
-    def __new__(cls, span, gene, polarity, exon, point, implied):
-        if gene is not Gene.EGFR and (exon is not None or point is not None or implied):
-            raise ValueError("exon, point and implied apply to EGFR only")
-        return tuple.__new__(cls, (span, gene, polarity, exon, point, implied))
-
+from ._typesystem import (
+    _EXONS, ExonKind, ExonMention, Gene, MutationAnnotation, MutationPoint, PointVariant,
+    Polarity, Span,
+)
+from .assertion import CueLexicon, polarity_in_view
+from .document import SentenceView
 
 _GENE_RE = re.compile(r"(?<![0-9a-z])(egfr|alk|ros[ \-]?1)(?![0-9a-z])")
 _POINT_RE = re.compile(r"(?<![0-9a-z])(g719x|t790m|l858r|l861q)(?![0-9a-z])")
@@ -216,29 +165,12 @@ def _implied_polarity(view: SentenceView, span: Span, lexicon: CueLexicon) -> Po
 
 
 def find_gene_mentions(text: str) -> list[tuple[Gene, Span]]:
-    view = SentenceView(text)
-    return gene_mentions_in_view(view)
+    return gene_mentions_in_view(SentenceView(text))
 
 
 def find_exon_mentions(text: str) -> list[ExonMention]:
-    view = SentenceView(text)
-    return exon_mentions_in_view(view)
+    return exon_mentions_in_view(SentenceView(text))
 
 
 def find_mutation_points(text: str) -> list[MutationPoint]:
-    view = SentenceView(text)
-    return mutation_points_in_view(view)
-
-
-__all__ = [
-    "Gene",
-    "ExonKind",
-    "PointVariant",
-    "ExonMention",
-    "MutationPoint",
-    "MutationAnnotation",
-    "find_gene_mentions",
-    "find_exon_mentions",
-    "find_mutation_points",
-    "annotate_view",
-]
+    return mutation_points_in_view(SentenceView(text))

@@ -8,32 +8,9 @@ value that is not a multiple of ten is annotated but flagged.
 
 import re
 
-from .document import Diagnostic, IdentityEnum, SentenceView, Span, checked_tuple
+from ._typesystem import _LIMIT, Diagnostic, PSAnnotation, PSScale
+from .document import SentenceView
 
-
-class PSScale(IdentityEnum):
-    ECOG = "ECOG"
-    KARNOFSKY = "Karnofsky"
-
-
-class PSAnnotation(
-    checked_tuple(
-        "PSAnnotation",
-        [("span", Span), ("scale", PSScale), ("value", int), ("raw", str)],
-    )
-):
-    __slots__ = ()
-    annotator = "ps"
-
-    def __new__(cls, span, scale, value, raw):
-        limit = _LIMIT[scale]
-        if not 0 <= value <= limit:
-            raise ValueError(f"{scale.value} value {value} outside 0-{limit}")
-        return tuple.__new__(cls, (span, scale, value, raw))
-
-
-# The largest value of each scale; every value from 0 up to it is valid.
-_LIMIT = {PSScale.ECOG: 5, PSScale.KARNOFSKY: 100}
 _PS_SEP_CHARS = r" :\-_()."
 _PS_SEP = "[" + _PS_SEP_CHARS + "]*"
 # Patterns on the folded shadow that every annotation and diagnostic of the
@@ -103,11 +80,3 @@ def annotate_ecog(text: str) -> tuple[list[PSAnnotation], list[Diagnostic]]:
 
 def annotate_karnofsky(text: str) -> tuple[list[PSAnnotation], list[Diagnostic]]:
     return karnofsky_in_view(SentenceView(text))
-
-
-__all__ = [
-    "PSScale",
-    "PSAnnotation",
-    "annotate_ecog",
-    "annotate_karnofsky",
-]

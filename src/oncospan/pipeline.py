@@ -13,36 +13,18 @@ immutable after build.
 
 import re
 from pathlib import Path
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from . import _textops, mutation, perfstatus, staging
+from ._typesystem import Annotation, AnnotatorKind, Diagnostic, DocumentResult, Gene, Span
 from .assertion import CueLexicon, load_cue_lexicon
-from .document import Diagnostic, Document, IdentityEnum, SentenceView, Span
+from .document import Document, SentenceView
 from .errors import ConfigError, DuplicateDocumentId
-from .mutation import Gene, MutationAnnotation
-from .perfstatus import PSAnnotation
-from .staging import ConsistencyReport, StageAnnotation, TNMAnnotation
-
-Annotation = Union[MutationAnnotation, TNMAnnotation, StageAnnotation, PSAnnotation]
-
-
-class AnnotatorKind(IdentityEnum):
-    EGFR = "EGFR"
-    ALK = "ALK"
-    ROS1 = "ROS1"
-    TNM = "TNM"
-    STAGE = "Stage"
-    ECOG = "ECOG"
-    KARNOFSKY = "Karnofsky"
-
 
 ALL_ANNOTATORS = frozenset(AnnotatorKind)
 
-_GENE_BY_KIND = {
-    AnnotatorKind.EGFR: Gene.EGFR,
-    AnnotatorKind.ALK: Gene.ALK,
-    AnnotatorKind.ROS1: Gene.ROS1,
-}
+# The kinds named after a gene, each enabling that gene's annotations.
+_GENE_BY_KIND = {kind: Gene[kind.name] for kind in AnnotatorKind if kind.name in Gene.__members__}
 
 # One row per annotator, in the order the annotators run on a sentence (and
 # so the order of their diagnostics): the kinds that enable it, its anchors
@@ -85,21 +67,6 @@ _CALLS = (
 class PipelineConfig(NamedTuple):
     enabled_annotators: frozenset[AnnotatorKind] = ALL_ANNOTATORS
     lexicon_path: str | Path | None = None
-
-
-class DocumentResult(NamedTuple):
-    document_id: str
-    text: str
-    annotations: tuple[Annotation, ...] = ()
-    diagnostics: tuple[Diagnostic, ...] = ()
-
-    @property
-    def consistency(self) -> tuple[ConsistencyReport, ...]:
-        """Every (TNM, stage) pair's 8th-edition check, TNM-major, built on
-        each read."""
-        tnms = [a for a in self.annotations if isinstance(a, TNMAnnotation)]
-        stages = [a for a in self.annotations if isinstance(a, StageAnnotation)]
-        return tuple(staging.check_consistency(t, s) for t in tnms for s in stages)
 
 
 class Pipeline:
@@ -208,16 +175,3 @@ def process_corpus(
     results = [process_document(pipeline, doc) for doc in documents]
     results.sort(key=lambda r: r.document_id)
     return results
-
-
-__all__ = [
-    "Annotation",
-    "AnnotatorKind",
-    "ALL_ANNOTATORS",
-    "PipelineConfig",
-    "DocumentResult",
-    "Pipeline",
-    "build_pipeline",
-    "process_document",
-    "process_corpus",
-]

@@ -1,115 +1,99 @@
 """Document-level queries over annotation results.
 
-A predicate is a conjunction of optional filters; a document matches when
-every set filter is satisfied by at least one of its annotations.  The
-stage filter accepts coarse groups: stage=IV matches documents staged IVA
-or IVB.
+A predicate is a conjunction of optional filters, one field per key of
+``_typesystem.FILTERS``.  A document matches when each set filter holds on
+one of its annotations of the filter's record type, and the joined filters
+of a type (gene and polarity) on the same one.  Each filter becomes one
+membership test of a feature value, built once per query: an equal filter
+accepts its member, a covers filter the stage groups its stage covers
+(stage=IV matches documents staged IVA or IVB), and a range filter the
+integers of ``range(lo, hi + 1)``.
 """
 
 import re
-from functools import partial
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
-from .assertion import Polarity
-from .document import checked_tuple
-from .errors import EmptyPredicate, InvalidFilter, InvalidStage
-from .mutation import Gene, MutationAnnotation
-from .perfstatus import PSAnnotation, PSScale
-from .pipeline import DocumentResult
-from .staging import (
-    _M_BY_KEY,
-    _N_BY_KEY,
-    _T_BY_KEY,
-    MCategory,
-    NCategory,
-    StageAnnotation,
-    StageGroup,
-    TCategory,
-    TNMAnnotation,
-    normalize_stage,
+from ._typesystem import (
+    ANNOTATION_TYPES, FILTERS, DocumentResult, StageGroup, checked_tuple, normalize_stage,
     stage_covers,
 )
+from .errors import EmptyPredicate, InvalidFilter, InvalidStage
+
+# The record feature that each filter tests.
+_FEATURES = {
+    key: {x.key: x for x in ANNOTATION_TYPES[f.record.annotator].features}[f.feature or key]
+    for key, f in FILTERS.items()
+}
+_RANGES = [key for key, f in FILTERS.items() if f.compare == "range"]
+
+_Fields = checked_tuple(
+    "QueryPredicate",
+    [(key, (tuple[int, int] if key in _RANGES else _FEATURES[key].domain) | None)
+     for key in FILTERS],
+)
+_Fields.__new__.__defaults__ = (None,) * len(FILTERS)
 
 
-class QueryPredicate(
-    checked_tuple(
-        "QueryPredicate",
-        [("gene", Gene | None), ("polarity", Polarity | None), ("stage", StageGroup | None),
-         ("ecog", tuple[int, int] | None), ("karnofsky", tuple[int, int] | None),
-         ("t", TCategory | None), ("n", NCategory | None), ("m", MCategory | None)],
-    )
-):
+class QueryPredicate(_Fields):
     __slots__ = ()
 
-    def __new__(
-        cls, gene=None, polarity=None, stage=None, ecog=None, karnofsky=None,
-        t=None, n=None, m=None,
-    ):
-        fields = (gene, polarity, stage, ecog, karnofsky, t, n, m)
-        if all(f is None for f in fields):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if all(f is None for f in self):
             raise EmptyPredicate("predicate has no filters")
-        for rng in (ecog, karnofsky):
+        for key in _RANGES:
+            rng = getattr(self, key)
             if rng is not None and rng[0] > rng[1]:
                 raise ValueError(f"empty range {rng[0]}..{rng[1]}")
-        return tuple.__new__(cls, fields)
+        return self
+
+
+# Each comparison's feature values that a filter's value accepts.
+_ACCEPTED = {
+    "equal": lambda member: (member,),
+    "covers": lambda stage: frozenset(s for s in StageGroup if stage_covers(stage, s)),
+    "range": lambda rng: range(rng[0], rng[1] + 1),
+}
+
+
+def _clauses(predicate: QueryPredicate) -> list[tuple[type, list]]:
+    """*predicate* as (annotation class, [(feature getter, accepted values)])
+    clauses, each of which must hold on one annotation of a document."""
+    clauses: dict[tuple, tuple[type, list]] = {}
+    for (key, f), value in zip(FILTERS.items(), predicate):
+        if value is not None:
+            # The joined filters of a record type share one clause.
+            tests = clauses.setdefault((f.record, f.joined or key), (f.record, []))[1]
+            tests.append((attrgetter(_FEATURES[key].path), _ACCEPTED[f.compare](value)))
+            if f.fixed is not None:
+                tests.append((attrgetter(f.fixed[0]), (f.fixed[1],)))
+    return list(clauses.values())
+
+
+def _holds(annotations, cls: type, tests: list) -> bool:
+    """Whether one of *annotations* is a *cls* that passes every test."""
+    for a in annotations:
+        if isinstance(a, cls):
+            for get, accepted in tests:
+                if get(a) not in accepted:
+                    break
+            else:
+                return True
+    return False
 
 
 def matches(result: DocumentResult, predicate: QueryPredicate) -> bool:
-    anns = result.annotations
-    if predicate.gene is not None or predicate.polarity is not None:
-        found = any(
-            isinstance(a, MutationAnnotation)
-            and (predicate.gene is None or a.gene is predicate.gene)
-            and (predicate.polarity is None or a.polarity is predicate.polarity)
-            for a in anns
-        )
-        if not found:
-            return False
-    if predicate.stage is not None:
-        if not any(
-            isinstance(a, StageAnnotation) and stage_covers(predicate.stage, a.stage)
-            for a in anns
-        ):
-            return False
-    if predicate.ecog is not None:
-        if not _any_ps(anns, PSScale.ECOG, predicate.ecog):
-            return False
-    if predicate.karnofsky is not None:
-        if not _any_ps(anns, PSScale.KARNOFSKY, predicate.karnofsky):
-            return False
-    for field_name, want in (("t", predicate.t), ("n", predicate.n), ("m", predicate.m)):
-        if want is not None:
-            if not any(
-                isinstance(a, TNMAnnotation) and getattr(a, field_name) is want
-                for a in anns
-            ):
-                return False
-    return True
-
-
-def _any_ps(anns, scale: PSScale, rng: tuple[int, int]) -> bool:
-    lo, hi = rng
-    return any(
-        isinstance(a, PSAnnotation) and a.scale is scale and lo <= a.value <= hi
-        for a in anns
-    )
+    return all(_holds(result.annotations, *clause) for clause in _clauses(predicate))
 
 
 def query_results(
     results: Sequence[DocumentResult], predicate: QueryPredicate
 ) -> list[str]:
-    return [r.document_id for r in results if matches(r, predicate)]
+    for cls, tests in _clauses(predicate):
+        results = [r for r in results if _holds(r.annotations, cls, tests)]
+    return [r.document_id for r in results]
 
-
-_GENE_BY_NAME = {g.value.lower(): g for g in Gene}
-_POLARITY_BY_NAME = {
-    "pos": Polarity.POSITIVE,
-    "positive": Polarity.POSITIVE,
-    "neg": Polarity.NEGATIVE,
-    "negative": Polarity.NEGATIVE,
-    "unk": Polarity.UNKNOWN,
-    "unknown": Polarity.UNKNOWN,
-}
 
 # ASCII digits only, as in the .ann files the filters are matched against.
 _RANGE_RE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
@@ -129,39 +113,25 @@ def _parse_range(value: str) -> tuple[int, int]:
     return (lo, hi)
 
 
-def _parse_stage(value: str) -> StageGroup:
-    try:
-        return normalize_stage(value)
-    except InvalidStage as exc:
-        raise InvalidFilter(str(exc)) from None
+def _reader(key: str, f) -> Callable:
+    """The reader of filter *key*'s value: a stage, a range, or a member of
+    an enum by its value in any letter case or by an alias, which raises
+    KeyError for any other value."""
+    if f.compare != "equal":
+        return normalize_stage if f.compare == "covers" else _parse_range
+    members = {m.value.lower(): m for m in _FEATURES[key].domain} | (f.aliases or {})
+    return lambda value: members[value.lower()]
 
 
-def _lookup(table: dict, what: str, value: str):
-    member = table.get(value.lower())
-    if member is None:
-        raise InvalidFilter(f"unknown {what} {value!r}")
-    return member
-
-
-# Each filter key, with the reader of its value.
-_FILTER_READERS = {
-    "gene": partial(_lookup, _GENE_BY_NAME, "gene"),
-    "polarity": partial(_lookup, _POLARITY_BY_NAME, "polarity"),
-    "stage": _parse_stage,
-    "ecog": _parse_range,
-    "karnofsky": _parse_range,
-    "t": partial(_lookup, _T_BY_KEY, "T category"),
-    "n": partial(_lookup, _N_BY_KEY, "N category"),
-    "m": partial(_lookup, _M_BY_KEY, "M category"),
-}
+_READERS = {key: _reader(key, f) for key, f in FILTERS.items()}
 
 
 def parse_filter(expression: str) -> QueryPredicate:
     """Parse a CLI filter: comma-separated key=value pairs.
 
-    Keys: gene, polarity, stage, ecog, karnofsky, t, n, m.  Ranges are
-    ``N`` or ``N..M``; polarity accepts POS/NEG/UNK or the long names;
-    stage accepts separator variants ("I-A1").
+    Keys: those of ``FILTERS``.  Ranges are ``N`` or ``N..M``; polarity
+    accepts POS/NEG/UNK or the long names; stage accepts separator variants
+    ("I-A1").
     """
     fields: dict[str, object] = {}
     items = [item.strip() for item in expression.split(",") if item.strip()]
@@ -175,11 +145,13 @@ def parse_filter(expression: str) -> QueryPredicate:
             raise InvalidFilter(f"expected key=value, got {item!r}")
         if key in fields:
             raise InvalidFilter(f"duplicate key {key!r}")
-        read = _FILTER_READERS.get(key)
+        read = _READERS.get(key)
         if read is None:
             raise InvalidFilter(f"unknown filter key {key!r}")
-        fields[key] = read(value)
-    return QueryPredicate(**fields)  # type: ignore[arg-type]
-
-
-__all__ = ["QueryPredicate", "matches", "query_results", "parse_filter"]
+        try:
+            fields[key] = read(value)
+        except InvalidStage as exc:
+            raise InvalidFilter(str(exc)) from None
+        except KeyError:
+            raise InvalidFilter(f"unknown {key} value {value!r}") from None
+    return QueryPredicate(**fields)

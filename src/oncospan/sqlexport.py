@@ -10,7 +10,7 @@ spliced in as ``' || char(0) || '`` (SQLite's ``char`` function).
 
 from typing import Sequence
 
-from .pipeline import DocumentResult
+from ._typesystem import DocumentResult
 from .standoff import features_of
 
 _DDL = """\
@@ -74,6 +74,3 @@ def emit_sql(results: Sequence[DocumentResult]) -> str:
                     f'"value") VALUES ({annotation_id}, {values});\n'
                 )
     return "".join(parts)
-
-
-__all__ = ["emit_sql"]

@@ -10,32 +10,33 @@ Layout, all UTF-8:
     <#check lines>
 
 Record line: ``begin<TAB>end<TAB>annotator<TAB>covered_text<TAB>features``
-with features ``key=value;key=value``.  ``ANNOTATION_TYPES`` is the one place
-a record type is defined: it declares each annotator's features in the order
-a record lists them, and the encoder behind ``features_of``, the record
-pattern, the builder, the reader that joins those two and the error namer
-are all derived from that declaration.  Covered text and diagnostic messages escape backslash, tab,
-newline and carriage return so one record is always one line, and a raw
-carriage return in them is rejected.  ``#diag``
-carries a diagnostic (begin, end, message); ``#check`` carries a consistency
-report as two record indexes, the verdict and the expected group (``-``
-when not comparable); the section is every (TNM, stage) pair, TNM-major,
-through the 8th-edition verdict table, each record named by the first index
-of an equal one, which is looked up, and the records hashed, only for a
-type with more than one record.  Every integer is a canonical ASCII
-decimal, ``0`` or ``[1-9][0-9]*``, and the id follows
-``document.check_document_id``.  Deserialization is the exact inverse of
-serialization and is strict: anything unexpected raises MalformedFile with a
-line number, and a covered-text disagreement raises SpanMismatch.  A
-record line goes to its type's reader: one ``fullmatch`` of the pattern,
-which admits exactly the line the encoder writes, then the span, the
-covered text and the values the annotation itself rejects.  The error namer
-runs only on a line the reader refuses, reading it field by field, and one
-with nothing else wrong has its features out of canonical order.  The
-readers are made on the first decode, so a process that only writes
-records never builds them.  It compares the ``#check`` section with the one the records give as one string,
-reading it line by line only to report a mismatch; so a well-formed section
-that is not that pairing is rejected.
+with features ``key=value;key=value``.  ``_typesystem.ANNOTATION_TYPES`` is
+the one place a record type is defined: it declares each annotator's
+features in the order a record lists them, and the encoder behind
+``features_of``, the record pattern, the builder, the reader that joins
+those two and the error namer are all derived here from that declaration.
+Covered text and diagnostic messages escape backslash, tab, newline and
+carriage return so one record is always one line, and a raw carriage
+return in them is rejected.  ``#diag`` carries a diagnostic (begin, end,
+message); ``#check`` carries a consistency report as two record indexes,
+the verdict and the expected group (``-`` when not comparable); the
+section is every (TNM, stage) pair, TNM-major, through the 8th-edition
+verdict table, each record named by the first index of an equal one, which
+is looked up, and the records hashed, only for a type with more than one
+record.  Every integer is a canonical ASCII decimal, ``0`` or
+``[1-9][0-9]*``, and the id follows ``_typesystem.check_document_id``.
+Deserialization is the exact inverse of serialization and is strict:
+anything unexpected raises MalformedFile with a line number, and a
+covered-text disagreement raises SpanMismatch.  A record line goes to its
+type's reader: one ``fullmatch`` of the pattern, which admits exactly the
+line the encoder writes, then the span, the covered text and the values the
+annotation itself rejects.  The error namer runs only on a line the reader
+refuses, reading it field by field, and one with nothing else wrong has its
+features out of canonical order.  The readers are made on the first decode,
+so a process that only writes records never builds them.  It compares the
+``#check`` section with the one the records give as one string, reading it
+line by line only to report a mismatch; so a well-formed section that is
+not that pairing is rejected.
 """
 
 import re
@@ -45,24 +46,12 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
-from .assertion import Polarity
-from .document import Diagnostic, Span, check_document_id
-from .errors import MalformedFile, SpanMismatch
-from .mutation import ExonKind, Gene, MutationAnnotation, PointVariant
-from .perfstatus import PSAnnotation, PSScale
-from .pipeline import Annotation, DocumentResult
-from .staging import (
-    _STAGE_INDEX,
-    _VERDICTS,
-    ConsistencyVerdict,
-    MCategory,
-    NCategory,
-    StageAnnotation,
-    StageGroup,
-    TCategory,
-    TNMAnnotation,
-    TnmPrefix,
+from ._typesystem import (
+    _STAGE_INDEX, _VERDICTS, ANNOTATION_TYPES, Annotation, AnnotationType, ConsistencyVerdict,
+    Diagnostic, DocumentResult, Feature, Span, StageAnnotation, StageGroup, TNMAnnotation,
+    check_document_id,
 )
+from .errors import MalformedFile, SpanMismatch
 
 
 class StandoffRecord(NamedTuple):
@@ -77,72 +66,6 @@ class StandoffFile(NamedTuple):
     document_id: str
     source_text: str
     records: tuple[StandoffRecord, ...]
-
-
-class Feature(NamedTuple):
-    """One feature of a record type; see ``ANNOTATION_TYPES``."""
-
-    key: str
-    # An Enum class (a record holds the member's value), int (a canonical
-    # decimal) or bool (true or false).
-    domain: type
-    # The attribute path of the value on the annotation.  A dotted path
-    # reads inside an object the annotation may lack, such as a mutation's
-    # exon: the features under it form its group, which a record holds
-    # whole or not at all.
-    path: str
-    # Left out, within its group, when the value is None.
-    optional: bool = False
-
-    @property
-    def group(self) -> str | None:
-        head, dot, _ = self.path.partition(".")
-        return head if dot else None
-
-
-class AnnotationType(NamedTuple):
-    """One record type: the annotation class and its features, in the order
-    a record lists them.  The class's ``span`` field is the record's span and
-    its ``raw`` field, if any, the covered text."""
-
-    cls: type
-    features: tuple[Feature, ...]
-
-
-# Keyed by each class's ``annotator`` name, in the order ``oncospan annotate``
-# reports counts in.  The last feature of each type is in no group.
-ANNOTATION_TYPES: dict[str, AnnotationType] = {
-    MutationAnnotation.annotator: AnnotationType(
-        MutationAnnotation,
-        (
-            Feature("gene", Gene, "gene"),
-            Feature("polarity", Polarity, "polarity"),
-            Feature("exon", int, "exon.number"),
-            Feature("exon_kind", ExonKind, "exon.kind", optional=True),
-            Feature("exon_begin", int, "exon.span.begin"),
-            Feature("exon_end", int, "exon.span.end"),
-            Feature("point", PointVariant, "point.value"),
-            Feature("point_begin", int, "point.span.begin"),
-            Feature("point_end", int, "point.span.end"),
-            Feature("implied", bool, "implied"),
-        ),
-    ),
-    TNMAnnotation.annotator: AnnotationType(
-        TNMAnnotation,
-        (
-            Feature("prefix", TnmPrefix, "prefix"),
-            Feature("t", TCategory, "t"),
-            Feature("n", NCategory, "n"),
-            Feature("m", MCategory, "m"),
-        ),
-    ),
-    StageAnnotation.annotator: AnnotationType(
-        StageAnnotation, (Feature("stage", StageGroup, "stage"),)
-    ),
-    PSAnnotation.annotator: AnnotationType(
-        PSAnnotation, (Feature("scale", PSScale, "scale"), Feature("value", int, "value"))
-    ),
-}
 
 
 def _values(domain: type) -> dict | None:
@@ -577,14 +500,3 @@ def read_standoff(data: bytes) -> StandoffFile:
         for ann in result.annotations
     )
     return StandoffFile(result.document_id, result.text, records)
-
-
-__all__ = [
-    "ANNOTATION_TYPES",
-    "StandoffFile",
-    "StandoffRecord",
-    "serialize_result",
-    "deserialize_result",
-    "read_standoff",
-    "features_of",
-]

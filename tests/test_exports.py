@@ -1,8 +1,8 @@
 """The package's public names.
 
-``oncospan`` imports its pipeline modules eagerly and resolves the names of
-``standoff``, ``query`` and ``sqlexport`` on first access; either way each
-name is the defining module's own object.
+``oncospan`` imports none of its modules until a name is first read; then
+it imports the submodule the name belongs to, and the name is that
+submodule's own object.
 """
 
 import importlib
@@ -11,8 +11,8 @@ import pytest
 
 import oncospan
 
-# Every public name ``oncospan`` bound when it imported all its modules
-# eagerly, with the module that defines it.
+# Every public name of ``oncospan``, with the submodule it is read from
+# (None for a submodule itself).
 PUBLIC = {
     "assertion": None,
     "document": None,

@@ -6,6 +6,8 @@ from oncospan import (
     EmptyPredicate,
     Gene,
     InvalidFilter,
+    MCategory,
+    NCategory,
     Polarity,
     QueryPredicate,
     StageGroup,
@@ -131,6 +133,21 @@ def test_matches_single(corpus, default_pipeline):
     assert not matches(mutation_note, QueryPredicate(stage=StageGroup.IV))
 
 
+def test_tnm_filters_may_hold_on_different_annotations(default_pipeline):
+    # t, n and m each hold on any TNM annotation, unlike gene and polarity.
+    result = default_pipeline.process_document(
+        Document("d", "Previo pT1aN0M0. Ahora T3N2M0.")
+    )
+    assert matches(result, parse_filter("t=T1a,n=N2"))
+    assert not matches(result, parse_filter("t=T1a,n=N3"))
+
+
+def test_range_filters_hold_on_their_own_scale(default_pipeline):
+    result = default_pipeline.process_document(Document("d", "KPS 3."))
+    assert matches(result, parse_filter("karnofsky=3"))
+    assert not matches(result, parse_filter("ecog=3"))
+
+
 def test_parse_filter_basic():
     predicate = parse_filter("gene=EGFR,polarity=POS")
     assert predicate.gene is Gene.EGFR
@@ -158,6 +175,25 @@ def test_parse_filter_tnm():
     assert predicate.t is TCategory.T1A
     assert predicate.n.value == "N0"
     assert predicate.m.value == "M0"
+
+
+# Each filter key over an enum, with every value a .ann file can hold for it.
+STORED_VALUES = [
+    (key, member)
+    for key, enum in [
+        ("gene", Gene), ("polarity", Polarity), ("stage", StageGroup),
+        ("t", TCategory), ("n", NCategory), ("m", MCategory),
+    ]
+    for member in enum
+]
+
+
+@pytest.mark.parametrize(
+    "key, member", STORED_VALUES, ids=[f"{key}={m.value}" for key, m in STORED_VALUES]
+)
+def test_parse_filter_reads_every_stored_value_in_any_case(key, member):
+    for value in (member.value, member.value.lower(), member.value.upper(), member.value.swapcase()):
+        assert getattr(parse_filter(f"{key}={value}"), key) is member
 
 
 def test_parse_filter_whitespace_tolerant():
