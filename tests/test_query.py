@@ -192,8 +192,9 @@ STORED_VALUES = [
     "key, member", STORED_VALUES, ids=[f"{key}={m.value}" for key, m in STORED_VALUES]
 )
 def test_parse_filter_reads_every_stored_value_in_any_case(key, member):
-    for value in (member.value, member.value.lower(), member.value.upper(), member.value.swapcase()):
-        assert getattr(parse_filter(f"{key}={value}"), key) is member
+    value = member.value
+    for written in (value, value.lower(), value.upper(), value.swapcase()):
+        assert getattr(parse_filter(f"{key}={written}"), key) is member
 
 
 def test_parse_filter_whitespace_tolerant():

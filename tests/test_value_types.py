@@ -191,7 +191,9 @@ _STORAGE = {"oncospan.standoff", "oncospan.query", "oncospan.sqlexport"}
 # What annotating needs and reading records does not.
 _ANNOTATING = {
     f"oncospan.{name}"
-    for name in ("mutation", "staging", "perfstatus", "assertion", "pipeline", "document", "_textops")
+    for name in (
+        "mutation", "staging", "perfstatus", "assertion", "pipeline", "document", "_textops"
+    )
 }
 _SUBMODULES = {
     f"oncospan.{path.stem}" for path in Path(oncospan.__file__).parent.glob("*.py")
