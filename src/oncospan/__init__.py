@@ -11,7 +11,7 @@ imports the submodule and binds the value here, so later accesses are plain
 attribute reads.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,9 @@ def __getattr__(name: str):
         module_name = _MODULE_OF[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    module = _import_module(f"{__name__}.{module_name}")
+    # Through __import__, which -X importtime times, unlike import_module.
+    __import__(f"{__name__}.{module_name}")
+    module = _sys.modules[f"{__name__}.{module_name}"]
     value = module if name == module_name else getattr(module, name)
     globals()[name] = value
     return value

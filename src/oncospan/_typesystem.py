@@ -1,23 +1,24 @@
-"""The type system: each value and annotation type, each record type's
-features and each query filter, declared once.
+"""The type system: each value and annotation type, declared once.
 
 Annotators create these annotations, ``standoff`` and ``sqlexport`` store
 them and ``query`` reads them, each importing the types from here, so a
-process that only reads records loads no annotator.  The public names are
-also bound in the modules that ``oncospan`` exports them from.
+process that only reads records loads no annotator.  The features a record
+stores are declared in ``standoff`` and the query filters in ``query``, the
+modules that read them.  The public names are also bound in the modules
+that ``oncospan`` exports them from.
 
 The 8th-edition stage grouping is here too, for the ``#check`` section,
 the stage filter and ``DocumentResult.consistency``.  Coarse inputs (T1,
 T2, M1 without a sub-letter) resolve only when every covered cell agrees;
 T1,N0,M0 collapses to coarse IA because its cells differ only in the
-substage digit.  A verdict table built at import from
-``tnm_to_stage_group`` and ``stage_covers`` points each (T, N, M) at the
-row of its expected group, or at the not-comparable row when the key is
-ambiguous; a row holds the (verdict, expected group) of each written stage.
+substage digit.  ``_verdicts`` is the one verdict rule: a written stage
+is not comparable when the (T, N, M) key is ambiguous, else consistent
+exactly when it covers the expected group; it runs on a key's first use.
 """
 
 import re
 from enum import Enum
+from functools import cache
 from typing import NamedTuple, Union
 
 from .errors import AmbiguousCategory, InvalidStage
@@ -280,109 +281,6 @@ class DocumentResult(NamedTuple):
         return tuple(check_consistency(t, s) for t in tnms for s in stages)
 
 
-class Feature(
-    checked_tuple(
-        "Feature", [("key", str), ("domain", type), ("path", str), ("optional", bool)]
-    )
-):
-    """One feature of a record type; see ``ANNOTATION_TYPES``.
-
-    The *domain* is an Enum class (a record holds the member's value), int (a
-    canonical decimal) or bool (true or false).  The *path* of the value on
-    the annotation is the key unless given.  A dotted path reads inside an
-    object the annotation may lack, such as a mutation's exon: the features
-    under it form its group, which a record holds whole or not at all.  An
-    *optional* feature is left out, within its group, when the value is None.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, key, domain, path=None, optional=False):
-        return tuple.__new__(cls, (key, domain, path or key, optional))
-
-    @property
-    def group(self) -> str | None:
-        head, dot, _ = self.path.partition(".")
-        return head if dot else None
-
-
-class AnnotationType(NamedTuple):
-    """One record type: the annotation class and its features, in the order
-    a record lists them.  The class's ``span`` field is the record's span and
-    its ``raw`` field, if any, the covered text."""
-
-    cls: type
-    features: tuple[Feature, ...]
-
-
-# Keyed by each class's ``annotator`` name, in the order ``oncospan annotate``
-# reports counts in.  The last feature of each type is in no group.
-ANNOTATION_TYPES: dict[str, AnnotationType] = {
-    MutationAnnotation.annotator: AnnotationType(
-        MutationAnnotation,
-        (
-            Feature("gene", Gene),
-            Feature("polarity", Polarity),
-            Feature("exon", int, "exon.number"),
-            Feature("exon_kind", ExonKind, "exon.kind", optional=True),
-            Feature("exon_begin", int, "exon.span.begin"),
-            Feature("exon_end", int, "exon.span.end"),
-            Feature("point", PointVariant, "point.value"),
-            Feature("point_begin", int, "point.span.begin"),
-            Feature("point_end", int, "point.span.end"),
-            Feature("implied", bool),
-        ),
-    ),
-    TNMAnnotation.annotator: AnnotationType(
-        TNMAnnotation,
-        (Feature("prefix", TnmPrefix), Feature("t", TCategory), Feature("n", NCategory),
-         Feature("m", MCategory)),
-    ),
-    StageAnnotation.annotator: AnnotationType(
-        StageAnnotation, (Feature("stage", StageGroup),)
-    ),
-    PSAnnotation.annotator: AnnotationType(
-        PSAnnotation, (Feature("scale", PSScale), Feature("value", int))
-    ),
-}
-
-
-class Filter(NamedTuple):
-    """One query filter; see ``FILTERS``."""
-
-    # The annotation class of the record type that the filter tests.
-    record: type
-    # "equal" (one member of the feature's enum), "covers" (the stage
-    # groups a stage covers) or "range" (the integers N..M).
-    compare: str = "equal"
-    # Whether the filter must hold on the same annotation as the other
-    # joined filters of its record type, or on any annotation of it.
-    joined: bool = False
-    # The key of the feature it tests, when not the filter's own key.
-    feature: str | None = None
-    # A (feature key, value) that the same annotation must also hold.
-    fixed: tuple[str, Enum] | None = None
-    # Other names of the members of an "equal" filter's enum.
-    aliases: dict[str, Enum] | None = None
-
-
-# Keyed by filter, in the order of ``query.QueryPredicate``'s fields.
-FILTERS: dict[str, Filter] = {
-    "gene": Filter(MutationAnnotation, joined=True),
-    "polarity": Filter(
-        MutationAnnotation, joined=True,
-        aliases={"pos": Polarity.POSITIVE, "neg": Polarity.NEGATIVE, "unk": Polarity.UNKNOWN},
-    ),
-    "stage": Filter(StageAnnotation, "covers"),
-    "ecog": Filter(PSAnnotation, "range", feature="value", fixed=("scale", PSScale.ECOG)),
-    "karnofsky": Filter(
-        PSAnnotation, "range", feature="value", fixed=("scale", PSScale.KARNOFSKY)
-    ),
-    "t": Filter(TNMAnnotation),
-    "n": Filter(TNMAnnotation),
-    "m": Filter(TNMAnnotation),
-}
-
 T = TCategory
 N = NCategory
 S = StageGroup
@@ -458,8 +356,8 @@ def tnm_to_stage_group(t: TCategory, n: NCategory, m: MCategory) -> StageGroup:
 
 
 def check_consistency(tnm: TNMAnnotation, stage: StageAnnotation) -> ConsistencyReport:
-    verdict, expected = _VERDICTS[tnm.t, tnm.n, tnm.m][_STAGE_INDEX[stage.stage]]
-    return ConsistencyReport(tnm, stage, verdict, expected)
+    expected, verdicts = _verdicts(tnm.t, tnm.n, tnm.m)
+    return ConsistencyReport(tnm, stage, verdicts[stage.stage], expected)
 
 
 def stage_covers(written: StageGroup, expected: StageGroup) -> bool:
@@ -472,41 +370,20 @@ def stage_covers(written: StageGroup, expected: StageGroup) -> bool:
     return written in COARSE_STAGES and rest != expected.value and rest[0] not in "IV"
 
 
-_STAGE_INDEX = {stage: i for i, stage in enumerate(StageGroup)}
-
-
-def _verdict_row(
-    expected: StageGroup | None,
-) -> tuple[tuple[ConsistencyVerdict, StageGroup | None], ...]:
-    if expected is None:
-        return ((ConsistencyVerdict.NOT_COMPARABLE, None),) * len(StageGroup)
-    return tuple(
-        (
-            ConsistencyVerdict.CONSISTENT
-            if stage_covers(written, expected)
-            else ConsistencyVerdict.INCONSISTENT,
-            expected,
-        )
+@cache
+def _verdicts(
+    t: TCategory, n: NCategory, m: MCategory
+) -> tuple[StageGroup | None, dict[StageGroup, ConsistencyVerdict]]:
+    """The expected group of (*t*, *n*, *m*), None when it is ambiguous, and
+    the verdict on each written stage: not comparable when ambiguous, else
+    consistent exactly when the written stage covers the expected group."""
+    try:
+        expected = tnm_to_stage_group(t, n, m)
+    except AmbiguousCategory:
+        return None, dict.fromkeys(StageGroup, ConsistencyVerdict.NOT_COMPARABLE)
+    return expected, {
+        written: ConsistencyVerdict.CONSISTENT
+        if stage_covers(written, expected)
+        else ConsistencyVerdict.INCONSISTENT
         for written in StageGroup
-    )
-
-
-def _verdict_table() -> dict[tuple[TCategory, NCategory, MCategory], tuple]:
-    rows: dict[StageGroup | None, tuple] = {}
-    table = {}
-    for t in TCategory:
-        for n in NCategory:
-            for m in MCategory:
-                try:
-                    expected = tnm_to_stage_group(t, n, m)
-                except AmbiguousCategory:
-                    expected = None
-                if expected not in rows:
-                    rows[expected] = _verdict_row(expected)
-                table[t, n, m] = rows[expected]
-    return table
-
-
-# Row of (verdict, expected) for each (T, N, M), indexed by _STAGE_INDEX of
-# the written stage; the keys with one expected group share one row.
-_VERDICTS = _verdict_table()
+    }

@@ -1,24 +1,65 @@
 """Document-level queries over annotation results.
 
-A predicate is a conjunction of optional filters, one field per key of
-``_typesystem.FILTERS``.  A document matches when each set filter holds on
-one of its annotations of the filter's record type, and the joined filters
-of a type (gene and polarity) on the same one.  Each filter becomes one
-membership test of a feature value, built once per query: an equal filter
-accepts its member, a covers filter the stage groups its stage covers
-(stage=IV matches documents staged IVA or IVB), and a range filter the
-integers of ``range(lo, hi + 1)``.
+``FILTERS`` declares each query filter once: the record type and feature
+it tests and how.  A predicate is a conjunction of optional filters, one
+field per key, each a member of the feature's enum or a ``(lo, hi)`` tuple
+of ints.  A document matches when each set filter holds on one of its
+annotations of the filter's record type, and the joined filters of a type
+(gene and polarity) on the same one.  Each filter becomes one membership
+test of a feature value, built once per query: an equal filter accepts its
+member, a covers filter the stage groups its stage covers (stage=IV
+matches documents staged IVA or IVB), and a range filter the integers of
+``range(lo, hi + 1)``.
 """
 
 import re
+from enum import Enum
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._typesystem import (
-    ANNOTATION_TYPES, FILTERS, DocumentResult, StageGroup, checked_tuple, normalize_stage,
-    stage_covers,
+    DocumentResult, MutationAnnotation, Polarity, PSAnnotation, PSScale, StageAnnotation,
+    StageGroup, TNMAnnotation, checked_tuple, normalize_stage, stage_covers,
 )
 from .errors import EmptyPredicate, InvalidFilter, InvalidStage
+from .standoff import ANNOTATION_TYPES
+
+
+class Filter(NamedTuple):
+    """One query filter; see ``FILTERS``."""
+
+    # The annotation class of the record type that the filter tests.
+    record: type
+    # "equal" (one member of the feature's enum), "covers" (the stage
+    # groups a stage covers) or "range" (the integers N..M).
+    compare: str = "equal"
+    # Whether the filter must hold on the same annotation as the other
+    # joined filters of its record type, or on any annotation of it.
+    joined: bool = False
+    # The key of the feature it tests, when not the filter's own key.
+    feature: str | None = None
+    # A (feature key, value) that the same annotation must also hold.
+    fixed: tuple[str, Enum] | None = None
+    # Other names of the members of an "equal" filter's enum.
+    aliases: dict[str, Enum] | None = None
+
+
+# Keyed by filter, in the order of ``QueryPredicate``'s fields.
+FILTERS: dict[str, Filter] = {
+    "gene": Filter(MutationAnnotation, joined=True),
+    "polarity": Filter(
+        MutationAnnotation, joined=True,
+        aliases={"pos": Polarity.POSITIVE, "neg": Polarity.NEGATIVE, "unk": Polarity.UNKNOWN},
+    ),
+    "stage": Filter(StageAnnotation, "covers"),
+    "ecog": Filter(PSAnnotation, "range", feature="value", fixed=("scale", PSScale.ECOG)),
+    "karnofsky": Filter(
+        PSAnnotation, "range", feature="value", fixed=("scale", PSScale.KARNOFSKY)
+    ),
+    "t": Filter(TNMAnnotation),
+    "n": Filter(TNMAnnotation),
+    "m": Filter(TNMAnnotation),
+}
 
 # The record feature that each filter tests.
 _FEATURES = {
@@ -42,10 +83,17 @@ class QueryPredicate(_Fields):
         self = super().__new__(cls, *args, **kwargs)
         if all(f is None for f in self):
             raise EmptyPredicate("predicate has no filters")
-        for key in _RANGES:
-            rng = getattr(self, key)
-            if rng is not None and rng[0] > rng[1]:
-                raise ValueError(f"empty range {rng[0]}..{rng[1]}")
+        for key, value in zip(FILTERS, self):
+            if value is None:
+                continue
+            if key not in _RANGES:
+                domain = _FEATURES[key].domain
+                if type(value) is not domain:
+                    raise TypeError(f"{key} must be a {domain.__name__} member, not {value!r}")
+            elif type(value) is not tuple or [type(x) for x in value] != [int, int]:
+                raise TypeError(f"{key} must be a (lo, hi) tuple of ints, not {value!r}")
+            elif value[0] > value[1]:
+                raise ValueError(f"empty range {value[0]}..{value[1]}")
         return self
 
 

@@ -10,33 +10,32 @@ Layout, all UTF-8:
     <#check lines>
 
 Record line: ``begin<TAB>end<TAB>annotator<TAB>covered_text<TAB>features``
-with features ``key=value;key=value``.  ``_typesystem.ANNOTATION_TYPES`` is
-the one place a record type is defined: it declares each annotator's
-features in the order a record lists them, and the encoder behind
-``features_of``, the record pattern, the builder, the reader that joins
-those two and the error namer are all derived here from that declaration.
-Covered text and diagnostic messages escape backslash, tab, newline and
-carriage return so one record is always one line, and a raw carriage
-return in them is rejected.  ``#diag`` carries a diagnostic (begin, end,
-message); ``#check`` carries a consistency report as two record indexes,
-the verdict and the expected group (``-`` when not comparable); the
-section is every (TNM, stage) pair, TNM-major, through the 8th-edition
-verdict table, each record named by the first index of an equal one, which
-is looked up, and the records hashed, only for a type with more than one
-record.  Every integer is a canonical ASCII decimal, ``0`` or
-``[1-9][0-9]*``, and the id follows ``_typesystem.check_document_id``.
-Deserialization is the exact inverse of serialization and is strict:
-anything unexpected raises MalformedFile with a line number, and a
-covered-text disagreement raises SpanMismatch.  A record line goes to its
-type's reader: one ``fullmatch`` of the pattern, which admits exactly the
-line the encoder writes, then the span, the covered text and the values the
-annotation itself rejects.  The error namer runs only on a line the reader
-refuses, reading it field by field, and one with nothing else wrong has its
-features out of canonical order.  The readers are made on the first decode,
-so a process that only writes records never builds them.  It compares the
-``#check`` section with the one the records give as one string, reading it
-line by line only to report a mismatch; so a well-formed section that is
-not that pairing is rejected.
+with features ``key=value;key=value``.  ``ANNOTATION_TYPES``, below, is the
+one place a record type is defined: it declares each annotator's features in
+the order a record lists them, and the encoder behind ``features_of``, the
+record pattern, the builder, the reader that joins those two and the error
+namer are all derived from that declaration.  Covered text and diagnostic
+messages escape backslash, tab, newline and carriage return so one record is
+always one line, and a raw carriage return in them is rejected.  ``#diag``
+carries a diagnostic (begin, end, message); ``#check`` carries a consistency
+report as two record indexes, the verdict and the expected group (``-`` when
+not comparable); the section is every (TNM, stage) pair, TNM-major, with the
+verdict of ``_typesystem``'s one rule, each record named by the first index
+of an equal one, which is looked up, and the records hashed, only for a type
+with more than one record.  Every integer is a canonical ASCII decimal,
+``0`` or ``[1-9][0-9]*``, and the id follows
+``_typesystem.check_document_id``.  Deserialization is the exact inverse of
+serialization and is strict: anything unexpected raises MalformedFile with a
+line number, and a covered-text disagreement raises SpanMismatch.  A record
+line goes to its type's reader: one ``fullmatch`` of the pattern, which
+admits exactly the line the encoder writes, then the span, the covered text
+and the values the annotation itself rejects.  The error namer runs only on
+a line the reader refuses, reading it field by field, and one with nothing
+else wrong has its features out of canonical order.  The readers are made on
+the first decode, so a process that only writes records never builds them.
+It compares the ``#check`` section with the one the records give as one
+string, reading it line by line only to report a mismatch; so a well-formed
+section that is not that pairing is rejected.
 """
 
 import re
@@ -47,9 +46,10 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from ._typesystem import (
-    _STAGE_INDEX, _VERDICTS, ANNOTATION_TYPES, Annotation, AnnotationType, ConsistencyVerdict,
-    Diagnostic, DocumentResult, Feature, Span, StageAnnotation, StageGroup, TNMAnnotation,
-    check_document_id,
+    Annotation, ConsistencyVerdict, Diagnostic, DocumentResult, ExonKind, Gene, MCategory,
+    MutationAnnotation, NCategory, PointVariant, Polarity, PSAnnotation, PSScale, Span,
+    StageAnnotation, StageGroup, TCategory, TNMAnnotation, TnmPrefix, _verdicts,
+    check_document_id, checked_tuple,
 )
 from .errors import MalformedFile, SpanMismatch
 
@@ -66,6 +66,73 @@ class StandoffFile(NamedTuple):
     document_id: str
     source_text: str
     records: tuple[StandoffRecord, ...]
+
+
+class Feature(
+    checked_tuple(
+        "Feature", [("key", str), ("domain", type), ("path", str), ("optional", bool)]
+    )
+):
+    """One feature of a record type; see ``ANNOTATION_TYPES``.
+
+    The *domain* is an Enum class (a record holds the member's value), int (a
+    canonical decimal) or bool (true or false).  The *path* of the value on
+    the annotation is the key unless given.  A dotted path reads inside an
+    object the annotation may lack, such as a mutation's exon: the features
+    under it form its group, which a record holds whole or not at all.  An
+    *optional* feature is left out, within its group, when the value is None.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, key, domain, path=None, optional=False):
+        return tuple.__new__(cls, (key, domain, path or key, optional))
+
+    @property
+    def group(self) -> str | None:
+        head, dot, _ = self.path.partition(".")
+        return head if dot else None
+
+
+class AnnotationType(NamedTuple):
+    """One record type: the annotation class and its features, in the order
+    a record lists them.  The class's ``span`` field is the record's span and
+    its ``raw`` field, if any, the covered text."""
+
+    cls: type
+    features: tuple[Feature, ...]
+
+
+# Keyed by each class's ``annotator`` name, in the order ``oncospan annotate``
+# reports counts in.  The last feature of each type is in no group.
+ANNOTATION_TYPES: dict[str, AnnotationType] = {
+    MutationAnnotation.annotator: AnnotationType(
+        MutationAnnotation,
+        (
+            Feature("gene", Gene),
+            Feature("polarity", Polarity),
+            Feature("exon", int, "exon.number"),
+            Feature("exon_kind", ExonKind, "exon.kind", optional=True),
+            Feature("exon_begin", int, "exon.span.begin"),
+            Feature("exon_end", int, "exon.span.end"),
+            Feature("point", PointVariant, "point.value"),
+            Feature("point_begin", int, "point.span.begin"),
+            Feature("point_end", int, "point.span.end"),
+            Feature("implied", bool),
+        ),
+    ),
+    TNMAnnotation.annotator: AnnotationType(
+        TNMAnnotation,
+        (Feature("prefix", TnmPrefix), Feature("t", TCategory), Feature("n", NCategory),
+         Feature("m", MCategory)),
+    ),
+    StageAnnotation.annotator: AnnotationType(
+        StageAnnotation, (Feature("stage", StageGroup),)
+    ),
+    PSAnnotation.annotator: AnnotationType(
+        PSAnnotation, (Feature("scale", PSScale), Feature("value", int))
+    ),
+}
 
 
 def _values(domain: type) -> dict | None:
@@ -139,6 +206,17 @@ def _first_equal(records: list[tuple[int, Annotation]]) -> list[tuple[int, Annot
     return [(first.setdefault(ann, i), ann) for i, ann in records]
 
 
+@cache
+def _cell_texts(
+    t: TCategory, n: NCategory, m: MCategory
+) -> tuple[StageGroup | None, dict[StageGroup, str]]:
+    """The expected group of (*t*, *n*, *m*) and, for each written stage, the
+    ``verdict<TAB>expected`` end of its ``#check`` line."""
+    expected, verdicts = _verdicts(t, n, m)
+    group = "-" if expected is None else expected.value
+    return expected, {w: f"{v.value}\t{group}\n" for w, v in verdicts.items()}
+
+
 def _check_section(annotations: Sequence[Annotation]) -> str:
     """The ``#check`` section of *annotations*, as the module doc gives it."""
     tnms, stages = [], []
@@ -151,17 +229,16 @@ def _check_section(annotations: Sequence[Annotation]) -> str:
         return ""
     # _first_equal sees the records of one class at a time, so the first
     # equal one of a TNM is a TNM and of a stage a stage.
-    cells = [(j, _STAGE_INDEX[stage.stage]) for j, stage in _first_equal(stages)]
-    # The TNMs that share a verdict row share the tails of their lines.
-    tails: dict[int, list[str]] = {}
+    cells = [(f"{j}\t", stage.stage) for j, stage in _first_equal(stages)]
+    # The TNMs with one expected group share the tails of their lines.
+    tails: dict[StageGroup | None, list[str]] = {}
     parts = []
     for i, tnm in _first_equal(tnms):
-        row = _VERDICTS[tnm.t, tnm.n, tnm.m]
-        if id(row) not in tails:
-            text = _ROW_TEXT[id(row)]
-            tails[id(row)] = [f"{j}\t{text[k]}\n" for j, k in cells]
+        expected, text = _cell_texts(tnm.t, tnm.n, tnm.m)
+        if expected not in tails:
+            tails[expected] = [j + text[w] for j, w in cells]
         head = f"#check\t{i}\t"
-        parts.append(head + head.join(tails[id(row)]))
+        parts.append(head + head.join(tails[expected]))
     return "".join(parts)
 
 
@@ -197,13 +274,6 @@ def _parse_int(raw: str, what: str, line_no: int) -> int:
 
 _STAGES = _values(StageGroup)
 _VERDICT_NAMES = _values(ConsistencyVerdict)
-
-# The verdict<TAB>expected of each cell, by row id, built once per row the
-# keys share; the table keeps rows alive.
-_ROW_TEXT = {
-    key: [f"{verdict.value}\t{'-' if group is None else group.value}" for verdict, group in row]
-    for key, row in {id(row): row for row in _VERDICTS.values()}.items()
-}
 
 # A canonical integer as a regex group.
 _INT = "(0|[1-9][0-9]*)"

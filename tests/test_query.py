@@ -127,6 +127,32 @@ def test_inverted_range():
         QueryPredicate(ecog=(3, 1))
 
 
+# Fields that name a value of another type; the last one is the bad one.
+WRONG_TYPES = [
+    {"gene": "EGFR"},
+    {"polarity": Gene.EGFR},
+    {"stage": "IV"},
+    {"gene": Gene.EGFR, "t": NCategory.N0},
+    {"m": "M1"},
+    {"ecog": 1},
+    {"ecog": [0, 1]},
+    {"ecog": ("0", "1")},
+    {"karnofsky": (70,)},
+    {"karnofsky": (70, 90, 100)},
+    {"karnofsky": (70, 90.0)},
+    {"ecog": (True, 2)},
+]
+
+
+@pytest.mark.parametrize("fields", WRONG_TYPES, ids=repr)
+def test_predicate_rejects_a_value_its_filter_does_not_take(fields):
+    key = list(fields)[-1]
+    with pytest.raises(TypeError, match=f"^{key} must be "):
+        QueryPredicate(**fields)
+    with pytest.raises(TypeError, match=f"^{key} must be "):
+        QueryPredicate(stage=StageGroup.IV)._replace(**fields)
+
+
 def test_matches_single(corpus, default_pipeline):
     mutation_note = next(r for r in corpus if r.document_id == "docMutation")
     assert matches(mutation_note, QueryPredicate(gene=Gene.EGFR))

@@ -313,8 +313,8 @@ def test_m1_always_stage_four(t, n):
 
 @pytest.mark.parametrize("t", list(TCategory), ids=lambda t: t.value)
 def test_check_consistency_follows_the_rule_exhaustively(t):
-    # Every (N, M, written stage) for this T: the verdict table against the
-    # 8th-edition rule and the coarse-subsumes-fine rule it is built from.
+    # Every (N, M, written stage) for this T: the cached verdict rule against
+    # the 8th-edition grouping and the coarse-subsumes-fine rule it reads.
     for n, m, written in itertools.product(NCategory, MCategory, StageGroup):
         tnm, stage = _tnm(t, n, m), _stage(written)
         try:

@@ -262,6 +262,23 @@ def test_every_enum_value_round_trips(pattern_only):
     assert serialize_result(deserialize_result(data)) == data
 
 
+def test_every_check_cell_is_written_and_read_as_text():
+    # One TNM record per (T, N, M) key and one stage record per group, so the
+    # #check section holds every cell of the rule; the line-by-line oracle
+    # checks each line's text against check_consistency.
+    span = Span(0, 1)
+    tnms = [
+        TNMAnnotation(span, TnmPrefix.NONE, t, n, m, "x")
+        for t, n, m in itertools.product(TCategory, NCategory, MCategory)
+    ]
+    stages = [StageAnnotation(span, stage, "x") for stage in StageGroup]
+    result = DocumentResult("d", "x", tuple(tnms + stages))
+    data = serialize_result(result)
+    assert data.count(b"\n#check\t") == 180 * 16 == 2880
+    assert _standoff_oracle.deserialize_result(data) == result
+    assert deserialize_result(data) == result
+
+
 def test_written_records_match_their_pattern(default_pipeline, pattern_only):
     documents = [Document(f"edge-{i:02d}", text) for i, text in enumerate(EDGE_NOTES)]
     for document in [*generate_corpus(200, seed=5), *documents]:

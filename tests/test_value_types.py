@@ -207,37 +207,56 @@ _PATTERNS = (
     "standoff = sys.modules.get('oncospan.standoff')\n"
     "patterns = standoff and standoff._readers.cache_info().currsize"
 )
+# The loaded modules that bind the record-feature or query-filter
+# declarations, and the number of (T, N, M) keys the verdict rule has been
+# applied to: None where the type system is not loaded.
+_DECLARED = (
+    "declared = sorted(name for name, module in sys.modules.items() if name.startswith("
+    "'oncospan') and {'ANNOTATION_TYPES', 'FILTERS'} & vars(module).keys())\n"
+    "types = sys.modules.get('oncospan._typesystem')\n"
+    "verdicts = types and types._verdicts.cache_info().currsize"
+)
 
 
 @pytest.mark.parametrize(
-    "code, not_loaded, patterns",
+    "code, not_loaded, patterns, declared, verdicts",
     [
-        ("import oncospan\ncode = 0", _SUBMODULES, None),
+        ("import oncospan\ncode = 0", _SUBMODULES, None, [], None),
         (
             "import oncospan\noncospan.build_pipeline(oncospan.PipelineConfig())\ncode = 0",
             _STORAGE | {"oncospan.cli", "oncospan.corpusgen"},
             None,
+            [],
+            0,
         ),
         (
             _CLI.format(argv=["annotate", "--input", "in", "--out", "run", "--sql", "run.sql"]),
             {"oncospan.query"},
             0,
+            ["oncospan.standoff"],
+            1,
         ),
         (
             _CLI.format(argv=["annotate", "--input", "in", "--out", "run"]),
             {"oncospan.query", "oncospan.sqlexport"},
             0,
+            ["oncospan.standoff"],
+            1,
         ),
         (
             _CLI.format(argv=["query", "--store", "store", "--filter", "gene=EGFR"]),
             _ANNOTATING | {"oncospan.sqlexport"},
             1,
+            ["oncospan.query", "oncospan.standoff"],
+            1,
         ),
-        (_CLI.format(argv=["check", "--input", "in"]), _STORAGE, None),
+        (_CLI.format(argv=["check", "--input", "in"]), _STORAGE, None, [], 1),
     ],
     ids=["bare_import", "build_pipeline", "annotate", "annotate_without_sql", "query", "check"],
 )
-def test_entry_point_loads_only_what_it_runs(code, not_loaded, patterns, tmp_path):
+def test_entry_point_loads_only_what_it_runs(
+    code, not_loaded, patterns, declared, verdicts, tmp_path
+):
     from oncospan import cli
 
     (tmp_path / "in").mkdir()
@@ -249,8 +268,8 @@ def test_entry_point_loads_only_what_it_runs(code, not_loaded, patterns, tmp_pat
         assert cli.cli_main(["annotate", "--input", str(tmp_path / "in"),
                              "--out", str(tmp_path / "store")]) == 0
     probe = (
-        f"{code}\nimport sys\n{_PATTERNS}\n"
-        f"print(code, sorted({not_loaded!r} & sys.modules.keys()), patterns)"
+        f"{code}\nimport sys\n{_PATTERNS}\n{_DECLARED}\n"
+        f"print(code, sorted({not_loaded!r} & sys.modules.keys()), patterns, declared, verdicts)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -261,7 +280,32 @@ def test_entry_point_loads_only_what_it_runs(code, not_loaded, patterns, tmp_pat
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 [] {patterns}"
+    assert proc.stdout.splitlines()[-1] == f"0 [] {patterns} {declared} {verdicts}"
+
+
+def test_importtime_sees_every_submodule():
+    # The package loads its submodules lazily; each must still go through
+    # the import statement machinery that -X importtime reports.
+    code = (
+        "import oncospan; oncospan.build_pipeline(oncospan.PipelineConfig())\n"
+        "import sys\nprint(*sorted(m for m in sys.modules if m.startswith('oncospan')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(oncospan.__file__).parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    timed = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "oncospan.pipeline" in loaded
+    assert sorted(loaded - timed) == []
 
 
 def test_every_enum_hashes_by_identity():
