@@ -1,31 +1,27 @@
 """Polarity of a mention: stated present, stated absent, or neither.
 
-Cues are short phrases looked up in a window of tokens around the target
-mention, after case/accent folding.  Negative evidence always beats
-positive evidence, and a positive cue preceded by "no" inside the window
-counts as negative ("no se detecta mutación" must not fire as positive).
-``polarity_in_view`` applies the rule to the folded token surfaces of a
-sentence view, looking each window token up in an index from a first word
-to the lexicon's phrases that start with it (as NegEx indexes its
-triggers).  Phrase cues come from the lexicon; the window widths and the
-symbol cues are fixed.
+One rule, read in one pass over the tokens around the target mention:
+cue phrases in a window of ``WINDOW`` tokens on each side, and a ``+`` or
+``-`` token right next to the mention.  A negative cue beats a positive
+one; "no" is a negative cue like any other ("no se detecta mutación" has
+no positive reading).  Cues are compared with the folded token surfaces of
+a sentence view, and a lexicon phrase is split into tokens and folded the
+same way, so "wild-type" is the three tokens "wild", "-" and "type".  Each
+window token is looked up in an index from a first token to the lexicon's
+phrases that start with it (as NegEx indexes its triggers).  Phrase cues
+come from the lexicon; the window width and the symbol cues are fixed.
 """
 
 from functools import lru_cache
 from pathlib import Path
 
 from ._typesystem import Polarity, Span, checked_tuple
-from .document import SentenceView, normalize_word
+from .document import SentenceView
 from .errors import ConflictingEntry, MalformedLexicon
 
 MAX_PHRASE_WORDS = 4
-# Tokens on each side of the mention searched for phrase cues, and for
-# symbol cues.  No character but "+" and "-" folds to them, so a folded
-# surface equals one of them only where the written one does.
+# Tokens on each side of the mention searched for phrase cues.
 WINDOW = 5
-SYMBOL_ADJACENCY = 1
-SYMBOL_POSITIVE = frozenset({"+"})
-SYMBOL_NEGATIVE = frozenset({"-"})
 
 DEFAULT_NEGATIVE = (
     "no",
@@ -47,12 +43,13 @@ DEFAULT_POSITIVE = (
 
 
 def _phrase_key(phrase: str) -> tuple[str, ...]:
-    words = tuple(normalize_word(w) for w in phrase.split())
+    # The tokens and folding of a note, so the key compares with a window.
+    words = tuple(SentenceView(phrase).norm_surfaces)
     if not words or any(not w for w in words):
         raise MalformedLexicon(f"unusable phrase {phrase!r}")
     if len(words) > MAX_PHRASE_WORDS:
         raise MalformedLexicon(
-            f"phrase {phrase!r} longer than {MAX_PHRASE_WORDS} words"
+            f"phrase {phrase!r} longer than {MAX_PHRASE_WORDS} tokens"
         )
     return words
 
@@ -79,14 +76,15 @@ class CueLexicon(
 def load_cue_lexicon(path: str | Path | None = None) -> CueLexicon:
     """Built-in cues, optionally merged with a lexicon file.
 
-    File format: UTF-8 text, one entry per line, ``POS`` or ``NEG``, a tab,
-    then the phrase (1-4 words).  Blank lines and lines starting with ``#``
-    are ignored.
+    File format: UTF-8 text (a leading byte-order mark is dropped), one
+    entry per line, ``POS`` or ``NEG``, a tab, then the phrase (1-4 tokens,
+    split as a note is).  Blank lines and lines starting with ``#`` are
+    ignored.
     """
     positive = {_phrase_key(p) for p in DEFAULT_POSITIVE}
     negative = {_phrase_key(p) for p in DEFAULT_NEGATIVE}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
@@ -106,12 +104,6 @@ def load_cue_lexicon(path: str | Path | None = None) -> CueLexicon:
     return CueLexicon(positive=frozenset(positive), negative=frozenset(negative))
 
 
-def _around(rng: tuple[int, int], n: int, width: int) -> tuple[range, range]:
-    """Token indexes up to *width* before and after *rng*, of *n* tokens."""
-    first, last = rng
-    return range(max(0, first - width), first), range(last + 1, min(n, last + 1 + width))
-
-
 @lru_cache(maxsize=16)
 def _cue_index(lexicon: CueLexicon) -> dict[str, list[tuple[list[str], bool]]]:
     """Each phrase of *lexicon* under its first word: (other words, negative)."""
@@ -127,41 +119,28 @@ def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> P
     rng = view.token_range(target)
     if rng is None:
         return Polarity.UNKNOWN
+    first, last = rng
     norm = view.norm_surfaces
-    n = len(norm)
     index = _cue_index(lexicon)
-    negative = False
+    positive = False
     # Phrase cues, each side of the target separately; a phrase must fit
-    # entirely inside the window on its side.  The sides come in text
-    # order, so the last positive start found is the latest.
-    sides = _around(rng, n, WINDOW)
-    positive_start = -1
-    for side in sides:
+    # entirely inside the window on its side.
+    before = range(max(0, first - WINDOW), first)
+    after = range(last + 1, min(len(norm), last + 1 + WINDOW))
+    for side in (before, after):
         for i in side:
             for rest, is_negative in index.get(norm[i], ()):
                 stop = i + 1 + len(rest)
                 if stop <= side.stop and norm[i + 1 : stop] == rest:
                     if is_negative:
-                        negative = True
-                    else:
-                        positive_start = i
-    positive = positive_start >= 0
-    # A positive cue with "no" earlier in the window flips to negative.  Only
-    # a hand-built CueLexicon without "no" reaches this: load_cue_lexicon
-    # always merges in the negative cue "no", which alone makes it negative.
-    if positive and not negative:
-        earliest_no = next((k for side in sides for k in side if norm[k] == "no"), n)
-        negative = positive_start > earliest_no
-    # Symbol cues immediately adjacent to the target.
-    for side in _around(rng, n, SYMBOL_ADJACENCY):
-        for i in side:
-            if norm[i] in SYMBOL_NEGATIVE:
-                negative = True
-            elif norm[i] in SYMBOL_POSITIVE:
-                positive = True
-
-    if negative:
+                        return Polarity.NEGATIVE
+                    positive = True
+    # Symbol cues: the tokens right before and after the target.  No
+    # character but "+" and "-" folds to them, so a folded surface equals
+    # one of them only where the written one does.
+    beside = norm[max(0, first - 1) : first] + norm[last + 1 : last + 2]
+    if "-" in beside:
         return Polarity.NEGATIVE
-    if positive:
+    if positive or "+" in beside:
         return Polarity.POSITIVE
     return Polarity.UNKNOWN

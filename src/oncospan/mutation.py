@@ -19,7 +19,9 @@ from ._typesystem import (
 from .assertion import CueLexicon, polarity_in_view
 from .document import SentenceView
 
-_GENE_RE = re.compile(r"(?<![0-9a-z])(egfr|alk|ros[ \-]?1)(?![0-9a-z])")
+# One group per gene, in the order of _GENES.
+_GENE_RE = re.compile(r"(?<![0-9a-z])(?:(egfr)|(alk)|(ros[ \-]?1))(?![0-9a-z])")
+_GENES = (None, Gene.EGFR, Gene.ALK, Gene.ROS1)
 _POINT_RE = re.compile(r"(?<![0-9a-z])(g719x|t790m|l858r|l861q)(?![0-9a-z])")
 
 _EXON_KEYWORD = "exon"
@@ -42,18 +44,10 @@ _KIND_CUES = {
 }
 
 
-def _classify_gene(matched: str) -> Gene:
-    if matched == "egfr":
-        return Gene.EGFR
-    if matched == "alk":
-        return Gene.ALK
-    return Gene.ROS1
-
-
 def gene_mentions_in_view(view: SentenceView) -> list[tuple[Gene, Span]]:
     out = []
     for m in _GENE_RE.finditer(view.norm):
-        out.append((_classify_gene(m.group(1)), view.orig_span(m.start(), m.end())))
+        out.append((_GENES[m.lastindex], view.orig_span(m.start(), m.end())))
     return out
 
 

@@ -17,10 +17,8 @@ from oncospan import (
 )
 from oncospan import _textops
 from oncospan.assertion import (
+    DEFAULT_POSITIVE,
     MAX_PHRASE_WORDS,
-    SYMBOL_ADJACENCY,
-    SYMBOL_NEGATIVE,
-    SYMBOL_POSITIVE,
     WINDOW,
     CueLexicon,
     _phrase_key,
@@ -49,7 +47,7 @@ def test_default_lexicon_contents():
     lexicon = load_cue_lexicon()
     assert ("no", "se", "detecta") in lexicon.negative
     assert ("mutado",) in lexicon.positive
-    assert (WINDOW, SYMBOL_ADJACENCY) == (5, 1)
+    assert WINDOW == 5
 
 
 def test_negative_phrase_before_target():
@@ -94,10 +92,11 @@ def test_negative_beats_positive():
 
 
 def test_symbol_adjacency_limit():
-    # A "+" within SYMBOL_ADJACENCY tokens is read; one token further is not.
-    fillers = "x " * (SYMBOL_ADJACENCY - 1)
-    assert polarity_of("EGFR " + fillers + "+", "EGFR") is Polarity.POSITIVE
-    assert polarity_of("EGFR x " + fillers + "+", "EGFR") is Polarity.UNKNOWN
+    # A "+" right next to the target is read; one token further is not.
+    assert polarity_of("EGFR +", "EGFR") is Polarity.POSITIVE
+    assert polarity_of("EGFR x +", "EGFR") is Polarity.UNKNOWN
+    assert polarity_of("+ EGFR", "EGFR") is Polarity.POSITIVE
+    assert polarity_of("+ x EGFR", "EGFR") is Polarity.UNKNOWN
 
 
 def test_window_excludes_distant_cue():
@@ -112,7 +111,7 @@ def test_only_the_symbol_cues_fold_to_them():
     # written ones while no other character folds to a symbol cue.
     text = "".join(chr(c) for c in range(0x10000) if not 0xD800 <= c < 0xE000)
     norm, offsets = _textops.normalize_text(text)
-    for cue in SYMBOL_POSITIVE | SYMBOL_NEGATIVE:
+    for cue in "+-":
         at = norm.find(cue)
         while at >= 0:
             assert text[offsets[at]] == cue
@@ -170,6 +169,43 @@ def test_load_lexicon_too_many_words(tmp_path):
     path.write_text("NEG\tuno dos tres cuatro cinco\n", encoding="utf-8")
     with pytest.raises(MalformedLexicon):
         load_cue_lexicon(path)
+
+
+def test_load_lexicon_too_many_tokens(tmp_path):
+    # "wild-type" is three tokens, as in a note.
+    path = tmp_path / "cues.tsv"
+    path.write_text("NEG\twild-type para EGFR\n", encoding="utf-8")
+    with pytest.raises(MalformedLexicon, match="longer than 4 tokens"):
+        load_cue_lexicon(path)
+
+
+def test_lexicon_phrases_split_like_notes(tmp_path):
+    path = tmp_path / "cues.tsv"
+    path.write_text("NEG\twild-type\nPOS\tc/mutación\n", encoding="utf-8")
+    lexicon = load_cue_lexicon(path)
+    assert ("wild", "-", "type") in lexicon.negative
+    assert ("c", "/", "mutacion") in lexicon.positive
+    assert polarity_of("EGFR wild-type.", "EGFR", lexicon) is Polarity.NEGATIVE
+    assert polarity_of("ALK C/Mutación.", "ALK", lexicon) is Polarity.POSITIVE
+
+
+@pytest.mark.parametrize("cue", [*DEFAULT_POSITIVE, "confirmado"])
+def test_no_before_a_positive_cue_is_negative(tmp_path, cue):
+    # "no" is one of the negative cues that load_cue_lexicon always adds,
+    # also to a file that lists only positive ones.
+    path = tmp_path / "cues.tsv"
+    path.write_text("POS\tconfirmado\n", encoding="utf-8")
+    lexicon = load_cue_lexicon(path)
+    assert ("no",) in lexicon.negative
+    for text in (f"no {cue} EGFR", f"EGFR no {cue}"):
+        assert polarity_of(text, "EGFR", lexicon) is Polarity.NEGATIVE, text
+
+
+def test_no_is_a_cue_only_when_listed():
+    # A hand-built lexicon without "no" reads "no se detecta" as its
+    # positive cue "se detecta".
+    lexicon = CueLexicon(positive=frozenset({("se", "detecta")}), negative=frozenset())
+    assert polarity_of("no se detecta EGFR", "EGFR", lexicon) is Polarity.POSITIVE
 
 
 def test_load_lexicon_conflicting_entry(tmp_path):
@@ -232,7 +268,7 @@ def _lexicon(negative, positive):
 
 
 # Lexicons whose phrases share a first word, run to four words, or leave
-# out "no", so that only the flip rule can turn a positive cue negative.
+# out "no" (where "no" before a positive cue leaves it positive).
 _FIXED_LEXICONS = [
     _DEFAULT,
     _lexicon(["no", "no se detecta", "no mutado"], ["se detecta", "mutado"]),

@@ -117,6 +117,17 @@ def test_annotate_custom_lexicon(corpus_dir, tmp_path):
     assert _annotate(corpus_dir, out, "--lexicon", str(lexicon)) == 0
 
 
+def test_annotate_lexicon_with_byte_order_mark(corpus_dir, tmp_path):
+    # A lexicon file drops a leading byte-order mark; a note keeps it, as
+    # a character of the text its offsets count.
+    lexicon = tmp_path / "cues.tsv"
+    lexicon.write_bytes("\ufeffNEG\tdescartado para\n".encode("utf-8"))
+    assert _annotate(corpus_dir, tmp_path / "out", "--lexicon", str(lexicon)) == 0
+    note = tmp_path / "docBom.txt"
+    note.write_bytes("\ufeffEGFR mutado.".encode("utf-8"))
+    assert [d.text for d in _load_documents(str(note))] == ["\ufeffEGFR mutado."]
+
+
 def test_annotate_malformed_lexicon(corpus_dir, tmp_path, capsys):
     lexicon = tmp_path / "cues.tsv"
     lexicon.write_text("NEG descartado\n", encoding="utf-8")

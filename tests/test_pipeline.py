@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import _ungated
 from conftest import MUTATION_NOTE, STAGING_NOTE, COMBINED_NOTE, PERFSTATUS_NOTE
-from oncospan import _textops, assertion, corpusgen, document, mutation, perfstatus, staging
+from oncospan import _textops, corpusgen, document, mutation, perfstatus, staging
 from oncospan import (
     ALL_ANNOTATORS,
     AnnotatorKind,
@@ -469,7 +469,6 @@ def test_polarity_reads_the_view(default_pipeline, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(document, "normalize_word")
-    counting(assertion, "normalize_word")
     text = (
         "EGFR mutado con deleción del exón 19. ALK no traslocado. "
         "Se detecta ROS1 +. No se detecta mutación en EGFR T790M."
