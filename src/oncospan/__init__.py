@@ -24,11 +24,8 @@ _EXPORTS = {
         " InvalidFilter InvalidStage MalformedFile MalformedLexicon OncospanError OutOfBounds"
         " SpanMismatch"
     ),
-    "mutation": (
-        "ExonKind ExonMention Gene MutationAnnotation MutationPoint PointVariant"
-        " find_exon_mentions find_gene_mentions find_mutation_points"
-    ),
-    "perfstatus": "PSAnnotation PSScale annotate_ecog annotate_karnofsky",
+    "mutation": "ExonKind ExonMention Gene MutationAnnotation MutationPoint PointVariant",
+    "perfstatus": "PSAnnotation PSScale",
     "pipeline": (
         "ALL_ANNOTATORS AnnotatorKind DocumentResult Pipeline PipelineConfig build_pipeline"
         " process_corpus process_document"

@@ -16,9 +16,6 @@ from . import _textops
 from ._typesystem import Diagnostic, Span, check_document_id, checked_tuple
 from .errors import OutOfBounds
 
-# The abbreviations the sentence kernels never end a sentence after.
-ABBREVIATION_STOPLIST = _textops.ABBREVIATION_STOPLIST
-
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -52,11 +49,6 @@ def split_sentences(text: str) -> list[Sentence]:
         Sentence(Span(b, e), i)
         for i, (b, e) in enumerate(_textops.sentence_spans(text))
     ]
-
-
-def normalize_word(word: str) -> str:
-    """Case- and accent-fold a short string (token surfaces, cue words)."""
-    return _textops.normalize_text(word)[0]
 
 
 class SentenceView:
@@ -108,8 +100,8 @@ class SentenceView:
                 norm = self.norm
                 self._norm_surfaces = [norm[b:e] for b, e, _ in self.tokens]
             else:
-                text = self.text
-                self._norm_surfaces = [normalize_word(text[b:e]) for b, e, _ in self.tokens]
+                text, fold = self.text, _textops.normalize_text
+                self._norm_surfaces = [fold(text[b:e])[0] for b, e, _ in self.tokens]
         return self._norm_surfaces
 
     @classmethod

@@ -157,14 +157,3 @@ def _implied_polarity(view: SentenceView, span: Span, lexicon: CueLexicon) -> Po
     found = polarity_in_view(view, span, lexicon)
     return Polarity.NEGATIVE if found is Polarity.NEGATIVE else Polarity.POSITIVE
 
-
-def find_gene_mentions(text: str) -> list[tuple[Gene, Span]]:
-    return gene_mentions_in_view(SentenceView(text))
-
-
-def find_exon_mentions(text: str) -> list[ExonMention]:
-    return exon_mentions_in_view(SentenceView(text))
-
-
-def find_mutation_points(text: str) -> list[MutationPoint]:
-    return mutation_points_in_view(SentenceView(text))

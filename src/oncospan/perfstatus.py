@@ -73,10 +73,3 @@ def _scan(
         )
     return annotations, diagnostics
 
-
-def annotate_ecog(text: str) -> tuple[list[PSAnnotation], list[Diagnostic]]:
-    return ecog_in_view(SentenceView(text))
-
-
-def annotate_karnofsky(text: str) -> tuple[list[PSAnnotation], list[Diagnostic]]:
-    return karnofsky_in_view(SentenceView(text))

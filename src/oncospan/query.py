@@ -131,10 +131,6 @@ def _holds(annotations, cls: type, tests: list) -> bool:
     return False
 
 
-def matches(result: DocumentResult, predicate: QueryPredicate) -> bool:
-    return all(_holds(result.annotations, *clause) for clause in _clauses(predicate))
-
-
 def query_results(
     results: Sequence[DocumentResult], predicate: QueryPredicate
 ) -> list[str]:

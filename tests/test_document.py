@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _textops_py
-from oncospan import Document, OutOfBounds, Span, covered_text, split_sentences
+from oncospan import Document, OutOfBounds, Span, _textops, covered_text, split_sentences
 from oncospan._textops import NUMBER, SYMBOL, WORD
-from oncospan.document import SentenceView, normalize_word
+from oncospan.document import SentenceView
 
 
 def spans(sentences):
@@ -119,7 +119,7 @@ def test_tokenize_spans_match_surfaces():
         previous_end = 0
         for (b, e, _), norm in zip(view.tokens, view.norm_surfaces, strict=True):
             assert previous_end <= b < e <= len(view.text)
-            assert norm == normalize_word(view.text[b:e])
+            assert norm == _textops.normalize_text(view.text[b:e])[0]
             previous_end = e
 
 

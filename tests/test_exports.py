@@ -51,13 +51,8 @@ PUBLIC = {
     "MutationAnnotation": "mutation",
     "MutationPoint": "mutation",
     "PointVariant": "mutation",
-    "find_exon_mentions": "mutation",
-    "find_gene_mentions": "mutation",
-    "find_mutation_points": "mutation",
     "PSAnnotation": "perfstatus",
     "PSScale": "perfstatus",
-    "annotate_ecog": "perfstatus",
-    "annotate_karnofsky": "perfstatus",
     "ALL_ANNOTATORS": "pipeline",
     "AnnotatorKind": "pipeline",
     "DocumentResult": "pipeline",
@@ -92,7 +87,7 @@ PUBLIC = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC) == 74
+    assert len(PUBLIC) == 69
     assert sorted(oncospan.__all__) == sorted(PUBLIC)
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import _textops_py
 from oncospan import _textops
 from oncospan.corpusgen import generate_corpus
-from oncospan.document import ABBREVIATION_STOPLIST
 
 # Mix of plain ASCII, Spanish clinical text, digits, symbols and a few
 # surprises that reach the kernels' slow and edge paths: a bare combining
@@ -77,7 +76,7 @@ def test_normalize_agrees(text):
 @settings(max_examples=300, deadline=None)
 def test_sentence_spans_agree(text):
     assert _textops.sentence_spans(text) == (
-        _textops_py.sentence_spans(text, ABBREVIATION_STOPLIST)
+        _textops_py.sentence_spans(text, _textops.ABBREVIATION_STOPLIST)
     )
 
 
@@ -227,7 +226,7 @@ def test_astral_characters_leave_the_tables_unchanged(monkeypatch):
     assert {"\U0001d15e", "\U0001d167"} <= _textops._IRREGULAR.keys()
     assert _textops.token_spans(text) == _textops_py.token_spans(text, 0, len(text))
     assert _textops.sentence_spans(text) == (
-        _textops_py.sentence_spans(text, ABBREVIATION_STOPLIST)
+        _textops_py.sentence_spans(text, _textops.ABBREVIATION_STOPLIST)
     )
     # Meeting the irregular characters again compiles no pattern.
     compiled = []

@@ -6,13 +6,13 @@ from oncospan import (
     Gene,
     PointVariant,
     Polarity,
-    find_exon_mentions,
-    find_gene_mentions,
-    find_mutation_points,
     load_cue_lexicon,
     split_sentences,
 )
-from oncospan.mutation import ExonMention, MutationAnnotation, annotate_view
+from oncospan.mutation import (
+    ExonMention, MutationAnnotation, annotate_view, exon_mentions_in_view, gene_mentions_in_view,
+    mutation_points_in_view,
+)
 from oncospan.document import SentenceView, Span
 
 
@@ -28,7 +28,7 @@ def annotate(text, genes=frozenset(Gene)):
 
 def test_find_gene_mentions_variants():
     text = "EGFR y alk; Ros-1 y ROS1 y egfr"
-    got = find_gene_mentions(text)
+    got = gene_mentions_in_view(SentenceView(text))
     genes = [g for g, _ in got]
     assert genes == [Gene.EGFR, Gene.ALK, Gene.ROS1, Gene.ROS1, Gene.EGFR]
     for gene, span in got:
@@ -38,11 +38,11 @@ def test_find_gene_mentions_variants():
 
 
 def test_gene_mention_not_inside_word():
-    assert find_gene_mentions("TALK1 proseguir EGFRv") == []
+    assert gene_mentions_in_view(SentenceView("TALK1 proseguir EGFRv")) == []
 
 
 def test_find_exon_mentions():
-    got = find_exon_mentions("del exon 19 y exón 21")
+    got = exon_mentions_in_view(SentenceView("del exon 19 y exón 21"))
     assert [(e.number, e.kind) for e in got] == [
         (19, ExonKind.DELETION),
         (21, None),
@@ -50,38 +50,39 @@ def test_find_exon_mentions():
 
 
 def test_exon_out_of_range_ignored():
-    assert find_exon_mentions("exon 7 sin interés") == []
-    assert find_exon_mentions("exon 22") == []
-    assert find_exon_mentions("exon 119") == []
-    assert find_exon_mentions("exon 1" + "0" * 5000) == []
+    assert exon_mentions_in_view(SentenceView("exon 7 sin interés")) == []
+    assert exon_mentions_in_view(SentenceView("exon 22")) == []
+    assert exon_mentions_in_view(SentenceView("exon 119")) == []
+    assert exon_mentions_in_view(SentenceView("exon 1" + "0" * 5000)) == []
 
 
 def test_exon_number_leading_zeros():
-    assert [e.number for e in find_exon_mentions("exon 0019 y exon ٠٢١")] == [19, 21]
+    got = exon_mentions_in_view(SentenceView("exon 0019 y exon ٠٢١"))
+    assert [e.number for e in got] == [19, 21]
 
 
 def test_exon_kind_after_number():
-    got = find_exon_mentions("exon 20 ins")
+    got = exon_mentions_in_view(SentenceView("exon 20 ins"))
     assert [(e.number, e.kind) for e in got] == [(20, ExonKind.INSERTION)]
 
 
 def test_exon_kind_full_words():
     # "deleción" sits two tokens before the keyword; still within reach
-    got = find_exon_mentions("deleción en exón 19")
+    got = exon_mentions_in_view(SentenceView("deleción en exón 19"))
     assert [(e.number, e.kind) for e in got] == [(19, ExonKind.DELETION)]
-    got = find_exon_mentions("deleción exón 19")
+    got = exon_mentions_in_view(SentenceView("deleción exón 19"))
     assert [(e.number, e.kind) for e in got] == [(19, ExonKind.DELETION)]
 
 
 def test_exon_number_within_two_tokens():
-    got = find_exon_mentions("exon ( 19 )")
+    got = exon_mentions_in_view(SentenceView("exon ( 19 )"))
     assert [e.number for e in got] == [19]
-    assert find_exon_mentions("exon x y 19") == []
+    assert exon_mentions_in_view(SentenceView("exon x y 19")) == []
 
 
 def test_find_mutation_points():
     text = "se detecta T790M y L858R, no g719x"
-    got = find_mutation_points(text)
+    got = mutation_points_in_view(SentenceView(text))
     assert [p.value for p in got] == [
         PointVariant.T790M,
         PointVariant.L858R,
@@ -92,7 +93,7 @@ def test_find_mutation_points():
 
 
 def test_point_needs_boundaries():
-    assert find_mutation_points("XT790M T790MX") == []
+    assert mutation_points_in_view(SentenceView("XT790M T790MX")) == []
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oncospan import PSScale, annotate_ecog, annotate_karnofsky
-from oncospan.perfstatus import PSAnnotation
-from oncospan.document import Span
+from oncospan import PSScale
+from oncospan.perfstatus import PSAnnotation, ecog_in_view, karnofsky_in_view
+from oncospan.document import SentenceView, Span
 
 SEPARATORS = (" ", ":", "-", "_", "(", ")", ".")
 
 
 def test_ecog_basic():
-    anns, diags = annotate_ecog("Muy buen estado general, ECOG-PS 0.")
+    anns, diags = ecog_in_view(SentenceView("Muy buen estado general, ECOG-PS 0."))
     assert len(anns) == 1
     assert anns[0].scale is PSScale.ECOG
     assert anns[0].value == 0
@@ -18,38 +18,38 @@ def test_ecog_basic():
 
 
 def test_ecog_parenthesized():
-    anns, _ = annotate_ecog("ECOG (3)")
+    anns, _ = ecog_in_view(SentenceView("ECOG (3)"))
     assert [(a.value, a.raw) for a in anns] == [(3, "ECOG (3)")]
 
 
 def test_ecog_span_covers_surface():
     text = "Paciente varón de 70 años. ECOG 3."
-    anns, _ = annotate_ecog(text)
+    anns, _ = ecog_in_view(SentenceView(text))
     assert len(anns) == 1
     span = anns[0].span
     assert text[span.begin : span.end] == "ECOG 3"
 
 
 def test_ecog_out_of_range_is_diagnostic_only():
-    anns, diags = annotate_ecog("ECOG 7 anotado por error")
+    anns, diags = ecog_in_view(SentenceView("ECOG 7 anotado por error"))
     assert anns == []
     assert [d.message for d in diags] == ["ECOG value 7 outside 0-5"]
-    _, diags = annotate_ecog("ECOG 000123")
+    _, diags = ecog_in_view(SentenceView("ECOG 000123"))
     assert [d.message for d in diags] == ["ECOG value 123 outside 0-5"]
 
 
 def test_ecog_leading_zeros():
-    anns, diags = annotate_ecog("ECOG 0005")
+    anns, diags = ecog_in_view(SentenceView("ECOG 0005"))
     assert [(a.value, a.raw) for a in anns] == [(5, "ECOG 0005")]
     assert diags == []
 
 
 def test_digit_runs_past_int_limit_are_diagnostics():
     digits = "9" * 5000
-    anns, diags = annotate_ecog("ECOG " + digits)
+    anns, diags = ecog_in_view(SentenceView("ECOG " + digits))
     assert anns == []
     assert [d.message for d in diags] == [f"ECOG value {digits} outside 0-5"]
-    anns, diags = annotate_karnofsky("Karnofsky " + digits)
+    anns, diags = karnofsky_in_view(SentenceView("Karnofsky " + digits))
     assert anns == []
     assert [d.message for d in diags] == [f"Karnofsky value {digits} outside 0-100"]
 
@@ -57,32 +57,32 @@ def test_digit_runs_past_int_limit_are_diagnostics():
 def test_ecog_separator_insensitive():
     for sep in SEPARATORS:
         text = f"ECOG{sep}2"
-        anns, _ = annotate_ecog(text)
+        anns, _ = ecog_in_view(SentenceView(text))
         assert [a.value for a in anns] == [2], repr(text)
-    anns, _ = annotate_ecog("ECOG: 2")
+    anns, _ = ecog_in_view(SentenceView("ECOG: 2"))
     assert [a.value for a in anns] == [2]
-    anns, _ = annotate_ecog("ecog ps 1")
+    anns, _ = ecog_in_view(SentenceView("ecog ps 1"))
     assert [a.value for a in anns] == [1]
 
 
 def test_ecog_requires_keyword():
-    anns, diags = annotate_ecog("puntuación 3 en la escala")
+    anns, diags = ecog_in_view(SentenceView("puntuación 3 en la escala"))
     assert anns == []
     assert diags == []
 
 
 def test_ecog_word_boundary():
     # "ecografía" must not fire, nor a digit glued into a longer token.
-    anns, diags = annotate_ecog("ecografía abdominal sin hallazgos")
+    anns, diags = ecog_in_view(SentenceView("ecografía abdominal sin hallazgos"))
     assert anns == []
     assert diags == []
-    anns, _ = annotate_ecog("PRECOG 2")
+    anns, _ = ecog_in_view(SentenceView("PRECOG 2"))
     assert anns == []
 
 
 def test_karnofsky_basic():
     text = "Se objetiva mejoría del estado general, por lo que se estima un Karnofsky: 100%."
-    anns, diags = annotate_karnofsky(text)
+    anns, diags = karnofsky_in_view(SentenceView(text))
     assert len(anns) == 1
     ann = anns[0]
     assert ann.scale is PSScale.KARNOFSKY
@@ -92,23 +92,23 @@ def test_karnofsky_basic():
 
 
 def test_karnofsky_zero():
-    anns, _ = annotate_karnofsky("karnofsky 0")
+    anns, _ = karnofsky_in_view(SentenceView("karnofsky 0"))
     assert [a.value for a in anns] == [0]
 
 
 def test_karnofsky_out_of_range_is_diagnostic_only():
-    anns, diags = annotate_karnofsky("Karnofsky 110%")
+    anns, diags = karnofsky_in_view(SentenceView("Karnofsky 110%"))
     assert anns == []
     assert len(diags) == 1
 
 
 def test_karnofsky_kps_alias():
-    anns, _ = annotate_karnofsky("KPS 80")
+    anns, _ = karnofsky_in_view(SentenceView("KPS 80"))
     assert [(a.scale, a.value) for a in anns] == [(PSScale.KARNOFSKY, 80)]
 
 
 def test_karnofsky_non_decile_warning():
-    anns, diags = annotate_karnofsky("Karnofsky 95")
+    anns, diags = karnofsky_in_view(SentenceView("Karnofsky 95"))
     assert [a.value for a in anns] == [95]
     assert len(diags) == 1
     assert "95" in diags[0].message
@@ -116,21 +116,21 @@ def test_karnofsky_non_decile_warning():
 
 def test_karnofsky_decile_no_warning():
     for value in range(0, 101, 10):
-        anns, diags = annotate_karnofsky(f"Karnofsky {value}")
+        anns, diags = karnofsky_in_view(SentenceView(f"Karnofsky {value}"))
         assert [a.value for a in anns] == [value]
         assert diags == []
 
 
 def test_mixed_scales_do_not_cross():
     text = "ECOG 1. Karnofsky 90%."
-    e_anns, _ = annotate_ecog(text)
-    k_anns, _ = annotate_karnofsky(text)
+    e_anns, _ = ecog_in_view(SentenceView(text))
+    k_anns, _ = karnofsky_in_view(SentenceView(text))
     assert [a.value for a in e_anns] == [1]
     assert [a.value for a in k_anns] == [90]
 
 
 def test_multiple_mentions_in_order():
-    anns, _ = annotate_ecog("ECOG 1 al ingreso, ECOG 3 al alta")
+    anns, _ = ecog_in_view(SentenceView("ECOG 1 al ingreso, ECOG 3 al alta"))
     assert [a.value for a in anns] == [1, 3]
     assert anns[0].span.begin < anns[1].span.begin
 
@@ -147,7 +147,7 @@ def test_annotation_validation():
 @given(st.integers(min_value=-10, max_value=200))
 @settings(deadline=None)
 def test_ecog_range_invariant(value):
-    anns, diags = annotate_ecog(f"control. ECOG {value} hoy")
+    anns, diags = ecog_in_view(SentenceView(f"control. ECOG {value} hoy"))
     # the regex never sees a sign, so -3 reads as ECOG absent or value 3
     # depending on tokenization; the invariant is on what gets annotated.
     for ann in anns:
@@ -163,7 +163,7 @@ def test_ecog_range_invariant(value):
 @given(st.integers(min_value=-10, max_value=200))
 @settings(deadline=None)
 def test_karnofsky_range_invariant(value):
-    anns, _ = annotate_karnofsky(f"revisión. Karnofsky {value} estimado")
+    anns, _ = karnofsky_in_view(SentenceView(f"revisión. Karnofsky {value} estimado"))
     for ann in anns:
         assert 0 <= ann.value <= 100
     if 0 <= value <= 100:

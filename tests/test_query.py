@@ -16,7 +16,7 @@ from oncospan import (
     process_corpus,
     query_results,
 )
-from oncospan.query import _parse_range, matches
+from oncospan.query import _parse_range
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +155,8 @@ def test_predicate_rejects_a_value_its_filter_does_not_take(fields):
 
 def test_matches_single(corpus, default_pipeline):
     mutation_note = next(r for r in corpus if r.document_id == "docMutation")
-    assert matches(mutation_note, QueryPredicate(gene=Gene.EGFR))
-    assert not matches(mutation_note, QueryPredicate(stage=StageGroup.IV))
+    assert query_results([mutation_note], QueryPredicate(gene=Gene.EGFR)) == ["docMutation"]
+    assert query_results([mutation_note], QueryPredicate(stage=StageGroup.IV)) == []
 
 
 def test_tnm_filters_may_hold_on_different_annotations(default_pipeline):
@@ -164,14 +164,14 @@ def test_tnm_filters_may_hold_on_different_annotations(default_pipeline):
     result = default_pipeline.process_document(
         Document("d", "Previo pT1aN0M0. Ahora T3N2M0.")
     )
-    assert matches(result, parse_filter("t=T1a,n=N2"))
-    assert not matches(result, parse_filter("t=T1a,n=N3"))
+    assert query_results([result], parse_filter("t=T1a,n=N2")) == [result.document_id]
+    assert query_results([result], parse_filter("t=T1a,n=N3")) == []
 
 
 def test_range_filters_hold_on_their_own_scale(default_pipeline):
     result = default_pipeline.process_document(Document("d", "KPS 3."))
-    assert matches(result, parse_filter("karnofsky=3"))
-    assert not matches(result, parse_filter("ecog=3"))
+    assert query_results([result], parse_filter("karnofsky=3")) == [result.document_id]
+    assert query_results([result], parse_filter("ecog=3")) == []
 
 
 def test_parse_filter_basic():
