@@ -2,7 +2,8 @@
 
 One rule, read in one pass over the tokens around the target mention:
 cue phrases in a window of ``WINDOW`` tokens on each side, and a ``+`` or
-``-`` token right next to the mention.  A negative cue beats a positive
+``-`` sign right next to the mention (or after it behind one ``(`` or
+``:``) that no word or number touches.  A negative cue beats a positive
 one; "no" is a negative cue like any other ("no se detecta mutación" has
 no positive reading).  Cues are compared with the folded token surfaces of
 a sentence view, and a lexicon phrase is split into tokens and folded the
@@ -15,6 +16,7 @@ come from the lexicon; the window width and the symbol cues are fixed.
 from functools import lru_cache
 from pathlib import Path
 
+from ._textops import SYMBOL
 from ._typesystem import Polarity, Span, checked_tuple
 from .document import SentenceView
 from .errors import ConflictingEntry, MalformedLexicon
@@ -135,12 +137,25 @@ def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> P
                     if is_negative:
                         return Polarity.NEGATIVE
                     positive = True
-    # Symbol cues: the tokens right before and after the target.  No
-    # character but "+" and "-" folds to them, so a folded surface equals
-    # one of them only where the written one does.
-    beside = norm[max(0, first - 1) : first] + norm[last + 1 : last + 2]
-    if "-" in beside:
+    # Symbol cues: a "+" or "-" token right before the target, or right
+    # after it, where one "(" or ":" may stand between.  No character but
+    # "+" and "-" folds to them, so the folded surfaces show the written
+    # ones.  A symbol that a word or number touches on its far side is a
+    # hyphen or a minus, not a sign: "EML4-ALK", "EGFR-TKI", "EGFR: -3".
+    n = len(norm)
+    after = last + 2 if last + 1 < n and norm[last + 1] in ("(", ":") else last + 1
+    signs = [
+        norm[i] for i, far in ((first - 1, first - 2), (after, after + 1))
+        if 0 <= i < n and norm[i] in ("+", "-") and not _glued(view.tokens, i, far)
+    ]
+    if "-" in signs:
         return Polarity.NEGATIVE
-    if positive or "+" in beside:
+    if positive or "+" in signs:
         return Polarity.POSITIVE
     return Polarity.UNKNOWN
+
+
+def _glued(tokens: list[tuple[int, int, int]], i: int, far: int) -> bool:
+    """Whether token *far*, next to token *i*, is a word or number touching it."""
+    touching = 0 <= far < len(tokens) and tokens[min(i, far)][1] == tokens[max(i, far)][0]
+    return touching and tokens[far][2] != SYMBOL

@@ -3,12 +3,14 @@
 The executable specification of ``assertion.polarity_in_view``, which looks
 each window token up in a first-word index of the lexicon instead.  The
 rule: cue phrases within ``WINDOW`` tokens on each side of the target, a
-phrase wholly inside its side; a "+" or "-" token right next to the target;
-a negative cue beats a positive one.  Both must return the same polarity
+phrase wholly inside its side; a "+" or "-" token right next to the target,
+or after it behind one "(" or ":", that no word or number touches on the
+side away from the target; a negative cue beats a positive one.  Both must return the same polarity
 for every view, target and lexicon (``test_assertion.py`` checks this
 property on generated windows).
 """
 
+from oncospan._textops import NUMBER, WORD
 from oncospan.assertion import MAX_PHRASE_WORDS, WINDOW, CueLexicon, Polarity
 from oncospan.document import SentenceView, Span
 
@@ -31,12 +33,27 @@ def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> P
                     negative = True
                 if key in lexicon.positive:
                     positive = True
-    for i in (first - 1, last + 1):
-        if 0 <= i < n:
-            if norm[i] == "-":
-                negative = True
-            elif norm[i] == "+":
-                positive = True
+    tokens = view.tokens
+
+    def sign(i, away):
+        # Token i's surface if it is a sign; away is 1 after the target, -1
+        # before it.
+        if not (0 <= i < n and norm[i] in ("+", "-")):
+            return None
+        j = i + away
+        if 0 <= j < n and tokens[j][2] in (WORD, NUMBER):
+            between = view.text[min(tokens[i][1], tokens[j][1]) : max(tokens[i][0], tokens[j][0])]
+            if between == "":
+                return None
+        return norm[i]
+
+    signs = [sign(first - 1, -1), sign(last + 1, 1)]
+    if last + 1 < n and norm[last + 1] in ("(", ":"):
+        signs.append(sign(last + 2, 1))
+    if "-" in signs:
+        negative = True
+    if "+" in signs:
+        positive = True
 
     if negative:
         return Polarity.NEGATIVE

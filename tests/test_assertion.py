@@ -307,34 +307,42 @@ _lexicons = st.one_of(
 )
 
 
+# Units for the sign rules: symbols, a sign glued to a word ("EML4-",
+# "-TKI"), and a number a sign may be glued to.
+_SIGN_UNITS = ["+", "-", "(", ")", ":", "+/-", "EML4-", "-TKI", "3"]
+
+
 @st.composite
 def _windows(draw):
-    # The lexicon, then the words on each side of the target: whole phrases
+    # The lexicon, then the text on each side of the target: whole phrases
     # of the lexicon and single words, up to six of them, so that phrases
-    # often run past the window edge or into the target.
+    # often run past the window edge or into the target.  A unit is joined
+    # to the next (or to the target) without a space one time in three, so
+    # that signs are sometimes glued to words: "EGFR(+)", "EML4-ALK".
     lexicon = draw(_lexicons)
     phrases = sorted(" ".join(p) for p in lexicon.positive | lexicon.negative)
-    units = st.lists(
-        st.one_of(
-            st.sampled_from(phrases),
-            st.sampled_from(_CUE_WORDS + ["+", "-", "x", "biopsia", ","]),
-        ),
-        max_size=6,
+    unit = st.one_of(
+        st.sampled_from(phrases),
+        st.sampled_from(_CUE_WORDS + _SIGN_UNITS + ["x", "biopsia", ","]),
     )
+    units = st.lists(st.tuples(unit, st.sampled_from([" ", " ", ""])), max_size=6)
     target = draw(st.sampled_from(["EGFR", "exón 19", "ROS-1"]))
-    return lexicon, draw(units), target, draw(units)
+    before = "".join(u + space for u, space in draw(units))
+    after = "".join(space + u for u, space in draw(units))
+    return lexicon, before, target, after
 
 
 @given(_windows())
 @settings(max_examples=300, deadline=None)
 # A positive phrase whose last word is just past the window.
-@example(
-    (_FIXED_LEXICONS[3], [], "EGFR", ["x"] * (WINDOW - 1) + ["se detecta"]),
-)
+@example((_FIXED_LEXICONS[3], "", "EGFR", " x" * (WINDOW - 1) + " se detecta"))
+# A hyphen glued to a word, and signs behind a parenthesis and a colon.
+@example((_DEFAULT, "EML4-", "EGFR", " positivo"))
+@example((_DEFAULT, "", "EGFR", "(-)"))
+@example((_DEFAULT, "", "EGFR", ": +"))
 def test_cue_index_equals_tuple_windows(window):
-    lexicon, before, target, after = window
-    head = "".join(unit + " " for unit in before)
-    text = head + target + "".join(" " + unit for unit in after)
+    lexicon, head, target, tail = window
+    text = head + target + tail
     view = SentenceView(text)
     span = Span(len(head), len(head) + len(target))
     assert polarity_in_view(view, span, lexicon) is _polarity_oracle.polarity_in_view(

@@ -118,6 +118,41 @@ def test_polarity_matrix(text, gene, polarity):
     assert not got[0].implied
 
 
+_P, _N, _U = Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.UNKNOWN
+
+
+@pytest.mark.parametrize(
+    "text,verdicts",
+    [
+        # A "+" or "-" that a word or number touches on its far side is a
+        # hyphen or a minus, not a sign.
+        ("EML4-ALK positivo.", [(Gene.ALK, _P)]),
+        ("ALK-positivo.", [(Gene.ALK, _P)]),
+        ("CD74-ROS1 detectado.", [(Gene.ROS1, _P)]),
+        ("EGFR-TKI en curso.", [(Gene.EGFR, _U)]),
+        ("Tratamiento con anti-EGFR.", [(Gene.EGFR, _U)]),
+        # Inflected cues are not in the lexicon.
+        ("Fusión EML4-ALK positiva.", [(Gene.ALK, _U)]),
+        ("Traslocación EML4-ALK detectada.", [(Gene.ALK, _U)]),
+        ("ALK -.", [(Gene.ALK, _N)]),
+        ("EGFR-ALK +", [(Gene.EGFR, _U), (Gene.ALK, _P)]),
+        # After the mention, one "(" or ":" may stand before the sign.
+        ("EGFR (+).", [(Gene.EGFR, _P)]),
+        ("ALK(+)", [(Gene.ALK, _P)]),
+        ("EGFR: +", [(Gene.EGFR, _P)]),
+        ("EGFR:+", [(Gene.EGFR, _P)]),
+        ("ROS1:-", [(Gene.ROS1, _N)]),
+        ("EGFR (-).", [(Gene.EGFR, _N)]),
+        ("EGFR (+/-).", [(Gene.EGFR, _P)]),
+        ("EGFR +/-.", [(Gene.EGFR, _P)]),
+        ("EGFR: -3 dB", [(Gene.EGFR, _U)]),
+        ("(+) EGFR", [(Gene.EGFR, _U)]),
+    ],
+)
+def test_sign_verdicts(text, verdicts):
+    assert [(a.gene, a.polarity) for a in annotate(text)] == verdicts
+
+
 def test_mutation_note_sentence():
     text = (
         "EGFR + (del exon 19), no se detecta traslocación de ALK "
