@@ -5,9 +5,9 @@ each window token up in a first-word index of the lexicon instead.  The
 rule: cue phrases within ``WINDOW`` tokens on each side of the target, a
 phrase wholly inside its side; a "+" or "-" token right next to the target,
 or after it behind one "(" or ":", that no word or number touches on the
-side away from the target; a negative cue beats a positive one.  Both must return the same polarity
-for every view, target and lexicon (``test_assertion.py`` checks this
-property on generated windows).
+side away from the target; a negative cue beats a positive one.  Both must
+return the same polarity for every view, target and lexicon
+(``test_assertion.py`` checks this property on generated windows).
 """
 
 from oncospan._textops import NUMBER, WORD
