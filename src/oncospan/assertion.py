@@ -144,10 +144,10 @@ def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> P
     # hyphen or a minus, not a sign: "EML4-ALK", "EGFR-TKI", "EGFR: -3".
     n = len(norm)
     after = last + 2 if last + 1 < n and norm[last + 1] in ("(", ":") else last + 1
-    signs = [
-        norm[i] for i, far in ((first - 1, first - 2), (after, after + 1))
-        if 0 <= i < n and norm[i] in ("+", "-") and not _glued(view.tokens, i, far)
-    ]
+    signs = ""
+    for i, far in ((first - 1, first - 2), (after, after + 1)):
+        if 0 <= i < n and norm[i] in ("+", "-") and not _glued(view.tokens, i, far):
+            signs += norm[i]
     if "-" in signs:
         return Polarity.NEGATIVE
     if positive or "+" in signs:
