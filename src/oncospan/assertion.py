@@ -143,9 +143,9 @@ def polarity_in_view(view: SentenceView, target: Span, lexicon: CueLexicon) -> P
     # ones.  A symbol that a word or number touches on its far side is a
     # hyphen or a minus, not a sign: "EML4-ALK", "EGFR-TKI", "EGFR: -3".
     n = len(norm)
-    after = last + 2 if last + 1 < n and norm[last + 1] in ("(", ":") else last + 1
+    j = last + 2 if last + 1 < n and norm[last + 1] in ("(", ":") else last + 1
     signs = ""
-    for i, far in ((first - 1, first - 2), (after, after + 1)):
+    for i, far in ((first - 1, first - 2), (j, j + 1)):
         if 0 <= i < n and norm[i] in ("+", "-") and not _glued(view.tokens, i, far):
             signs += norm[i]
     if "-" in signs:

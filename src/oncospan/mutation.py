@@ -156,4 +156,3 @@ def _implied_polarity(view: SentenceView, span: Span, lexicon: CueLexicon) -> Po
     # explicitly negated.
     found = polarity_in_view(view, span, lexicon)
     return Polarity.NEGATIVE if found is Polarity.NEGATIVE else Polarity.POSITIVE
-

@@ -72,4 +72,3 @@ def _scan(
             PSAnnotation(span, scale, int(digits), view.covered(span))
         )
     return annotations, diagnostics
-

@@ -10,7 +10,11 @@ from oncospan import (
     split_sentences,
 )
 from oncospan.mutation import (
-    ExonMention, MutationAnnotation, annotate_view, exon_mentions_in_view, gene_mentions_in_view,
+    ExonMention,
+    MutationAnnotation,
+    annotate_view,
+    exon_mentions_in_view,
+    gene_mentions_in_view,
     mutation_points_in_view,
 )
 from oncospan.document import SentenceView, Span
