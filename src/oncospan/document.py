@@ -32,23 +32,10 @@ class Document(checked_tuple("Document", [("id", str), ("text", str)])):
 
 class Sentence(NamedTuple):
     span: Span
-    index: int
-
-
-def covered_text(document: Document, span: Span) -> str:
-    if span.end > len(document.text):
-        raise OutOfBounds(
-            f"span [{span.begin}, {span.end}) exceeds document "
-            f"{document.id!r} of length {len(document.text)}"
-        )
-    return document.text[span.begin : span.end]
 
 
 def split_sentences(text: str) -> list[Sentence]:
-    return [
-        Sentence(Span(b, e), i)
-        for i, (b, e) in enumerate(_textops.sentence_spans(text))
-    ]
+    return [Sentence(Span(b, e)) for b, e in _textops.sentence_spans(text)]
 
 
 class SentenceView:
@@ -106,7 +93,13 @@ class SentenceView:
 
     @classmethod
     def from_sentence(cls, document: Document, sentence: Sentence) -> "SentenceView":
-        return cls(covered_text(document, sentence.span), sentence.span.begin)
+        begin, end = sentence.span
+        if end > len(document.text):
+            raise OutOfBounds(
+                f"span [{begin}, {end}) exceeds document "
+                f"{document.id!r} of length {len(document.text)}"
+            )
+        return cls(document.text[begin:end], begin)
 
     @classmethod
     def in_folded(

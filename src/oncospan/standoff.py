@@ -20,9 +20,8 @@ always one line, and a raw carriage return in them is rejected.  ``#diag``
 carries a diagnostic (begin, end, message); ``#check`` carries a consistency
 report as two record indexes, the verdict and the expected group (``-`` when
 not comparable); the section is every (TNM, stage) pair, TNM-major, with the
-verdict of ``_typesystem``'s one rule, each record named by the first index
-of an equal one, which is looked up, and the records hashed, only for a type
-with more than one record.  Every integer is a canonical ASCII decimal,
+verdict of ``_typesystem``'s one rule, each record named by its position
+among the records.  Every integer is a canonical ASCII decimal,
 ``0`` or ``[1-9][0-9]*``, and the id follows
 ``_typesystem.check_document_id``.  Deserialization is the exact inverse of
 serialization and is strict: anything unexpected raises MalformedFile with a
@@ -197,15 +196,6 @@ def _unescape(value: str, line_no: int) -> str:
         raise MalformedFile("bad escape sequence", line_no) from None
 
 
-def _first_equal(records: list[tuple[int, Annotation]]) -> list[tuple[int, Annotation]]:
-    """*records* of one type, each index replaced by that of the first equal
-    one; a lone record is its own first, and is not hashed."""
-    if len(records) < 2:
-        return records
-    first: dict[Annotation, int] = {}
-    return [(first.setdefault(ann, i), ann) for i, ann in records]
-
-
 @cache
 def _cell_texts(
     t: TCategory, n: NCategory, m: MCategory
@@ -227,13 +217,11 @@ def _check_section(annotations: Sequence[Annotation]) -> str:
             stages.append((i, ann))
     if not stages:
         return ""
-    # _first_equal sees the records of one class at a time, so the first
-    # equal one of a TNM is a TNM and of a stage a stage.
-    cells = [(f"{j}\t", stage.stage) for j, stage in _first_equal(stages)]
+    cells = [(f"{j}\t", stage.stage) for j, stage in stages]
     # The TNMs with one expected group share the tails of their lines.
     tails: dict[StageGroup | None, list[str]] = {}
     parts = []
-    for i, tnm in _first_equal(tnms):
+    for i, tnm in tnms:
         expected, text = _cell_texts(tnm.t, tnm.n, tnm.m)
         if expected not in tails:
             tails[expected] = [j + text[w] for j, w in cells]

@@ -14,7 +14,7 @@ come in the order ``serialize_result`` writes them; a record that breaks
 only that rule is rejected after every other check.  The ``#check`` lines
 must be exactly the pairing of the records: every (TNM, stage) pair in
 record order, TNM-major, checked by ``staging.check_consistency`` and named
-by ``list.index``; the first line that differs, or the end of the file when
+by their positions; the first line that differs, or the end of the file when
 lines are missing, is the error.
 """
 
@@ -331,10 +331,10 @@ def deserialize_result(data: bytes) -> DocumentResult:
     # The #check lines must be the records' pairing, line for line; a
     # missing line is reported where it would start, at the end of the file.
     pairing = [
-        _check_line(annotations, check_consistency(tnm, stage))
-        for tnm in annotations
+        _check_line(i, j, check_consistency(tnm, stage))
+        for i, tnm in enumerate(annotations)
         if isinstance(tnm, TNMAnnotation)
-        for stage in annotations
+        for j, stage in enumerate(annotations)
         if isinstance(stage, StageAnnotation)
     ]
     for k, want in enumerate(pairing):
@@ -353,10 +353,7 @@ def deserialize_result(data: bytes) -> DocumentResult:
     )
 
 
-def _check_line(annotations, report):
-    """The #check line of *report*, naming each record by its first index."""
+def _check_line(i, j, report):
+    """The #check line of *report* on the records at positions *i* and *j*."""
     expected = "-" if report.expected is None else report.expected.value
-    return (
-        f"#check\t{annotations.index(report.tnm)}\t"
-        f"{annotations.index(report.stage)}\t{report.verdict.value}\t{expected}"
-    )
+    return f"#check\t{i}\t{j}\t{report.verdict.value}\t{expected}"

@@ -157,6 +157,16 @@ def test_load_lexicon_bad_line(tmp_path):
     assert "line 1" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("phrase", ["", "\u0301"], ids=["empty", "bare_acute"])
+def test_load_lexicon_unusable_phrase(tmp_path, phrase):
+    # Neither phrase has a token with a folded surface to match a note's.
+    path = tmp_path / "cues.tsv"
+    path.write_text(f"POS\t{phrase}\n", encoding="utf-8")
+    with pytest.raises(MalformedLexicon) as excinfo:
+        load_cue_lexicon(path)
+    assert str(excinfo.value) == f"line 1: unusable phrase {phrase!r}"
+
+
 def test_load_lexicon_bad_tag(tmp_path):
     path = tmp_path / "cues.tsv"
     path.write_text("MAYBE\tdudoso\n", encoding="utf-8")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _textops_py
-from oncospan import Document, OutOfBounds, Span, _textops, covered_text, split_sentences
+from oncospan import Document, OutOfBounds, Sentence, Span, _textops, split_sentences
 from oncospan._textops import NUMBER, SYMBOL, WORD
 from oncospan.document import SentenceView
 
@@ -32,6 +32,11 @@ def test_document_id_required():
             Document(f"a{control}b", "text")
     with pytest.raises(ValueError, match="lone surrogate"):
         Document("a\udcff", "text")
+
+
+def test_document_text_without_lone_surrogate():
+    with pytest.raises(ValueError, match="^document text must not hold a lone surrogate$"):
+        Document("d", "a\ud800b")
 
 
 def test_split_two_sentences():
@@ -88,7 +93,6 @@ def test_split_terminator_run():
 def test_sentences_ordered_and_disjoint():
     text = "Una frase. Otra frase! Y una tercera? Final sin punto"
     sents = split_sentences(text)
-    assert [s.index for s in sents] == list(range(len(sents)))
     for a, b in zip(sents, sents[1:]):
         assert a.span.end <= b.span.begin
 
@@ -124,14 +128,17 @@ def test_tokenize_spans_match_surfaces():
 
 
 def test_covered_text():
+    # A sentence's view holds the text its span covers, at the span's begin.
     doc = Document("d", "EGFR+")
-    assert covered_text(doc, Span(0, 4)) == "EGFR"
-    assert covered_text(doc, Span(4, 5)) == "+"
+    view = SentenceView.from_sentence(doc, Sentence(Span(0, 4)))
+    assert (view.text, view.base) == ("EGFR", 0)
+    view = SentenceView.from_sentence(doc, Sentence(Span(4, 5)))
+    assert (view.text, view.base) == ("+", 4)
 
 
 def test_covered_text_out_of_bounds():
-    with pytest.raises(OutOfBounds):
-        covered_text(Document("d", "abc"), Span(1, 7))
+    with pytest.raises(OutOfBounds, match=r"^span \[1, 7\) exceeds document 'd' of length 3$"):
+        SentenceView.from_sentence(Document("d", "abc"), Sentence(Span(1, 7)))
 
 
 # Clinical characters, with and without the ones that fold to more or fewer

@@ -64,7 +64,7 @@ _RECORD = StandoffRecord(0, 4, "mutation", "EGFR", (("gene", "EGFR"),))
 VALUES = [
     (_SPAN, ["begin", "end"]),
     (Document("d", "EGFR mutado"), ["id", "text"]),
-    (Sentence(_SPAN, 0), ["span", "index"]),
+    (Sentence(_SPAN), ["span"]),
     (Diagnostic(_SPAN, "ECOG 7 outside 0-5"), ["span", "message"]),
     (_EXON, ["span", "number", "kind"]),
     (_POINT, ["span", "value"]),
