@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # Each public submodule, with the public names it defines.
 _EXPORTS = {
     "assertion": "CueLexicon Polarity load_cue_lexicon",
-    "document": "Diagnostic Document Sentence Span split_sentences",
+    "document": "Diagnostic Document Span split_sentences",
     "errors": (
         "AmbiguousCategory ConfigError ConflictingEntry DuplicateDocumentId EmptyPredicate"
         " InvalidFilter InvalidStage MalformedFile MalformedLexicon OncospanError OutOfBounds"

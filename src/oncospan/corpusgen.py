@@ -11,6 +11,8 @@ import random
 
 from .document import Document
 
+_MIN_SIZE = 950  # a note takes distractors until its sentences reach this length
+
 _GENE_SENTENCES = (
     "EGFR + (del exon 19), no se detecta traslocación de ALK y ROS1 no traslocado.",
     "EGFR no mutado.",
@@ -125,7 +127,7 @@ def _staging_sentence(rng: random.Random) -> str:
     return f"Neoplasia pulmonar {tnm}, estadio {_stage_surface(rng, other)}."
 
 
-def generate_document(rng: random.Random, doc_id: str, min_size: int = 950) -> Document:
+def generate_document(rng: random.Random, doc_id: str) -> Document:
     sentences = []
     sentences.append(rng.choice(_DISTRACTORS))
     for pool, count in (
@@ -136,7 +138,7 @@ def generate_document(rng: random.Random, doc_id: str, min_size: int = 950) -> D
             sentences.append(rng.choice(pool))
     if rng.random() < 0.7:
         sentences.append(_staging_sentence(rng))
-    while sum(len(s) + 1 for s in sentences) < min_size:
+    while sum(len(s) + 1 for s in sentences) < _MIN_SIZE:
         sentences.append(rng.choice(_DISTRACTORS))
     rng.shuffle(sentences)
     parts = []
@@ -146,10 +148,6 @@ def generate_document(rng: random.Random, doc_id: str, min_size: int = 950) -> D
     return Document(doc_id, "".join(parts[:-1]))
 
 
-def generate_corpus(
-    count: int, seed: int = 20240817, min_size: int = 950
-) -> list[Document]:
+def generate_corpus(count: int, seed: int = 20240817) -> list[Document]:
     rng = random.Random(seed)
-    return [
-        generate_document(rng, f"doc{i:04d}", min_size) for i in range(count)
-    ]
+    return [generate_document(rng, f"doc{i:04d}") for i in range(count)]

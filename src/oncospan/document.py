@@ -1,4 +1,4 @@
-"""Document model: documents, sentences, sentence views.
+"""Document model: documents, sentence spans, sentence views.
 
 All offsets are Unicode code-point indexes into the original document text,
 begin inclusive, end exclusive.  Normalization (case and accent folding)
@@ -10,7 +10,7 @@ the text as written.  ``Span`` and ``Diagnostic`` are declared in
 import re
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import _textops
 from ._typesystem import Diagnostic, Span, check_document_id, checked_tuple
@@ -30,12 +30,8 @@ class Document(checked_tuple("Document", [("id", str), ("text", str)])):
         return tuple.__new__(cls, (id, text))
 
 
-class Sentence(NamedTuple):
-    span: Span
-
-
-def split_sentences(text: str) -> list[Sentence]:
-    return [Sentence(Span(b, e)) for b, e in _textops.sentence_spans(text)]
+def split_sentences(text: str) -> list[Span]:
+    return [Span(b, e) for b, e in _textops.sentence_spans(text)]
 
 
 class SentenceView:
@@ -92,8 +88,8 @@ class SentenceView:
         return self._norm_surfaces
 
     @classmethod
-    def from_sentence(cls, document: Document, sentence: Sentence) -> "SentenceView":
-        begin, end = sentence.span
+    def from_sentence(cls, document: Document, span: Span) -> "SentenceView":
+        begin, end = span
         if end > len(document.text):
             raise OutOfBounds(
                 f"span [{begin}, {end}) exceeds document "

@@ -9,6 +9,7 @@ these exons and points are only reported for that gene in this domain.
 
 import re
 import unicodedata
+from bisect import bisect_left
 from typing import Sequence
 
 from ._textops import NUMBER
@@ -22,7 +23,8 @@ from .document import SentenceView
 # One group per gene, in the order of _GENES.
 _GENE_RE = re.compile(r"(?<![0-9a-z])(?:(egfr)|(alk)|(ros[ \-]?1))(?![0-9a-z])")
 _GENES = (None, Gene.EGFR, Gene.ALK, Gene.ROS1)
-_POINT_RE = re.compile(r"(?<![0-9a-z])(g719x|t790m|l858r|l861q)(?![0-9a-z])")
+_POINTS = [p.value.lower() for p in PointVariant]
+_POINT_RE = re.compile(r"(?<![0-9a-z])(" + "|".join(_POINTS) + r")(?![0-9a-z])")
 
 _EXON_KEYWORD = "exon"
 _EXON_LOOKAHEAD = 2  # tokens after the keyword that may hold the number
@@ -31,10 +33,7 @@ _EXON_LOOKAHEAD = 2  # tokens after the keyword that may hold the number
 # contains: a gene name (ROS1 as _GENE_RE matches it, since the literal "ros"
 # starts inside "otros"), a point variant or the exon keyword.  The pipeline
 # analyses only the sentences that hold an enabled annotator's anchor.
-ANCHOR = (
-    "egfr", "alk", re.compile(r"ros[ \-]?1"), *(p.value.lower() for p in PointVariant),
-    _EXON_KEYWORD,
-)
+ANCHOR = ("egfr", "alk", re.compile(r"ros[ \-]?1"), *_POINTS, _EXON_KEYWORD)
 
 _KIND_CUES = {
     "del": ExonKind.DELETION,
@@ -101,19 +100,29 @@ def mutation_points_in_view(view: SentenceView) -> list[MutationPoint]:
     return out
 
 
-def _nearest(view: SentenceView, anchor: Span, items: Sequence):
-    """The item nearest *anchor* in tokens, the earliest of a tie.  Each
-    span holds a token, since every character whose fold is in [0-9a-z] is
-    a token character."""
+def _nearest(view: SentenceView, items: Sequence):
+    """A lookup of the item nearest a span in tokens, the earliest of a tie.
+
+    Each item span holds a token, since every character whose fold is in
+    [0-9a-z] is a token character.  The items' first and last tokens never
+    decrease in text order (an exon ends at the first number after its
+    keyword), so one of two items is nearest: the first to end at the latest
+    token before the span, and the first of the rest.
+    """
     if not items:
-        return None
-    first, last = view.token_range(anchor)
+        return lambda span: None
+    ranges = [view.token_range(item.span) for item in items]
+    lasts = [hi for _, hi in ranges]
 
-    def key(item):
-        lo, hi = view.token_range(item.span)
-        return max(0, lo - last, first - hi), item.span.begin
+    def nearest(span: Span):
+        first, last = view.token_range(span)
+        k = bisect_left(lasts, first)
+        gaps = [(max(0, ranges[k][0] - last), k)] if k < len(items) else []
+        if k:
+            gaps.append((first - lasts[k - 1], bisect_left(lasts, lasts[k - 1])))
+        return items[min(gaps)[1]]
 
-    return min(items, key=key)
+    return nearest
 
 
 def annotate_view(
@@ -124,6 +133,7 @@ def annotate_view(
     mentions = gene_mentions_in_view(view)
     exons = exon_mentions_in_view(view)
     points = mutation_points_in_view(view)
+    nearest_exon, nearest_point = _nearest(view, exons), _nearest(view, points)
     out: list[MutationAnnotation] = []
     for gene, span in mentions:
         if gene not in genes:
@@ -131,13 +141,12 @@ def annotate_view(
         polarity = polarity_in_view(view, span, lexicon)
         exon = point = None
         if gene is Gene.EGFR:
-            exon = _nearest(view, span, exons)
-            point = _nearest(view, span, points)
+            exon, point = nearest_exon(span), nearest_point(span)
         out.append(MutationAnnotation(span, gene, polarity, exon, point, False))
     sentence_names_egfr = any(g is Gene.EGFR for g, _ in mentions)
     if Gene.EGFR in genes and not sentence_names_egfr and (exons or points):
         # Each exon with its nearest point, then each point no exon took.
-        pairs = [(exon, _nearest(view, exon.span, points)) for exon in exons]
+        pairs = [(exon, nearest_point(exon.span)) for exon in exons]
         taken = {point for _, point in pairs}
         pairs += [(None, point) for point in points if point not in taken]
         for exon, point in pairs:

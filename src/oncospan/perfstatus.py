@@ -13,18 +13,19 @@ from .document import SentenceView
 
 _PS_SEP_CHARS = r" :\-_()."
 _PS_SEP = "[" + _PS_SEP_CHARS + "]*"
+_KARNOFSKY = "k(?:arnofsky|ps)"
 # Patterns on the folded shadow that every annotation and diagnostic of the
 # scale starts with: the keyword, then a separator, a digit or (ECOG only)
 # the "p" of "ps".  "Ecografía" matches neither.
 ECOG_ANCHOR = "ecog[" + _PS_SEP_CHARS + "p0-9]"
-KARNOFSKY_ANCHOR = "k(?:arnofsky|ps)[" + _PS_SEP_CHARS + "0-9]"
+KARNOFSKY_ANCHOR = _KARNOFSKY + "[" + _PS_SEP_CHARS + "0-9]"
 
 _ECOG_RE = re.compile(
     r"(?<![0-9a-z])ecog(?:" + _PS_SEP + r"ps)?" + _PS_SEP +
     r"([0-9]+)(?![0-9a-z])\)?"
 )
 _KARNOFSKY_RE = re.compile(
-    r"(?<![0-9a-z])(?:karnofsky|kps)" + _PS_SEP +
+    r"(?<![0-9a-z])" + _KARNOFSKY + _PS_SEP +
     r"([0-9]+)(?![0-9a-z])(?: ?%)?\)?"
 )
 

@@ -254,8 +254,8 @@ def test_in_folded_view_equals_standalone_view(text):
     # read like a view that folds the sentence text on its own.
     folded = _textops.normalize_text(text)
     for sentence in split_sentences(text):
-        begin, end = sentence.span.begin, sentence.span.end
-        cut = SentenceView.in_folded(text, folded, sentence.span)
+        begin, end = sentence
+        cut = SentenceView.in_folded(text, folded, sentence)
         alone = SentenceView(text[begin:end], begin)
         assert (cut.text, cut.base, cut.norm) == (alone.text, alone.base, alone.norm)
         assert list(cut.norm_map) == list(alone.norm_map)

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _textops_py
-from oncospan import Document, OutOfBounds, Sentence, Span, _textops, split_sentences
+from oncospan import Document, OutOfBounds, Span, _textops, split_sentences
 from oncospan._textops import NUMBER, SYMBOL, WORD
 from oncospan.document import SentenceView
 
 
 def spans(sentences):
-    return [(s.span.begin, s.span.end) for s in sentences]
+    return [(s.begin, s.end) for s in sentences]
 
 
 def test_span_invariants():
@@ -94,7 +94,7 @@ def test_sentences_ordered_and_disjoint():
     text = "Una frase. Otra frase! Y una tercera? Final sin punto"
     sents = split_sentences(text)
     for a, b in zip(sents, sents[1:]):
-        assert a.span.end <= b.span.begin
+        assert a.end <= b.begin
 
 
 @pytest.mark.parametrize(
@@ -130,15 +130,15 @@ def test_tokenize_spans_match_surfaces():
 def test_covered_text():
     # A sentence's view holds the text its span covers, at the span's begin.
     doc = Document("d", "EGFR+")
-    view = SentenceView.from_sentence(doc, Sentence(Span(0, 4)))
+    view = SentenceView.from_sentence(doc, Span(0, 4))
     assert (view.text, view.base) == ("EGFR", 0)
-    view = SentenceView.from_sentence(doc, Sentence(Span(4, 5)))
+    view = SentenceView.from_sentence(doc, Span(4, 5))
     assert (view.text, view.base) == ("+", 4)
 
 
 def test_covered_text_out_of_bounds():
     with pytest.raises(OutOfBounds, match=r"^span \[1, 7\) exceeds document 'd' of length 3$"):
-        SentenceView.from_sentence(Document("d", "abc"), Sentence(Span(1, 7)))
+        SentenceView.from_sentence(Document("d", "abc"), Span(1, 7))
 
 
 # Clinical characters, with and without the ones that fold to more or fewer
@@ -159,7 +159,7 @@ def _check_view(text, cuts):
     doc = Document("d", text)
     for sentence in split_sentences(text):
         view = SentenceView.from_sentence(doc, sentence)
-        begin, end = sentence.span.begin, sentence.span.end
+        begin, end = sentence
         expected = _textops_py.token_spans(text, begin, end)
         assert [(begin + b, begin + e, k) for b, e, k in view.tokens] == expected
         assert view.norm_surfaces == [

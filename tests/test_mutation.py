@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oncospan import (
     Document,
@@ -7,11 +11,14 @@ from oncospan import (
     PointVariant,
     Polarity,
     load_cue_lexicon,
+    process_document,
     split_sentences,
 )
 from oncospan.mutation import (
+    ANCHOR,
     ExonMention,
     MutationAnnotation,
+    _nearest,
     annotate_view,
     exon_mentions_in_view,
     gene_mentions_in_view,
@@ -180,19 +187,68 @@ def test_egfr_attaches_nearest_exon():
     assert got[0].exon.number == 19
 
 
-def test_nearest_reads_each_token_range_once(monkeypatch):
-    # 20 EGFR mentions, each with 20 exons to choose from: one range for the
-    # polarity window and one for each mention and each exon it weighs.
-    text = "EGFR exón 19 " * 20
+def _nearest_oracle(view, anchor, items):
+    """The item nearest *anchor* in tokens, the earliest of a tie: every
+    item's token gap, weighed one by one."""
+    if not items:
+        return None
+    first, last = view.token_range(anchor)
+
+    def key(item):
+        lo, hi = view.token_range(item.span)
+        return max(0, lo - last, first - hi), item.span.begin
+
+    return min(items, key=key)
+
+
+# "exón exón 19" holds two exons that end at one number, and "exon 19 20"
+# an exon beside a lone number.
+_UNITS = st.sampled_from(
+    ["EGFR", "ALK", "exón 19", "exón exón 19", "del exon 21", "exon 20 ins", "exon 19 20",
+     "exón", "19", "L858R", "T790M", "g719x", "no", "+", "(", ")"]
+)
+
+
+@given(st.lists(st.tuples(_UNITS, st.sampled_from([" ", ", ", "-", ""])), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_nearest_lookup_equals_oracle(parts):
+    # Every span from one token to another, against the exons and points.
+    view = SentenceView("".join(unit + sep for unit, sep in parts), 7)
+    tokens = view.tokens
+    for items in (exon_mentions_in_view(view), mutation_points_in_view(view)):
+        nearest = _nearest(view, items)
+        for (first, _, _), (_, last, _) in itertools.combinations_with_replacement(tokens, 2):
+            anchor = Span(7 + first, 7 + last)
+            assert nearest(anchor) == _nearest_oracle(view, anchor, items), anchor
+
+
+@pytest.mark.parametrize("unit", ["EGFR exón 19 ", "exón 19 L858R "])
+def test_nearest_search_scales_linearly(monkeypatch, unit):
+    # The token_range calls of annotating 4n repeats of the unit stay within
+    # 4.5 times those of n repeats; weighing every item for every mention
+    # made it 15 times.
     calls = []
     token_range = SentenceView.token_range
     monkeypatch.setattr(
         SentenceView, "token_range",
         lambda view, span: calls.append(span) or token_range(view, span),
     )
-    got = annotate_view(SentenceView(text), load_cue_lexicon())
-    assert [a.exon.number for a in got] == [19] * 20
-    assert len(calls) == 20 + 20 * (1 + 20)
+    counts = []
+    for n in (20, 80):
+        calls.clear()
+        got = annotate_view(SentenceView(unit * n), load_cue_lexicon())
+        assert sum(a.exon is not None for a in got) == n
+        counts.append(len(calls))
+    assert counts[1] <= 4.5 * counts[0], counts
+
+
+@pytest.mark.parametrize("variant", list(PointVariant), ids=lambda v: v.value)
+def test_every_point_variant_is_anchored_and_annotated(default_pipeline, variant):
+    assert variant.value.lower() in ANCHOR
+    result = process_document(default_pipeline, Document("d", f"Presencia de {variant.value}."))
+    assert [(a.gene, a.implied, a.point.value) for a in result.annotations] == [
+        (Gene.EGFR, True, variant)
+    ]
 
 
 def test_egfr_attaches_point():

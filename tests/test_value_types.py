@@ -39,7 +39,6 @@ from oncospan import (
     PSAnnotation,
     PSScale,
     QueryPredicate,
-    Sentence,
     Span,
     StageAnnotation,
     StageGroup,
@@ -64,7 +63,6 @@ _RECORD = StandoffRecord(0, 4, "mutation", "EGFR", (("gene", "EGFR"),))
 VALUES = [
     (_SPAN, ["begin", "end"]),
     (Document("d", "EGFR mutado"), ["id", "text"]),
-    (Sentence(_SPAN), ["span"]),
     (Diagnostic(_SPAN, "ECOG 7 outside 0-5"), ["span", "message"]),
     (_EXON, ["span", "number", "kind"]),
     (_POINT, ["span", "value"]),
@@ -120,7 +118,7 @@ def test_every_exported_value_type_is_covered():
         if isinstance(t, type) and issubclass(t, tuple)
     }
     assert {type(value) for value, _ in VALUES} == exported
-    assert len(VALUES) == 17
+    assert len(VALUES) == 16
 
 
 # A field value each checking type rejects, and the error it raises.
