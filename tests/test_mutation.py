@@ -222,11 +222,13 @@ def test_nearest_lookup_equals_oracle(parts):
             assert nearest(anchor) == _nearest_oracle(view, anchor, items), anchor
 
 
-@pytest.mark.parametrize("unit", ["EGFR exón 19 ", "exón 19 L858R "])
+@pytest.mark.parametrize(
+    "unit", ["EGFR exón 19 ", "exón 19 L858R "], ids=["egfr_exon", "exon_point"]
+)
 def test_nearest_search_scales_linearly(monkeypatch, unit):
     # The token_range calls of annotating 4n repeats of the unit stay within
-    # 4.5 times those of n repeats; weighing every item for every mention
-    # made it 15 times.
+    # 4.5 times those of n repeats; a search that weighs every item for
+    # every mention makes it 15 times.
     calls = []
     token_range = SentenceView.token_range
     monkeypatch.setattr(
