@@ -32,20 +32,22 @@ and the values the annotation itself rejects.  The error namer runs only on
 a line the reader refuses, reading it field by field, and one with nothing
 else wrong has its features out of canonical order.  The readers are made on
 the first decode, so a process that only writes records never builds them.
-It compares the ``#check`` section with the one the records give as one
-string, reading it line by line only to report a mismatch; so a well-formed
-section that is not that pairing is rejected.
+Everything after the ``#diag`` lines must be the ``#check`` section the
+records give, compared as one string, so a well-formed section that is not
+that pairing is rejected.  Only a mismatch is read line by line, to name the
+first line that differs: a line that is not a ``#check`` line by what it is,
+a wrong or missing ``#check`` line by the line expected there.
 """
 
 import re
 import typing
 from functools import cache
-from itertools import groupby
+from itertools import groupby, zip_longest
 from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from ._typesystem import (
-    Annotation, ConsistencyVerdict, Diagnostic, DocumentResult, ExonKind, Gene, MCategory,
+    Annotation, Diagnostic, DocumentResult, ExonKind, Gene, MCategory,
     MutationAnnotation, NCategory, PointVariant, Polarity, PSAnnotation, PSScale, Span,
     StageAnnotation, StageGroup, TCategory, TNMAnnotation, TnmPrefix, _verdicts,
     check_document_id, checked_tuple,
@@ -260,9 +262,6 @@ def _parse_int(raw: str, what: str, line_no: int) -> int:
     raise MalformedFile(f"{what} is not an integer: {raw!r}", line_no)
 
 
-_STAGES = _values(StageGroup)
-_VERDICT_NAMES = _values(ConsistencyVerdict)
-
 # A canonical integer as a regex group.
 _INT = "(0|[1-9][0-9]*)"
 
@@ -424,14 +423,12 @@ def deserialize_result(data: bytes) -> DocumentResult:
     while i < len(lines) and lines[i].startswith("#diag\t"):
         diagnostics.append(_parse_diag(lines[i], len(text), first_line + i))
         i += 1
-    if i < len(lines):
-        _parse_check(lines[i], annotations, first_line + i)  # raises: out of place
-    # The section must be what serialize_result writes for these records,
-    # which is nothing when they hold no (TNM, stage) pair.
-    section = content[check_at:]
+    # The rest must be what serialize_result writes for these records, which
+    # is nothing when they hold no (TNM, stage) pair.
     expected = _check_section(annotations)
-    if section != expected:
-        _reject_check_section(section, expected, annotations, 4 + text.count("\n") + len(lines))
+    if i < len(lines) or content[check_at:] != expected:
+        rest = lines[i:] + content[check_at:].split("\n")[:-1]
+        _reject_check_section(rest, expected, 4 + text.count("\n") + i)
 
     return DocumentResult(document_id, text, tuple(annotations), tuple(diagnostics))
 
@@ -500,47 +497,25 @@ def _parse_diag(line: str, text_len: int, line_no: int) -> Diagnostic:
     return Diagnostic(span, _unescape(fields[3], line_no))
 
 
-def _parse_check(line: str, annotations: list[Annotation], line_no: int) -> None:
-    """Check a line of the #check section field by field, raising the first
-    diagnostic that applies."""
-    if not line.startswith("#check\t"):
-        if line.startswith("#diag\t"):
-            raise MalformedFile("#diag after #check", line_no)
-        if line.startswith("#"):
-            raise MalformedFile(f"unknown directive {line.split(chr(9))[0]!r}", line_no)
-        raise MalformedFile("record after #diag/#check section", line_no)
-    fields = line.split("\t")
-    if len(fields) != 5:
-        raise MalformedFile("#check needs 5 tab-separated fields", line_no)
-    for raw, cls in ((fields[1], TNMAnnotation), (fields[2], StageAnnotation)):
-        index = _parse_int(raw, f"{cls.annotator} record index", line_no)
-        if index >= len(annotations) or not isinstance(annotations[index], cls):
-            raise MalformedFile(f"index {index} is not a {cls.annotator} record", line_no)
-    verdict = _VERDICT_NAMES.get(fields[3])
-    if verdict is None:
-        raise MalformedFile(f"unknown verdict {fields[3]!r}", line_no)
-    if fields[4] != "-" and fields[4] not in _STAGES:
-        raise MalformedFile(f"unknown stage group {fields[4]!r}", line_no)
-    if (fields[4] == "-") != (verdict is ConsistencyVerdict.NOT_COMPARABLE):
-        raise MalformedFile("expected group is set exactly when comparable", line_no)
-
-
-def _reject_check_section(
-    section: str, expected: str, annotations: list[Annotation], line_no: int
-) -> NoReturn:
-    """Raise for the #check *section* from *line_no*, which is not *expected*:
-    at its first malformed line, or else at the first line that differs."""
-    lines = section.split("\n")
-    for k, line in enumerate(lines[:-1]):
-        _parse_check(line, annotations, line_no + k)
-    # Both end in "", so a missing line differs at the end of the file.
-    for k, (line, want) in enumerate(zip(lines, expected.split("\n"))):
+def _reject_check_section(lines: list[str], expected: str, line_no: int) -> NoReturn:
+    """Raise for *lines*, the last lines of the file from *line_no* on, which
+    are not the #check section *expected*: at the first line that differs,
+    over both whole lists, so a line past the end of either differs."""
+    for k, (line, want) in enumerate(zip_longest(lines, expected.split("\n")[:-1])):
         if line != want:
-            raise MalformedFile(
-                "#check section is not the pairing of the records: expected "
-                + (repr(want) if want else "the end of the file"),
-                line_no + k,
-            )
+            break
+    line_no += k
+    if line is None or line.startswith("#check\t"):
+        raise MalformedFile(
+            "#check section is not the pairing of the records: expected "
+            + ("the end of the file" if want is None else repr(want)),
+            line_no,
+        )
+    if line.startswith("#diag\t"):
+        raise MalformedFile("#diag after #check", line_no)
+    if line.startswith("#"):
+        raise MalformedFile(f"unknown directive {line.split(chr(9))[0]!r}", line_no)
+    raise MalformedFile("record after #diag/#check section", line_no)
 
 
 def read_standoff(data: bytes) -> StandoffFile:

@@ -11,11 +11,13 @@ canonical ASCII decimals: ``0`` or ``[1-9][0-9]*``.  Covered text and
 ``#diag`` messages hold no raw carriage return, which the encoder always
 escapes; the check comes after the span and before the escapes.  A record's feature keys
 come in the order ``serialize_result`` writes them; a record that breaks
-only that rule is rejected after every other check.  The ``#check`` lines
-must be exactly the pairing of the records: every (TNM, stage) pair in
-record order, TNM-major, checked by ``staging.check_consistency`` and named
-by their positions; the first line that differs, or the end of the file when
-lines are missing, is the error.
+only that rule is rejected after every other check.  Records come
+first, then ``#diag`` lines; every line from the first that is neither must
+be the ``#check`` section of the records: every (TNM, stage) pair in record
+order, TNM-major, checked by ``staging.check_consistency`` and named by
+their positions.  Its fields are not read one by one: the first line that
+differs from that pairing, or the end of the file when lines are missing, is
+the error, named by what the line is.
 """
 
 import re
@@ -34,8 +36,6 @@ from oncospan.mutation import (
 from oncospan.perfstatus import PSAnnotation, PSScale
 from oncospan.pipeline import DocumentResult
 from oncospan.staging import (
-    ConsistencyReport,
-    ConsistencyVerdict,
     MCategory,
     NCategory,
     StageAnnotation,
@@ -214,29 +214,6 @@ _DECODERS = {
 }
 
 
-def _parse_check(fields, annotations, line_no):
-    tnm_idx = _parse_int(fields[1], "tnm record index", line_no)
-    stage_idx = _parse_int(fields[2], "stage record index", line_no)
-    if not 0 <= tnm_idx < len(annotations) or not isinstance(
-        annotations[tnm_idx], TNMAnnotation
-    ):
-        raise MalformedFile(f"index {tnm_idx} is not a tnm record", line_no)
-    if not 0 <= stage_idx < len(annotations) or not isinstance(
-        annotations[stage_idx], StageAnnotation
-    ):
-        raise MalformedFile(f"index {stage_idx} is not a stage record", line_no)
-    verdict = _parse_enum(ConsistencyVerdict, fields[3], "verdict", line_no)
-    expected = None
-    if fields[4] != "-":
-        expected = _parse_enum(StageGroup, fields[4], "stage group", line_no)
-    try:
-        return ConsistencyReport(
-            annotations[tnm_idx], annotations[stage_idx], verdict, expected
-        )
-    except ValueError as exc:
-        raise MalformedFile(str(exc), line_no) from None
-
-
 def deserialize_result(data: bytes) -> DocumentResult:
     try:
         content = data.decode("utf-8")
@@ -274,13 +251,11 @@ def deserialize_result(data: bytes) -> DocumentResult:
 
     annotations = []
     diagnostics = []
-    checks = []
     section = "records"
+    checks_at = len(lines)
     for offset, line in enumerate(lines):
         line_no = first_line + offset
         if line.startswith("#diag\t"):
-            if section == "checks":
-                raise MalformedFile("#diag after #check", line_no)
             section = "diags"
             fields = line.split("\t")
             if len(fields) != 4:
@@ -290,18 +265,9 @@ def deserialize_result(data: bytes) -> DocumentResult:
                 raise MalformedFile("raw carriage return in #diag message", line_no)
             diagnostics.append(Diagnostic(span, _unescape(fields[3], line_no)))
             continue
-        if line.startswith("#check\t"):
-            section = "checks"
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise MalformedFile("#check needs 5 tab-separated fields", line_no)
-            _parse_check(fields, annotations, line_no)
-            checks.append((line_no, line))
-            continue
-        if line.startswith("#"):
-            raise MalformedFile(f"unknown directive {line.split(chr(9))[0]!r}", line_no)
-        if section != "records":
-            raise MalformedFile("record after #diag/#check section", line_no)
+        if line.startswith("#") or section != "records":
+            checks_at = offset  # the #check section starts here
+            break
         fields = line.split("\t")
         if len(fields) != 5:
             raise MalformedFile("record needs 5 tab-separated fields", line_no)
@@ -328,7 +294,8 @@ def deserialize_result(data: bytes) -> DocumentResult:
             raise MalformedFile("features not in canonical order", line_no)
         annotations.append(annotation)
 
-    # The #check lines must be the records' pairing, line for line; a
+    # The lines from there on must be the records' pairing, line for line.
+    # The first line that differs is the error, named by what it is; a
     # missing line is reported where it would start, at the end of the file.
     pairing = [
         _check_line(i, j, check_consistency(tnm, stage))
@@ -337,13 +304,23 @@ def deserialize_result(data: bytes) -> DocumentResult:
         for j, stage in enumerate(annotations)
         if isinstance(stage, StageAnnotation)
     ]
-    for k, want in enumerate(pairing):
-        if k == len(checks):
-            raise MalformedFile("missing #check line", first_line + len(lines))
-        if checks[k][1] != want:
-            raise MalformedFile("#check line differs", checks[k][0])
-    if len(checks) > len(pairing):
-        raise MalformedFile("extra #check line", checks[len(pairing)][0])
+    checks = lines[checks_at:]
+    for k in range(max(len(checks), len(pairing))):
+        line = checks[k] if k < len(checks) else None
+        want = pairing[k] if k < len(pairing) else None
+        if line == want:
+            continue
+        line_no = first_line + checks_at + k
+        if line is None:
+            raise MalformedFile("missing #check line", line_no)
+        if line.startswith("#check\t"):
+            what = "extra #check line" if want is None else "#check line differs"
+            raise MalformedFile(what, line_no)
+        if line.startswith("#diag\t"):
+            raise MalformedFile("#diag after #check", line_no)
+        if line.startswith("#"):
+            raise MalformedFile(f"unknown directive {line.split(chr(9))[0]!r}", line_no)
+        raise MalformedFile("record after #diag/#check section", line_no)
 
     return DocumentResult(
         document_id=document_id,

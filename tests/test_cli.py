@@ -412,13 +412,31 @@ def test_query_missing_store(tmp_path, capsys):
     assert code == 1
 
 
-def test_query_corrupt_store(corpus_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, corrupt, message",
+    [
+        (
+            "docMutation.ann",
+            lambda data: b"not a standoff file\n",
+            "line 1: first line must be '#doc <id>'",
+        ),
+        (
+            "docStaging.ann",
+            lambda data: data.replace(b"\tConsistent\t", b"\tInconsistent\t"),
+            "line 6: #check section is not the pairing of the records: "
+            "expected '#check\\t0\\t1\\tConsistent\\tIA1'",
+        ),
+    ],
+    ids=["garbage", "check_verdict"],
+)
+def test_query_corrupt_store(corpus_dir, tmp_path, capsys, name, corrupt, message):
     out = tmp_path / "out"
     _annotate(corpus_dir, out)
-    (out / "docMutation.ann").write_bytes(b"not a standoff file\n")
+    path = out / name
+    path.write_bytes(corrupt(path.read_bytes()))
     code = cli_main(["query", "--store", str(out), "--filter", "gene=EGFR"])
     assert code == 1
-    assert "docMutation.ann" in capsys.readouterr().err
+    assert f"{path}: {message}" in capsys.readouterr().err
 
 
 def test_query_skips_entries_that_are_not_files(corpus_dir, tmp_path, capsys):

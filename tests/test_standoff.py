@@ -6,7 +6,7 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _standoff_oracle
@@ -504,28 +504,42 @@ def test_diag_field_count():
         deserialize_result(data)
 
 
-@pytest.mark.parametrize(
-    "check",
-    [
-        b"#check\t0\t0\tConsistent\tIA1\n",  # index 0 is the tnm record
-        b"#check\t5\t0\tConsistent\tIA1\n",  # out of range
-        b"#check\t0\t1\tMaybe\tIA1\n",
-        b"#check\t0\t1\tConsistent\n",  # 4 fields
-        b"#check\t0\t1\tConsistent\tIA1\textra\n",  # 6 fields
-        b"#check\t0\t1\tConsistent\tZZ\n",
-        b"#check\t0\t1\tNotComparable\tIA1\n",  # expected must be '-'
-        b"#check\t0\t1\tConsistent\t-\n",  # expected required
-        b"#check\t01\t1\tConsistent\tIA1\n",
-        b"#check\t+0\t1\tConsistent\tIA1\n",
-        b"#check\t 0\t1\tConsistent\tIA1\n",
-        b"#check\t0\t-1\tConsistent\tIA1\n",
-        b"#check\t1\t1\tConsistent\tIA1\n",  # index 1 is the stage record
-        b"#check\t0\t2\tConsistent\tIA1\n",  # index 2 is the mutation record
-        b"#check\t0\t1\tConsistent\tIA1\n#check\t0\t01\tConsistent\tIA1\n",
-        b"#check\t0\t1\tConsistent\tIA1\n#diag\t0\t1\tlate\n",
-        b"#check\t0\t1\tConsistent\tIA1\n#note\n",
-    ],
-)
+_CHECK = b"#check\t0\t1\tConsistent\tIA1\n"
+_NOT_PAIRING = "#check section is not the pairing of the records: expected "
+_WANT_CHECK = _NOT_PAIRING + repr(_CHECK[:-1].decode())
+_WANT_END = _NOT_PAIRING + "the end of the file"
+
+
+# Each section after the records of test_check_errors, with the line it is
+# rejected at and the message.
+_CHECK_ERRORS = {
+    b"#check\t0\t0\tConsistent\tIA1\n": (7, _WANT_CHECK),  # index 0 is the tnm record
+    b"#check\t5\t0\tConsistent\tIA1\n": (7, _WANT_CHECK),  # out of range
+    b"#check\t0\t1\tMaybe\tIA1\n": (7, _WANT_CHECK),
+    b"#check\t0\t1\tConsistent\n": (7, _WANT_CHECK),  # 4 fields
+    b"#check\t0\t1\tConsistent\tIA1\textra\n": (7, _WANT_CHECK),  # 6 fields
+    b"#check\t0\t1\tConsistent\tZZ\n": (7, _WANT_CHECK),
+    b"#check\t0\t1\tNotComparable\tIA1\n": (7, _WANT_CHECK),  # expected must be '-'
+    b"#check\t0\t1\tConsistent\t-\n": (7, _WANT_CHECK),  # expected required
+    b"#check\t01\t1\tConsistent\tIA1\n": (7, _WANT_CHECK),
+    b"#check\t+0\t1\tConsistent\tIA1\n": (7, _WANT_CHECK),
+    b"#check\t 0\t1\tConsistent\tIA1\n": (7, _WANT_CHECK),
+    b"#check\t0\t-1\tConsistent\tIA1\n": (7, _WANT_CHECK),
+    b"#check\t1\t1\tConsistent\tIA1\n": (7, _WANT_CHECK),  # index 1 is the stage record
+    b"#check\t0\t2\tConsistent\tIA1\n": (7, _WANT_CHECK),  # index 2 is the mutation record
+    _CHECK + b"#check\t0\t01\tConsistent\tIA1\n": (8, _WANT_END),
+    _CHECK + b"#diag\t0\t1\tlate\n": (8, "#diag after #check"),
+    _CHECK + b"#note\n": (8, "unknown directive '#note'"),
+    # A well-formed line that differs is the error, not a malformed one after it.
+    b"#check\t0\t1\tInconsistent\tIA1\n"
+    b"#check\t0\t1\tMaybe\tIA1\n": (7, _WANT_CHECK),
+    # A blank line inside or after the section is no #check line.
+    _CHECK + b"\n" + _CHECK: (8, "record after #diag/#check section"),
+    _CHECK + b"\n": (8, "record after #diag/#check section"),
+}
+
+
+@pytest.mark.parametrize("check", list(_CHECK_ERRORS))
 def test_check_errors(check):
     base = (
         b"#doc d\n#len 22\npT1aN0M0 pT1aN0M0 EGFR\n"
@@ -533,11 +547,13 @@ def test_check_errors(check):
         b"9\t17\tstage\tpT1aN0M0\tstage=IA1\n"
         b"18\t22\tmutation\tEGFR\tgene=EGFR;polarity=Unknown;implied=false\n"
     )
-    assert len(deserialize_result(base + b"#check\t0\t1\tConsistent\tIA1\n").consistency) == 1
+    assert len(deserialize_result(base + _CHECK).consistency) == 1
     with pytest.raises(MalformedFile) as exc:
         deserialize_result(base + check)
-    # The last line of *check* is the bad one; base ends on line 6.
-    assert exc.value.line_no == 6 + check.count(b"\n")
+    # base ends on line 6.
+    line_no, message = _CHECK_ERRORS[check]
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
 
 
 def test_read_standoff(default_pipeline):
@@ -654,7 +670,25 @@ def _mutate(line: str, draw) -> str:
     return line[:begin] + draw(new) + line[end:]
 
 
+class _Draws:
+    """Stands in for ``st.data()`` in an explicit example: each ``draw``
+    returns the next of the given values."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy):
+        return next(self._values)
+
+
 @given(st.lists(st.sampled_from(_ORACLE_NOTES), min_size=1, max_size=3), st.data())
+# The T1N0M0 record moved behind the section: its first #check line is
+# well-formed but differs, and the next names a stage record out of range.
+# The first is the error.
+@example(
+    ["Estadio IIIA con T1N0M0.", "a\\b\tc d. pT2aN1M0, estadio IIB."],
+    _Draws("record", 2, 0),
+)
 @settings(deadline=None, max_examples=500)
 def test_decoder_equals_line_by_line_oracle(default_pipeline, parts, data):
     # On any input the table-driven decoder returns what the line-by-line one
